@@ -22,12 +22,16 @@
 //! * [`json`] — a dependency-free JSON parser / pretty printer shared by
 //!   the CLI config files and the campaign engine (this build environment
 //!   has no crates.io access, so serde_json is not an option).
+//! * [`artifact`] — where the perf-baseline `BENCH_*.json` files are
+//!   written and read (override variable, then `CARGO_TARGET_DIR`, then
+//!   the workspace `target/`).
 //!
 //! The crate is `#![forbid(unsafe_code)]` and dependency-light by design.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod artifact;
 pub mod bignat;
 pub mod criticality;
 pub mod error;

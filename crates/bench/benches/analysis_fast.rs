@@ -28,7 +28,8 @@
 //!   throughput ratio is recorded.
 //!
 //! Besides the criterion groups, the bench writes `BENCH_analysis.json`
-//! (workspace `target/` by default, `BENCH_ANALYSIS_JSON` overrides) — the
+//! (path from `profirt_base::artifact`: `BENCH_ANALYSIS_JSON`, else
+//! `CARGO_TARGET_DIR`, else the workspace `target/`) — the
 //! analysis-side perf baseline artifact CI uploads alongside `BENCH_sim`,
 //! recording per-comparison best-of-N ns for both paths and the fast/reference
 //! speedup, plus the campaign `units_per_sec` block the advisory
@@ -40,6 +41,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
+use profirt_base::artifact;
 use profirt_base::json::{self, Value};
 use profirt_base::{Task, TaskSet, Time};
 use profirt_bench::large;
@@ -488,13 +490,9 @@ fn write_baseline(full: bool) {
         ("comparisons", Value::Array(rows)),
         ("campaign", campaign),
     ]);
-    let path = std::env::var("BENCH_ANALYSIS_JSON").unwrap_or_else(|_| {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/BENCH_analysis.json"
-        )
-        .to_string()
-    });
+    let path = artifact::bench_json_path("BENCH_ANALYSIS_JSON", "BENCH_analysis.json")
+        .display()
+        .to_string();
     match std::fs::write(&path, doc.pretty() + "\n") {
         Ok(()) => println!("[baseline] wrote {path}"),
         Err(e) => eprintln!("[baseline] cannot write {path}: {e}"),

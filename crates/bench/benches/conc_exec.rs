@@ -11,7 +11,8 @@
 //! model-checked park protocol).
 //!
 //! Besides the criterion group, the bench writes `BENCH_conc.json`
-//! (workspace `target/` by default, `BENCH_CONC_JSON` overrides) — the
+//! (path from `profirt_base::artifact`: `BENCH_CONC_JSON`, else
+//! `CARGO_TARGET_DIR`, else the workspace `target/`) — the
 //! executor-side perf baseline artifact CI uploads alongside
 //! `BENCH_sim`/`BENCH_analysis`, recording per-worker-count mean ns for
 //! both pools. Before timing, both paths are checked for identical
@@ -23,6 +24,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crossbeam::channel;
+use profirt_base::artifact;
 use profirt_base::json::{self, Value};
 use profirt_bench::task_set;
 use profirt_experiments::runner::par_map_seeds;
@@ -147,9 +149,9 @@ fn write_baseline(full: bool) {
         ("smoke_run", Value::Bool(!full)),
         ("comparisons", Value::Array(rows)),
     ]);
-    let path = std::env::var("BENCH_CONC_JSON").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/BENCH_conc.json").to_string()
-    });
+    let path = artifact::bench_json_path("BENCH_CONC_JSON", "BENCH_conc.json")
+        .display()
+        .to_string();
     match std::fs::write(&path, doc.pretty() + "\n") {
         Ok(()) => println!("[baseline] wrote {path}"),
         Err(e) => eprintln!("[baseline] cannot write {path}: {e}"),

@@ -27,7 +27,8 @@
 //!   idle spans in O(1). The fixture the `ffwd_speedup` floor watches.
 //!
 //! Besides the criterion groups, the bench writes `BENCH_sim.json`
-//! (workspace `target/` by default, `BENCH_SIM_JSON` overrides) — the
+//! (path from `profirt_base::artifact`: `BENCH_SIM_JSON`, else
+//! `CARGO_TARGET_DIR`, else the workspace `target/`) — the
 //! perf baseline artifact CI uploads, recording per-fixture mean ns for
 //! both engines, the streaming/materialized speedup, and — for every
 //! static fixture — `unskipped_ns`/`ffwd_speedup`: the same kernel with
@@ -42,6 +43,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
+use profirt_base::artifact;
 use profirt_base::json::{self, Value};
 use profirt_base::{Criticality, StreamSet, Time};
 use profirt_profibus::{LowPriorityTraffic, QueuePolicy};
@@ -330,9 +332,9 @@ fn write_baseline(full: bool) {
         ("smoke_run", Value::Bool(!full)),
         ("fixtures", Value::Array(rows)),
     ]);
-    let path = std::env::var("BENCH_SIM_JSON").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/BENCH_sim.json").to_string()
-    });
+    let path = artifact::bench_json_path("BENCH_SIM_JSON", "BENCH_sim.json")
+        .display()
+        .to_string();
     match std::fs::write(&path, doc.pretty() + "\n") {
         Ok(()) => println!("[baseline] wrote {path}"),
         Err(e) => eprintln!("[baseline] cannot write {path}: {e}"),

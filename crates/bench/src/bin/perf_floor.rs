@@ -1,10 +1,10 @@
 //! Advisory perf floor over the `BENCH_analysis.json` and
 //! `BENCH_sim.json` baselines.
 //!
-//! Reads the artifact the `analysis_fast` bench writes (workspace
-//! `target/BENCH_analysis.json` by default, `BENCH_ANALYSIS_JSON`
-//! overrides) and warns — exit code 1 — when either batch-analysis
-//! headline slips:
+//! Reads the artifact the `analysis_fast` bench writes
+//! (`BENCH_analysis.json`, found where the bench puts it — see
+//! `profirt_base::artifact`) and warns — exit code 1 — when either
+//! batch-analysis headline slips:
 //!
 //! * the `warm_sweep_chain64_vs_cold` speedup drops below
 //!   [`WARM_SWEEP_FLOOR`] (the warm chain should stay at least 2x the
@@ -14,9 +14,9 @@
 //!   (a committed reference measurement; absolute throughput is
 //!   machine-relative, which is one reason the CI step is advisory).
 //!
-//! It then reads the artifact the `sim_kernel` bench writes (workspace
-//! `target/BENCH_sim.json` by default, `BENCH_SIM_JSON` overrides) and
-//! applies the idle fast-forward floors:
+//! It then reads the artifact the `sim_kernel` bench writes
+//! (`BENCH_sim.json`, found the same way) and applies the idle
+//! fast-forward floors:
 //!
 //! * the sparse fixture's `ffwd_speedup` must stay at least
 //!   [`SPARSE_FFWD_FLOOR`] (the O(1) idle-span skip measures two orders
@@ -36,6 +36,7 @@
 //! floor flags a perf regression for a human to look at; it must not
 //! block an otherwise-green build on a noisy shared runner.
 
+use profirt_base::artifact;
 use profirt_base::json::{self, Value};
 
 /// Minimum acceptable warm-sweep speedup (warm chain vs per-call cold).
@@ -91,8 +92,9 @@ fn ffwd_speedup(doc: &Value, path: &str, fixture: &str) -> f64 {
 }
 
 fn main() {
-    let path = std::env::var("BENCH_ANALYSIS_JSON")
-        .unwrap_or_else(|_| "target/BENCH_analysis.json".to_string());
+    let path = artifact::bench_json_path("BENCH_ANALYSIS_JSON", "BENCH_analysis.json")
+        .display()
+        .to_string();
     let doc = load_artifact(&path, "analysis_fast");
 
     let warm_sweep = doc
@@ -112,8 +114,9 @@ fn main() {
         .and_then(Value::as_f64)
         .unwrap_or_else(|| fail_setup(&format!("{path} has no campaign.warm_units_per_sec")));
 
-    let sim_path =
-        std::env::var("BENCH_SIM_JSON").unwrap_or_else(|_| "target/BENCH_sim.json".to_string());
+    let sim_path = artifact::bench_json_path("BENCH_SIM_JSON", "BENCH_sim.json")
+        .display()
+        .to_string();
     let sim_doc = load_artifact(&sim_path, "sim_kernel");
     let sparse_ffwd = ffwd_speedup(&sim_doc, &sim_path, "sparse_long_horizon");
     let dense_ffwd = ffwd_speedup(&sim_doc, &sim_path, "dense_long_horizon");

@@ -10,7 +10,8 @@
 //!
 //! 1. [`server`] — TCP acceptor / stdin driver. Reads one request per
 //!    line with a hard byte cap (oversized lines get a structured error,
-//!    the connection survives), writes one response per line.
+//!    the connection survives), writes one response per line, each in a
+//!    single write on a `TCP_NODELAY` socket.
 //! 2. [`engine`] — the concurrency story. Requests flow through the
 //!    bounded injection queue of the model-checked
 //!    [`profirt_conc::exec::Core`] executor onto sharded workers;
@@ -27,9 +28,10 @@
 //!    answers exactly what a direct library call answers (the
 //!    differential tests pin this).
 //! 4. [`selftest`] — a self-contained load harness
-//!    (`profirt serve --selftest`) recording p50/p99 latency, saturation
-//!    throughput, queue-full rejects, and memo hit rate into
-//!    `target/BENCH_serve.json`.
+//!    (`profirt serve --selftest`) recording in-process p50/p99 latency,
+//!    saturation throughput of correct answers, queue-full rejects and
+//!    sheds, memo hit rate, and socket round-trip p50/p99 into
+//!    `BENCH_serve.json`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

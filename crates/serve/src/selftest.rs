@@ -7,18 +7,24 @@
 //! 1. **Latency** — paced clients, one request outstanding per client,
 //!    recording per-request wall time → p50/p99.
 //! 2. **Saturation** — more clients than queue slots, tight loop for a
-//!    fixed window → throughput at saturation and queue-full rejects
-//!    (the backpressure path must actually fire, not just exist).
-//! 3. **TCP smoke** — a real socket round trip against an ephemeral-port
-//!    server.
+//!    fixed window → throughput of correct (`"ok":true`) answers at
+//!    saturation, with queue-full rejects and sheds counted apart (the
+//!    backpressure path must actually fire, not just exist).
+//! 3. **TCP** — a `ping` smoke test, then sequential round trips of
+//!    corpus lines over one real socket to an ephemeral-port server,
+//!    each answer checked byte for byte against [`proto::answer_line`]
+//!    → socket round-trip p50/p99. The in-process phases never touch a
+//!    socket, so only this one shows transport delays.
 //!
-//! Results land in `target/BENCH_serve.json` (`BENCH_SERVE_JSON`
-//! overrides the path) next to the other perf baselines CI uploads.
+//! Results land in `BENCH_serve.json` next to the other perf baselines
+//! CI uploads (`BENCH_SERVE_JSON`, else `CARGO_TARGET_DIR`, else the
+//! workspace `target/` — see [`profirt_base::artifact`]).
 
-use std::io::Write as _;
-use std::net::TcpStream;
+use std::io::{self, BufRead as _, BufReader, Write as _};
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use profirt_base::artifact;
 use profirt_base::json::{self, Value};
 use profirt_base::Prng;
 use profirt_conc::sync::Mutex;
@@ -37,8 +43,8 @@ pub struct SelftestConfig {
     pub quick: bool,
     /// Worker count for the engine under test.
     pub workers: usize,
-    /// Output path override (`None` = `BENCH_SERVE_JSON` env var, then
-    /// `target/BENCH_serve.json`).
+    /// Output path override (`None` = [`artifact::bench_json_path`] for
+    /// `BENCH_serve.json`).
     pub out_path: Option<String>,
 }
 
@@ -73,20 +79,31 @@ pub struct SelftestReport {
     pub p50_us: f64,
     /// 99th-percentile request latency, microseconds.
     pub p99_us: f64,
-    /// Responses per second with every client in a tight loop.
+    /// Correct (`"ok":true`) answers per second with every client in a
+    /// tight loop.
     pub saturation_req_per_s: f64,
-    /// Responses produced during the saturation window.
-    pub saturation_responses: u64,
-    /// Queue-full rejections during the saturation window.
+    /// Correct answers produced during the saturation window.
+    pub saturation_ok: u64,
+    /// Queue-full rejections (`"overloaded"`) during the saturation window.
     pub rejected_full: u64,
+    /// Sub-HI requests shed at a full queue during the saturation window.
+    pub shed: u64,
     /// Memo cache hits across the whole run.
     pub memo_hits: u64,
     /// Memo cache misses across the whole run.
     pub memo_misses: u64,
     /// `memo_hits / (hits + misses)`.
     pub memo_hit_rate: f64,
-    /// The TCP round trip succeeded.
+    /// The TCP `ping` round trip succeeded.
     pub tcp_smoke_ok: bool,
+    /// Sequential corpus round trips timed over the socket.
+    pub tcp_round_trips: usize,
+    /// Every TCP round trip got the byte-identical direct answer.
+    pub tcp_round_trips_ok: bool,
+    /// Median socket round-trip time, microseconds.
+    pub tcp_p50_us: f64,
+    /// 99th-percentile socket round-trip time, microseconds.
+    pub tcp_p99_us: f64,
     /// Where the JSON artifact was written.
     pub out_path: String,
 }
@@ -108,15 +125,17 @@ impl SelftestReport {
                 "saturation_req_per_s",
                 Value::Float(self.saturation_req_per_s),
             ),
-            (
-                "saturation_responses",
-                Value::Int(self.saturation_responses as i64),
-            ),
+            ("saturation_ok", Value::Int(self.saturation_ok as i64)),
             ("rejected_full", Value::Int(self.rejected_full as i64)),
+            ("shed", Value::Int(self.shed as i64)),
             ("memo_hits", Value::Int(self.memo_hits as i64)),
             ("memo_misses", Value::Int(self.memo_misses as i64)),
             ("memo_hit_rate", Value::Float(self.memo_hit_rate)),
             ("tcp_smoke_ok", Value::Bool(self.tcp_smoke_ok)),
+            ("tcp_round_trips", Value::Int(self.tcp_round_trips as i64)),
+            ("tcp_round_trips_ok", Value::Bool(self.tcp_round_trips_ok)),
+            ("tcp_p50_us", Value::Float(self.tcp_p50_us)),
+            ("tcp_p99_us", Value::Float(self.tcp_p99_us)),
         ])
     }
 
@@ -125,9 +144,10 @@ impl SelftestReport {
         format!(
             "serve selftest ({} mode): {} workers, corpus {}\n\
              latency: p50 {:.1} us, p99 {:.1} us over {} requests\n\
-             saturation: {:.0} req/s ({} responses, {} queue-full rejects)\n\
+             saturation: {:.0} req/s ({} ok answers, {} queue-full rejects, {} shed)\n\
              memo: {} hits / {} misses (hit rate {:.2})\n\
              tcp smoke: {}\n\
+             tcp round trips: p50 {:.1} us, p99 {:.1} us over {} requests, answers {}\n\
              wrote {}",
             if self.quick { "quick" } else { "full" },
             self.workers,
@@ -136,12 +156,21 @@ impl SelftestReport {
             self.p99_us,
             self.latency_requests,
             self.saturation_req_per_s,
-            self.saturation_responses,
+            self.saturation_ok,
             self.rejected_full,
+            self.shed,
             self.memo_hits,
             self.memo_misses,
             self.memo_hit_rate,
             if self.tcp_smoke_ok { "ok" } else { "FAILED" },
+            self.tcp_p50_us,
+            self.tcp_p99_us,
+            self.tcp_round_trips,
+            if self.tcp_round_trips_ok {
+                "ok"
+            } else {
+                "FAILED"
+            },
             self.out_path,
         )
     }
@@ -286,50 +315,55 @@ pub fn run_selftest(cfg: &SelftestConfig) -> Result<SelftestReport, String> {
     let latency_requests = all.len();
 
     // Phase 2: saturation. 4x more clients than queue slots, tight loop
-    // for a fixed window; throughput is responses (of any kind) per
-    // second, and the stats delta shows how often the queue pushed back.
+    // for a fixed window; throughput is correct answers per second, and
+    // the stats delta shows how often the queue pushed back instead.
     let before = engine.stats();
     let window = if cfg.quick {
         Duration::from_millis(250)
     } else {
         Duration::from_millis(1_500)
     };
-    let responses = Mutex::new(0u64);
+    let answered = Mutex::new(0u64);
     let start = Instant::now();
     std::thread::scope(|scope| {
         for c in 0..(queue_cap * 4) {
-            let (engine, corpus, responses) = (&engine, &corpus, &responses);
+            let (engine, corpus, answered) = (&engine, &corpus, &answered);
             scope.spawn(move || {
                 let mut n = 0u64;
                 let mut i = c * 13;
                 while start.elapsed() < window {
-                    let _ = engine.handle(&corpus[i % corpus.len()]);
-                    n += 1;
+                    // Every corpus line is answerable, so anything but
+                    // "ok":true is a refusal the stats count.
+                    if engine
+                        .handle(&corpus[i % corpus.len()])
+                        .contains("\"ok\":true")
+                    {
+                        n += 1;
+                    }
                     i += 1;
                 }
-                *responses
+                *answered
                     .lock()
                     .unwrap_or_else(|poisoned| poisoned.into_inner()) += n;
             });
         }
     });
     let elapsed = start.elapsed().as_secs_f64();
-    let saturation_responses = *responses
+    let saturation_ok = *answered
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
     let after = engine.stats();
-    let rejected_full = after.rejected_full - before.rejected_full;
     engine.shutdown();
-    let memo_hits = after.memo_hits;
-    let memo_misses = after.memo_misses;
 
-    // Phase 3: TCP smoke — one socket round trip end to end.
-    let tcp_smoke_ok = tcp_smoke(workers).unwrap_or(false);
+    // Phase 3: TCP — smoke ping, then timed corpus round trips.
+    let tcp = tcp_phase(workers, &corpus).unwrap_or_default();
+    let mut rtt = tcp.rtt_ns;
+    rtt.sort_unstable();
 
     let out_path = cfg.out_path.clone().unwrap_or_else(|| {
-        std::env::var("BENCH_SERVE_JSON").unwrap_or_else(|_| {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/BENCH_serve.json").to_string()
-        })
+        artifact::bench_json_path("BENCH_SERVE_JSON", "BENCH_serve.json")
+            .display()
+            .to_string()
     });
     let report = SelftestReport {
         quick: cfg.quick,
@@ -340,13 +374,18 @@ pub fn run_selftest(cfg: &SelftestConfig) -> Result<SelftestReport, String> {
         latency_requests,
         p50_us,
         p99_us,
-        saturation_req_per_s: saturation_responses as f64 / elapsed.max(1e-9),
-        saturation_responses,
-        rejected_full,
-        memo_hits,
-        memo_misses,
+        saturation_req_per_s: saturation_ok as f64 / elapsed.max(1e-9),
+        saturation_ok,
+        rejected_full: after.rejected_full - before.rejected_full,
+        shed: after.shed - before.shed,
+        memo_hits: after.memo_hits,
+        memo_misses: after.memo_misses,
         memo_hit_rate: after.hit_rate(),
-        tcp_smoke_ok,
+        tcp_smoke_ok: tcp.smoke_ok,
+        tcp_round_trips: rtt.len(),
+        tcp_round_trips_ok: tcp.round_trips_ok,
+        tcp_p50_us: percentile_us(&rtt, 0.50),
+        tcp_p99_us: percentile_us(&rtt, 0.99),
         out_path: out_path.clone(),
     };
     std::fs::write(&out_path, report.to_json().pretty() + "\n")
@@ -354,8 +393,19 @@ pub fn run_selftest(cfg: &SelftestConfig) -> Result<SelftestReport, String> {
     Ok(report)
 }
 
-fn tcp_smoke(workers: usize) -> std::io::Result<bool> {
-    let mut server = Server::start(ServerConfig {
+/// Sequential corpus round trips the TCP phase times.
+const TCP_ROUND_TRIPS: usize = 200;
+
+/// What the TCP phase observed; an I/O error leaves every check false.
+#[derive(Default)]
+struct TcpPhase {
+    smoke_ok: bool,
+    round_trips_ok: bool,
+    rtt_ns: Vec<u64>,
+}
+
+fn tcp_phase(workers: usize, corpus: &[String]) -> io::Result<TcpPhase> {
+    let server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         engine: EngineConfig {
             workers,
@@ -364,25 +414,37 @@ fn tcp_smoke(workers: usize) -> std::io::Result<bool> {
             max_request_bytes: proto::DEFAULT_MAX_REQUEST_BYTES,
         },
     })?;
-    let mut conn = TcpStream::connect(server.local_addr())?;
-    conn.set_read_timeout(Some(Duration::from_secs(5)))?;
-    conn.write_all(b"{\"op\":\"ping\",\"id\":\"smoke\"}\n")?;
-    let mut resp = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        use std::io::Read as _;
-        conn.read_exact(&mut byte)?;
-        if byte[0] == b'\n' {
-            break;
-        }
-        resp.push(byte[0]);
-        if resp.len() > 4096 {
-            break;
-        }
+    // Dropping the server at the end shuts it down.
+    tcp_client(server.local_addr(), corpus)
+}
+
+/// One plain client on one connection: one request outstanding at a
+/// time, each answer compared with the direct evaluation.
+fn tcp_client(addr: SocketAddr, corpus: &[String]) -> io::Result<TcpPhase> {
+    let mut writer = TcpStream::connect(addr)?;
+    writer.set_read_timeout(Some(Duration::from_secs(5)))?;
+    let mut reader = BufReader::new(writer.try_clone()?);
+    let mut round_trip = |line: &str| -> io::Result<String> {
+        writer.write_all(format!("{line}\n").as_bytes())?;
+        let mut resp = String::new();
+        reader.read_line(&mut resp)?;
+        Ok(resp.strip_suffix('\n').unwrap_or(&resp).to_string())
+    };
+    let smoke_ok = round_trip("{\"op\":\"ping\",\"id\":\"smoke\"}")?.contains("\"pong\":true");
+    let mut round_trips_ok = true;
+    let mut rtt_ns = Vec::with_capacity(TCP_ROUND_TRIPS);
+    for line in corpus.iter().cycle().take(TCP_ROUND_TRIPS) {
+        let expected = proto::answer_line(line);
+        let start = Instant::now();
+        let served = round_trip(line)?;
+        rtt_ns.push(start.elapsed().as_nanos() as u64);
+        round_trips_ok &= served == expected;
     }
-    drop(conn);
-    server.shutdown();
-    Ok(String::from_utf8_lossy(&resp).contains("\"pong\":true"))
+    Ok(TcpPhase {
+        smoke_ok,
+        round_trips_ok,
+        rtt_ns,
+    })
 }
 
 #[cfg(test)]
@@ -414,14 +476,19 @@ mod tests {
         })
         .unwrap();
         assert!(report.latency_requests > 0);
-        assert!(report.saturation_responses > 0);
+        assert!(report.saturation_ok > 0);
         assert!(report.p50_us > 0.0 && report.p99_us >= report.p50_us);
         assert!(report.memo_hits > 0, "duplicated corpus must hit the memo");
         assert!(report.tcp_smoke_ok);
+        assert!(report.tcp_round_trips_ok);
+        assert_eq!(report.tcp_round_trips, TCP_ROUND_TRIPS);
+        assert!(report.tcp_p50_us > 0.0 && report.tcp_p99_us >= report.tcp_p50_us);
         let text = std::fs::read_to_string(&tmp).unwrap();
         let doc = json::parse(&text).unwrap();
         assert_eq!(doc.get("bench").unwrap().as_str(), Some("serve"));
         assert!(doc.get("latency_p99_us").unwrap().as_f64().is_some());
+        assert!(doc.get("tcp_p99_us").unwrap().as_f64().is_some());
+        assert_eq!(doc.get("shed").unwrap().as_i64(), Some(report.shed as i64));
         let _ = std::fs::remove_file(&tmp);
     }
 }

@@ -9,9 +9,15 @@
 //! extended to request length. Invalid UTF-8 gets a structured parse
 //! error the same way. A client can never crash the server or silently
 //! lose its connection over a bad request.
+//!
+//! Every response line — the response and its `\n` — leaves in one
+//! `write`, on a socket with `TCP_NODELAY` set, so no part of an answer
+//! waits in the kernel for the client's next acknowledgement. The
+//! acceptor blocks in `accept`; [`Server::shutdown`] wakes it with one
+//! loopback connection, which it drops unserved.
 
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -39,7 +45,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// How often blocked reads and the accept loop re-check the stop flag.
+/// How often an idle connection's blocked read, and [`Server::wait`],
+/// re-check the stop flag. The acceptor does not poll: it blocks in
+/// `accept` until a client or [`Server::shutdown`] wakes it.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// A running server: listener thread, per-connection threads, and the
@@ -57,7 +65,6 @@ impl Server {
     pub fn start(cfg: ServerConfig) -> io::Result<Server> {
         let engine = Arc::new(Engine::start(cfg.engine)?);
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -104,6 +111,10 @@ impl Server {
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept_handle.take() {
+            // Wake the acceptor out of its blocking `accept`. A failed
+            // connect means it has already left the loop (the listener
+            // is closed), so the join below still returns.
+            let _ = TcpStream::connect(wake_addr(self.local_addr));
             let _ = handle.join();
         }
         let conns: Vec<JoinHandle<()>> = {
@@ -126,14 +137,31 @@ impl Drop for Server {
     }
 }
 
+/// Where [`Server::shutdown`] connects to wake the acceptor: the bound
+/// address, with a wildcard IP replaced by the loopback of its family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
 fn accept_loop(
     listener: &TcpListener,
     engine: &Arc<Engine>,
     stop: &Arc<AtomicBool>,
     conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Re-checked after every accept: the connection that ends the
+        // loop is shutdown's wake-up, dropped here without a thread.
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let engine = Arc::clone(engine);
                 let stop = Arc::clone(stop);
@@ -149,10 +177,14 @@ fn accept_loop(
                         .push(handle);
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => break,
+            // A client that gave up before being accepted costs the
+            // acceptor nothing.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                ) => {}
+            Err(_) => return,
         }
     }
 }
@@ -161,6 +193,10 @@ fn handle_conn(engine: &Engine, stream: TcpStream, stop: &AtomicBool) -> io::Res
     // A finite read timeout lets the connection observe the stop flag
     // even while the client is idle.
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
+    // Each response goes out in one write; without Nagle's algorithm a
+    // client pipelining requests never waits for one answer to be
+    // acknowledged before the next is sent.
+    stream.set_nodelay(true)?;
     let writer = stream.try_clone()?;
     serve_stream(engine, stream, writer, Some(stop))
 }
@@ -216,9 +252,7 @@ pub fn serve_stream<R: Read, W: Write>(
             }
             line.push(byte);
             if line.len() > cap {
-                writer.write_all(proto::oversized_response(line.len(), cap).as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
+                write_line(&mut writer, proto::oversized_response(line.len(), cap))?;
                 line.clear();
                 skipping = true;
             }
@@ -237,8 +271,16 @@ fn respond_line<W: Write>(engine: &Engine, raw: &[u8], writer: &mut W) -> io::Re
             engine.handle(text)
         }
     };
-    writer.write_all(response.as_bytes())?;
-    writer.write_all(b"\n")?;
+    write_line(writer, response)
+}
+
+/// Writes one response line — the response and its `\n` — with a single
+/// `write_all`, so a socket sends the whole line as one segment instead
+/// of holding a trailing newline until the client acknowledges.
+fn write_line<W: Write>(writer: &mut W, response: String) -> io::Result<()> {
+    let mut line = response.into_bytes();
+    line.push(b'\n');
+    writer.write_all(&line)?;
     writer.flush()
 }
 
@@ -297,10 +339,48 @@ mod tests {
         e.shutdown();
     }
 
+    /// A `Write` that records how many `write` calls each response line
+    /// took.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
-    fn tcp_round_trip_and_shutdown() {
-        let mut server = Server::start(ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
+    fn every_response_line_is_one_write() {
+        let e = engine();
+        let mut input = b"{\"op\":\"ping\",\"id\":1}\n".to_vec();
+        input.extend_from_slice(&[b'x'; 5000]);
+        input.push(b'\n');
+        input.extend_from_slice(&[0xFF, 0xFE, b'\n']);
+        let mut out = CountingWriter::default();
+        serve_stream(&e, &input[..], &mut out, None).unwrap();
+        let text = String::from_utf8(out.bytes).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "{text}");
+        assert!(lines[0].contains("\"pong\":true"), "{text}");
+        assert!(lines[1].contains("\"oversized\""), "{text}");
+        assert!(lines[2].contains("not valid UTF-8"), "{text}");
+        assert_eq!(out.writes, 3, "one write per response line: {text}");
+        e.shutdown();
+    }
+
+    fn small_server(addr: &str) -> Server {
+        Server::start(ServerConfig {
+            addr: addr.to_string(),
             engine: EngineConfig {
                 workers: 2,
                 queue_cap: 32,
@@ -308,11 +388,19 @@ mod tests {
                 max_request_bytes: 4096,
             },
         })
-        .unwrap();
-        let addr = server.local_addr();
-        let mut conn = TcpStream::connect(addr).unwrap();
-        conn.write_all(b"{\"op\":\"ping\",\"id\":\"tcp\"}\n")
-            .unwrap();
+        .unwrap()
+    }
+
+    /// Shuts `server` down and asserts the blocking acceptor did not hang
+    /// it.
+    fn shutdown_promptly(mut server: Server) {
+        let start = std::time::Instant::now();
+        server.shutdown();
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+    }
+
+    fn read_line(conn: &mut TcpStream) -> String {
         let mut resp = Vec::new();
         let mut byte = [0u8; 1];
         loop {
@@ -322,7 +410,67 @@ mod tests {
             }
             resp.push(byte[0]);
         }
-        let resp = String::from_utf8(resp).unwrap();
+        String::from_utf8(resp).unwrap()
+    }
+
+    #[test]
+    fn shutdown_wakes_an_idle_acceptor() {
+        shutdown_promptly(small_server("127.0.0.1:0"));
+    }
+
+    #[test]
+    fn shutdown_wakes_an_acceptor_bound_to_the_wildcard() {
+        let server = small_server("0.0.0.0:0");
+        assert!(server.local_addr().ip().is_unspecified());
+        shutdown_promptly(server);
+    }
+
+    #[test]
+    fn shutdown_with_an_idle_client_connected() {
+        let server = small_server("127.0.0.1:0");
+        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        // Make sure the connection has its own thread before shutdown.
+        conn.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+        assert!(read_line(&mut conn).contains("\"pong\":true"));
+        shutdown_promptly(server);
+        let mut rest = Vec::new();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(conn.read_to_end(&mut rest).unwrap(), 0, "server closed");
+    }
+
+    #[test]
+    fn client_connecting_right_after_start_is_answered() {
+        for round in 0..5 {
+            let server = small_server("127.0.0.1:0");
+            let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            conn.write_all(format!("{{\"op\":\"ping\",\"id\":{round}}}\n").as_bytes())
+                .unwrap();
+            let resp = read_line(&mut conn);
+            assert!(resp.contains("\"pong\":true"), "{resp}");
+            assert!(resp.contains(&format!("\"id\":{round}")), "{resp}");
+            drop(conn);
+            shutdown_promptly(server);
+        }
+    }
+
+    #[test]
+    fn wake_addr_maps_wildcards_to_loopback() {
+        let v4: SocketAddr = "0.0.0.0:7188".parse().unwrap();
+        let v6: SocketAddr = "[::]:7188".parse().unwrap();
+        let bound: SocketAddr = "127.0.0.1:7188".parse().unwrap();
+        assert_eq!(wake_addr(v4), "127.0.0.1:7188".parse().unwrap());
+        assert_eq!(wake_addr(v6), "[::1]:7188".parse().unwrap());
+        assert_eq!(wake_addr(bound), bound);
+    }
+
+    #[test]
+    fn tcp_round_trip_and_shutdown() {
+        let mut server = small_server("127.0.0.1:0");
+        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        conn.write_all(b"{\"op\":\"ping\",\"id\":\"tcp\"}\n")
+            .unwrap();
+        let resp = read_line(&mut conn);
         assert!(resp.contains("\"pong\":true"), "{resp}");
         drop(conn);
         server.shutdown();

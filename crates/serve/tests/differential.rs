@@ -48,9 +48,16 @@ fn run_differential(workers: usize, memo_cap: usize) {
         max_request_bytes: DEFAULT_MAX_REQUEST_BYTES,
     })
     .expect("engine start");
-    for line in corpus() {
-        let direct = answer_line(&line);
-        let served = engine.handle(&line);
+    let corpus = corpus();
+    // Each shard has its own memo, so the repeat pass alone may land
+    // every duplicate on a shard that has not seen it. One memoizable
+    // line (the first generated `feasibility` query) sent `workers + 1`
+    // times reaches some shard twice (pigeonhole), which makes a memo
+    // hit certain whenever the memo is on.
+    let repeated = std::iter::repeat_n(&corpus[0], workers + 1);
+    for line in corpus.iter().chain(repeated) {
+        let direct = answer_line(line);
+        let served = engine.handle(line);
         assert_eq!(
             served, direct,
             "served answer diverged from direct evaluation\n\

@@ -7,8 +7,11 @@
 //! * `--stdin` — one-shot batch: read request lines from stdin, write
 //!   responses to stdout, exit at EOF. Scriptable (`profirt serve
 //!   --stdin < requests.jsonl`).
-//! * `--selftest [--quick]` — in-process load harness; prints a summary
-//!   and writes `target/BENCH_serve.json`.
+//! * `--selftest [--quick]` — load harness (in-process phases plus TCP
+//!   round trips); prints a summary and writes `BENCH_serve.json`
+//!   (workspace `target/` unless `CARGO_TARGET_DIR` or
+//!   `BENCH_SERVE_JSON` says otherwise). Fails when a TCP answer is
+//!   wrong or refused.
 
 use profirt::serve::{
     run_selftest, serve_stream, EngineConfig, SelftestConfig, Server, ServerConfig,
@@ -45,6 +48,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
         println!("{}", report.summary());
         if !report.tcp_smoke_ok {
             return Err("selftest TCP smoke failed".into());
+        }
+        if !report.tcp_round_trips_ok {
+            return Err("selftest TCP round trips got a wrong or refused answer".into());
         }
         return Ok(());
     }
