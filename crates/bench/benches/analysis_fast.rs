@@ -32,7 +32,10 @@
 //! `CARGO_TARGET_DIR`, else the workspace `target/`) — the
 //! analysis-side perf baseline artifact CI uploads alongside `BENCH_sim`,
 //! recording per-comparison best-of-N ns for both paths and the fast/reference
-//! speedup, plus the campaign `units_per_sec` block the advisory
+//! speedup, the `edf_rta_scan` block (summed arrival candidates and
+//! fixpoint evaluations of `edf-rta` and `np-edf-rta` over the
+//! `edf_rta_sweep` fixture: deterministic work counts, free of timing
+//! noise), plus the campaign `units_per_sec` block the advisory
 //! `perf_floor` CI step checks. Before timing, every pair is checked for
 //! verdict equality, so a speedup in the artifact is always a speedup at
 //! equal answers.
@@ -51,8 +54,9 @@ use profirt_experiments::campaign::{
 use profirt_sched::edf::{
     edf_feasibility_batch, edf_feasible_nonpreemptive, edf_feasible_nonpreemptive_exhaustive,
     edf_feasible_preemptive, edf_feasible_preemptive_exhaustive, edf_response_times,
-    edf_response_times_with, DemandConfig, DemandFormula, DemandVariantSpec, EdfRtaConfig,
-    Feasibility, NpBlockingModel, NpFeasibilityConfig,
+    edf_response_times_with, np_edf_response_times_with, DemandConfig, DemandFormula,
+    DemandVariantSpec, EdfRtaConfig, Feasibility, NpBlockingModel, NpEdfRtaConfig,
+    NpFeasibilityConfig,
 };
 use profirt_sched::fixed::{
     np_response_times, np_response_times_with, response_times, response_times_with, NpFixedConfig,
@@ -72,6 +76,41 @@ fn edf_sweep_scratch(sets: &[TaskSet], scratch: &mut AnalysisScratch) {
             edf_response_times_with(black_box(set), &EdfRtaConfig::default(), scratch).unwrap(),
         );
     }
+}
+
+/// The deterministic work of the EDF response-time scans over `sets`: for
+/// `edf-rta` and `np-edf-rta`, each on its own fresh scratch, the summed
+/// per-task arrival candidates examined and the fixpoint evaluations
+/// (busy periods included). Counts, not times: they move only when the
+/// scan itself changes.
+fn edf_scan_work(sets: &[TaskSet]) -> Value {
+    let sum = |analyze: &dyn Fn(&TaskSet, &mut AnalysisScratch) -> Vec<usize>| {
+        let mut scratch = AnalysisScratch::new();
+        let candidates: usize = sets
+            .iter()
+            .map(|set| analyze(set, &mut scratch).iter().sum::<usize>())
+            .sum();
+        json::object([
+            ("candidates", Value::Int(candidates as i64)),
+            (
+                "fixpoint_iters",
+                Value::Int(scratch.take_fixpoint_iters() as i64),
+            ),
+        ])
+    };
+    let edf = sum(&|set, scratch| {
+        let (_, d) = edf_response_times_with(set, &EdfRtaConfig::default(), scratch).unwrap();
+        d.iter().map(|w| w.candidates).collect()
+    });
+    let np = sum(&|set, scratch| {
+        let (_, d) = np_edf_response_times_with(set, &NpEdfRtaConfig::default(), scratch).unwrap();
+        d.iter().map(|w| w.candidates).collect()
+    });
+    json::object([
+        ("task_sets", Value::Int(sets.len() as i64)),
+        ("edf_rta", edf),
+        ("np_edf_rta", np),
+    ])
 }
 
 fn fp_sweep_fresh(sets: &[(TaskSet, PriorityMap)]) {
@@ -488,6 +527,7 @@ fn write_baseline(full: bool) {
         ("samples_per_path", Value::Int(iters as i64)),
         ("smoke_run", Value::Bool(!full)),
         ("comparisons", Value::Array(rows)),
+        ("edf_rta_scan", edf_scan_work(&edf_sweep)),
         ("campaign", campaign),
     ]);
     let path = artifact::bench_json_path("BENCH_ANALYSIS_JSON", "BENCH_analysis.json")

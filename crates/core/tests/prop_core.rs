@@ -127,7 +127,7 @@ proptest! {
                 prop_assert!(y.response_time >= x.response_time);
             }
             // Schedulability can only degrade.
-            prop_assert!(!(y.schedulable && !x.schedulable));
+            prop_assert!(!y.schedulable || x.schedulable);
         }
     }
 }

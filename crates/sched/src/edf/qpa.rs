@@ -162,9 +162,12 @@ fn direct_scan(dpc: &[(Time, Time, Time)], blocking: Time, horizon: Time) -> Qpa
         let f = demand_dpc(dpc, t, DemandFormula::Standard) + blocking;
         if f > t {
             // t >= dmin throughout, so the rounded-down checkpoint exists
-            // and carries the same demand: it is a genuine violation.
-            let s = prev_checkpoint(dpc, t).expect("t >= dmin");
-            return QpaOutcome::Violation(s);
+            // and carries the same demand: it is a genuine violation. Should
+            // that invariant ever fail, the exhaustive reference decides.
+            return match prev_checkpoint(dpc, t) {
+                Some(s) => QpaOutcome::Violation(s),
+                None => QpaOutcome::Incomplete,
+            };
         }
         if f < dmin {
             return QpaOutcome::Feasible(evals);

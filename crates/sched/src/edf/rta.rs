@@ -25,6 +25,22 @@
 //! `a ∈ ⋃_j {k·Tj + Dj − Di ≥ 0} ∩ [0, L)` with `L` the synchronous busy
 //! period.
 //!
+//! ### The candidate scan
+//!
+//! `Li(a)` is non-decreasing in `a`: the `⌊a/Ti⌋` own-job count, the set of
+//! deadline-qualified tasks and every `by_deadline` cap only grow. The scan
+//! (shared with [`crate::edf::rta_np`], see the `scan` module) therefore
+//! seeds each candidate's fixpoint with the previous candidate's `Li`,
+//! which reaches the same least fixpoint as a seed of zero; a warm fixpoint
+//! that fails is redone from zero, so errors are the cold ones. Since
+//! `Li(a) ≤ L`, `ri(a) ≤ max{Ci, L − a}`, and the scan stops at the first
+//! candidate with `L − a ≤` the best response so far: no later offset can
+//! beat it strictly. The one permitted divergence from scanning every
+//! candidate from zero: a candidate whose cold chain would hit
+//! `FixpointConfig::max_iterations` may converge from its warm seed, and an
+//! arithmetic error at a candidate past the stop no longer surfaces.
+//! Verdicts, `wcrt` and `critical_a` are otherwise identical.
+//!
 //! ### Allocation discipline
 //!
 //! The per-task candidate progressions, the merge heap, and the
@@ -36,12 +52,11 @@
 
 use profirt_base::{AnalysisError, AnalysisResult, TaskSet, Time};
 
-use crate::checkpoints::CheckpointScratch;
 use crate::edf::busy_period::synchronous_busy_period_warm;
-use crate::edf::demand::load_dpc;
-use crate::fixpoint::{fixpoint_counted, FixOutcome, FixpointConfig};
+use crate::edf::scan::{scan_arrivals, Caps, ScanSpec};
+use crate::fixpoint::FixpointConfig;
 use crate::scratch::AnalysisScratch;
-use crate::{soa, SetAnalysis, TaskVerdict};
+use crate::SetAnalysis;
 
 /// Configuration for the preemptive EDF response-time analysis.
 #[derive(Clone, Copy, Debug)]
@@ -70,7 +85,8 @@ pub struct EdfWcrt {
     pub wcrt: Time,
     /// The arrival offset `a` at which it is attained.
     pub critical_a: Time,
-    /// Number of arrival candidates examined.
+    /// Number of arrival candidates examined before the scan stopped
+    /// (the candidate at which the early-stop rule fired included).
     pub candidates: usize,
 }
 
@@ -98,100 +114,36 @@ pub fn edf_response_times_with(
     if set.is_empty() {
         return Err(AnalysisError::EmptySet);
     }
-    let AnalysisScratch {
-        checkpoints,
-        progressions,
-        dpc,
-        caps,
-        warm,
-        fixpoint_iters,
-        ..
-    } = scratch;
-    let l = synchronous_busy_period_warm(set, config.fixpoint, Some(warm), fixpoint_iters)?;
-    load_dpc(set, dpc);
-    let mut verdicts = Vec::with_capacity(set.len());
-    let mut details = Vec::with_capacity(set.len());
-    for (i, task) in set.iter() {
-        let detail = wcrt_for_task(
-            dpc,
-            i,
-            l,
-            config,
-            checkpoints,
-            progressions,
-            caps,
-            fixpoint_iters,
-        )?;
-        let schedulable = detail.wcrt <= task.d;
-        verdicts.push(if schedulable {
-            TaskVerdict::Schedulable { wcrt: detail.wcrt }
-        } else {
-            TaskVerdict::Unschedulable {
-                exceeded_at: detail.wcrt,
-            }
-        });
-        details.push(detail);
-    }
-    Ok((SetAnalysis { verdicts }, details))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn wcrt_for_task(
-    dpc: &[(Time, Time, Time)],
-    i: usize,
-    l: Time,
-    config: &EdfRtaConfig,
-    checkpoints: &mut CheckpointScratch,
-    progressions: &mut Vec<(Time, Time)>,
-    caps: &mut Vec<(Time, Time, i64)>,
-    iters: &mut u64,
-) -> AnalysisResult<EdfWcrt> {
-    let (d_i, _, c_i) = dpc[i];
-    // Arrival candidates: a = k*Tj + Dj - Di >= 0, a < L (eq. (8)); the
-    // merge advances negative offsets automatically. L itself is excluded:
-    // a busy period starting the instance at a >= L cannot extend it (the
+    let l = synchronous_busy_period_warm(
+        set,
+        config.fixpoint,
+        Some(&mut scratch.warm),
+        &mut scratch.fixpoint_iters,
+    )?;
+    // Candidates lie in [0, L) (eq. (8)). L itself is excluded: a busy
+    // period starting the instance at a >= L cannot extend it (the
     // synchronous period has ended).
-    progressions.clear();
-    progressions.extend(dpc.iter().map(|&(d_j, t_j, _)| (d_j - d_i, t_j)));
-    let bound = (l - Time::ONE).max_zero();
-    let mut best = EdfWcrt {
-        wcrt: c_i,
-        critical_a: Time::ZERO,
-        candidates: 0,
+    let spec = ScanSpec {
+        candidates_what: "edf-rta candidates",
+        busy_what: "edf-rta busy period",
+        fixpoint: config.fixpoint,
+        max_candidates: config.max_candidates,
+        candidate_bound: (l - Time::ONE).max_zero(),
+        fix_bound: l,
+        start_preceding: false,
     };
-    let mut examined: u64 = 0;
-    let mut cursor = checkpoints.start(progressions, bound);
-    while let Some(a) = cursor.next_point() {
-        examined += 1;
-        if examined > config.max_candidates {
-            return Err(AnalysisError::IterationLimit {
-                what: "edf-rta candidates",
-                limit: config.max_candidates,
-            });
-        }
-        let li = busy_period_for_arrival(dpc, i, a, l, config, caps, iters)?;
-        let r = c_i.max(li - a);
-        if r > best.wcrt {
-            best.wcrt = r;
-            best.critical_a = a;
-        }
-    }
-    best.candidates = examined as usize;
-    Ok(best)
+    scan_arrivals(&spec, set, scratch, arrival_terms)
 }
 
-/// Solves `Li(a)` for one arrival offset. The deadline-qualified
-/// interference terms (and their job caps, which do not depend on the
-/// iterate) are hoisted into `caps` before the fixpoint runs.
-fn busy_period_for_arrival(
+/// Loads `Li(a)`'s terms: returns the own-job term `(1 + ⌊a/Ti⌋)·Ci` with
+/// a constant reseed key, and hoists the deadline-qualified interference
+/// terms, whose job caps do not depend on the iterate, into `caps`.
+fn arrival_terms(
     dpc: &[(Time, Time, Time)],
     i: usize,
     a: Time,
-    l: Time,
-    config: &EdfRtaConfig,
-    caps: &mut Vec<(Time, Time, i64)>,
-    iters: &mut u64,
-) -> AnalysisResult<Time> {
+    caps: &mut Caps,
+) -> AnalysisResult<(Time, Time)> {
     let (d_i, t_i, c_i) = dpc[i];
     let own = c_i.try_mul(1 + a.floor_div(t_i))?;
     let deadline_i = a + d_i;
@@ -203,23 +155,7 @@ fn busy_period_for_arrival(
         let by_deadline = 1 + (deadline_i - d_j).floor_div(t_j);
         caps.push((t_j, c_j, by_deadline));
     }
-    let outcome = fixpoint_counted(
-        "edf-rta busy period",
-        Time::ZERO,
-        l,
-        config.fixpoint,
-        iters,
-        |t| own.try_add(soa::capped_interference(caps, t, false)?),
-    )?;
-    match outcome {
-        FixOutcome::Converged(v) => Ok(v),
-        // Cannot exceed L by the dominance argument (see busy_period docs);
-        // reaching here indicates arithmetic trouble.
-        FixOutcome::ExceededBound(v) => Err(AnalysisError::DivergentIteration {
-            what: "edf-rta busy period",
-            bound: v.ticks(),
-        }),
-    }
+    Ok((own, Time::ZERO))
 }
 
 #[cfg(test)]
@@ -351,6 +287,38 @@ mod tests {
         };
         let err = edf_response_times(&set, &cfg).unwrap_err();
         assert!(matches!(err, AnalysisError::IterationLimit { .. }));
+    }
+
+    #[test]
+    fn candidate_cap_error_is_unchanged() {
+        // Checked before the early-stop test: the exact error of a full scan.
+        let set = TaskSet::from_ct(&[(1, 2), (99, 200)]).unwrap();
+        let cfg = EdfRtaConfig {
+            max_candidates: 3,
+            ..Default::default()
+        };
+        assert_eq!(
+            edf_response_times(&set, &cfg).unwrap_err(),
+            AnalysisError::IterationLimit {
+                what: "edf-rta candidates",
+                limit: 3
+            }
+        );
+    }
+
+    #[test]
+    fn periods_near_half_max_do_not_overflow() {
+        // Periods and deadlines near i64::MAX / 2, busy period 2C + 1.
+        let p = i64::MAX / 2;
+        let c = p / 5 * 2;
+        let set = TaskSet::from_cdt(&[(c, p - 1, p), (c, p, p), (1, p, p - 1)]).unwrap();
+        let (an, d) = analyze(&set);
+        assert!(an.all_schedulable());
+        let got: Vec<_> = d.iter().map(|w| (w.wcrt, w.critical_a)).collect();
+        assert_eq!(
+            got,
+            [(t(2 * c), t(1)), (t(2 * c + 1), t(0)), (t(2 * c + 1), t(0))]
+        );
     }
 
     #[test]

@@ -25,19 +25,29 @@
 //! by the *blocking-extended* busy period, which dominates the paper's `L` —
 //! strictly more candidates, never fewer (sound; see DESIGN.md §3).
 //!
+//! The candidate scan is the one of [`crate::edf::rta`] (warm seeds, early
+//! stop, cold redo on error) with two changes. The blocking term
+//! `max_{Dj > a+Di}(Cj − 1)` only *shrinks* as `a` grows, so a candidate
+//! reuses the previous `Li` as its seed only while the blocking value is
+//! unchanged, and restarts from zero when it changes (at most `n` times per
+//! task). And the stop rule uses the fixpoint bound `B` (the
+//! blocking-extended busy period): `ri(a) ≤ max{Ci, B + Ci − a}`, so the
+//! scan ends once `B − a ≤ best − Ci`. The same divergence is permitted: a
+//! warm seed may converge where the cold chain would hit the iteration cap,
+//! and errors past the stop no longer surface.
+//!
 //! Buffers (candidate progressions, merge heap, hoisted interference terms)
 //! come from [`AnalysisScratch`]; see [`crate::edf::rta`] for the
 //! allocation discipline.
 
 use profirt_base::{AnalysisError, AnalysisResult, TaskSet, Time};
 
-use crate::checkpoints::CheckpointScratch;
 use crate::edf::busy_period::{nonpreemptive_busy_period_warm, synchronous_busy_period_warm};
-use crate::edf::demand::load_dpc;
 use crate::edf::rta::EdfWcrt;
-use crate::fixpoint::{fixpoint_counted, FixOutcome, FixpointConfig};
+use crate::edf::scan::{scan_arrivals, Caps, ScanSpec};
+use crate::fixpoint::FixpointConfig;
 use crate::scratch::AnalysisScratch;
-use crate::{soa, SetAnalysis, TaskVerdict};
+use crate::SetAnalysis;
 
 /// Configuration for the non-preemptive EDF response-time analysis.
 #[derive(Clone, Copy, Debug)]
@@ -93,16 +103,12 @@ pub fn np_edf_response_times_with(
     if set.is_empty() {
         return Err(AnalysisError::EmptySet);
     }
-    let AnalysisScratch {
-        checkpoints,
-        progressions,
-        dpc,
-        caps,
-        warm,
-        fixpoint_iters,
-        ..
-    } = scratch;
-    let l_sync = synchronous_busy_period_warm(set, config.fixpoint, Some(warm), fixpoint_iters)?;
+    let l_sync = synchronous_busy_period_warm(
+        set,
+        config.fixpoint,
+        Some(&mut scratch.warm),
+        &mut scratch.fixpoint_iters,
+    )?;
     let max_block = set
         .iter()
         .map(|(_, task)| (task.c - Time::ONE).max_zero())
@@ -112,97 +118,36 @@ pub fn np_edf_response_times_with(
         set,
         max_block,
         config.fixpoint,
-        Some(warm),
-        fixpoint_iters,
+        Some(&mut scratch.warm),
+        &mut scratch.fixpoint_iters,
     )?;
-    let candidate_bound = if config.extend_candidates_with_blocking {
-        l_blocked
-    } else {
-        l_sync
-    };
-
-    load_dpc(set, dpc);
-    let mut verdicts = Vec::with_capacity(set.len());
-    let mut details = Vec::with_capacity(set.len());
-    for (i, task) in set.iter() {
-        let detail = wcrt_for_task(
-            dpc,
-            i,
-            candidate_bound,
-            l_blocked,
-            config,
-            checkpoints,
-            progressions,
-            caps,
-            fixpoint_iters,
-        )?;
-        let schedulable = detail.wcrt <= task.d;
-        verdicts.push(if schedulable {
-            TaskVerdict::Schedulable { wcrt: detail.wcrt }
+    // Eq. (10) is inclusive of the candidate bound.
+    let spec = ScanSpec {
+        candidates_what: "np-edf-rta candidates",
+        busy_what: "np-edf-rta busy period",
+        fixpoint: config.fixpoint,
+        max_candidates: config.max_candidates,
+        candidate_bound: if config.extend_candidates_with_blocking {
+            l_blocked
         } else {
-            TaskVerdict::Unschedulable {
-                exceeded_at: detail.wcrt,
-            }
-        });
-        details.push(detail);
-    }
-    Ok((SetAnalysis { verdicts }, details))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn wcrt_for_task(
-    dpc: &[(Time, Time, Time)],
-    i: usize,
-    candidate_bound: Time,
-    fix_bound: Time,
-    config: &NpEdfRtaConfig,
-    checkpoints: &mut CheckpointScratch,
-    progressions: &mut Vec<(Time, Time)>,
-    caps: &mut Vec<(Time, Time, i64)>,
-    iters: &mut u64,
-) -> AnalysisResult<EdfWcrt> {
-    let (d_i, _, c_i) = dpc[i];
-    progressions.clear();
-    progressions.extend(dpc.iter().map(|&(d_j, t_j, _)| (d_j - d_i, t_j)));
-    let mut best = EdfWcrt {
-        wcrt: c_i,
-        critical_a: Time::ZERO,
-        candidates: 0,
+            l_sync
+        },
+        fix_bound: l_blocked,
+        start_preceding: true,
     };
-    let mut examined: u64 = 0;
-    // Eq. (10) is inclusive of the bound.
-    let mut cursor = checkpoints.start(progressions, candidate_bound);
-    while let Some(a) = cursor.next_point() {
-        examined += 1;
-        if examined > config.max_candidates {
-            return Err(AnalysisError::IterationLimit {
-                what: "np-edf-rta candidates",
-                limit: config.max_candidates,
-            });
-        }
-        let li = start_busy_period(dpc, i, a, fix_bound, config, caps, iters)?;
-        let r = c_i.max(li + c_i - a);
-        if r > best.wcrt {
-            best.wcrt = r;
-            best.critical_a = a;
-        }
-    }
-    best.candidates = examined as usize;
-    Ok(best)
+    scan_arrivals(&spec, set, scratch, start_terms)
 }
 
-/// Solves the start-preceding busy period `Li(a)` of eq. (9)'s companion
-/// recurrence, with the deadline-qualified terms hoisted into `caps`.
-#[allow(clippy::too_many_arguments)]
-fn start_busy_period(
+/// Loads the terms of the start-preceding busy period `Li(a)` of eq. (9)'s
+/// companion recurrence: returns `(blocking + ⌊a/Ti⌋·Ci, blocking)` and
+/// hoists the deadline-qualified interference terms into `caps`. The
+/// blocking term is the reseed key.
+fn start_terms(
     dpc: &[(Time, Time, Time)],
     i: usize,
     a: Time,
-    bound: Time,
-    config: &NpEdfRtaConfig,
-    caps: &mut Vec<(Time, Time, i64)>,
-    iters: &mut u64,
-) -> AnalysisResult<Time> {
+    caps: &mut Caps,
+) -> AnalysisResult<(Time, Time)> {
     let (d_i, t_i, c_i) = dpc[i];
     let deadline_i = a + d_i;
     // Blocking by a later-deadline job, started one tick earlier (Cj - 1),
@@ -222,23 +167,7 @@ fn start_busy_period(
     }
     // Earlier instances of τi itself (asap pattern): ⌊a/Ti⌋ of them.
     let own_prior = c_i.try_mul(a.floor_div(t_i))?;
-    let base = blocking.try_add(own_prior)?;
-
-    let outcome = fixpoint_counted(
-        "np-edf-rta busy period",
-        Time::ZERO,
-        bound,
-        config.fixpoint,
-        iters,
-        |t| base.try_add(soa::capped_interference(caps, t, true)?),
-    )?;
-    match outcome {
-        FixOutcome::Converged(v) => Ok(v),
-        FixOutcome::ExceededBound(v) => Err(AnalysisError::DivergentIteration {
-            what: "np-edf-rta busy period",
-            bound: v.ticks(),
-        }),
-    }
+    Ok((blocking.try_add(own_prior)?, blocking))
 }
 
 #[cfg(test)]
@@ -344,6 +273,56 @@ mod tests {
             np_edf_response_times(&set, &NpEdfRtaConfig::default()),
             Err(AnalysisError::UtilizationAtLeastOne)
         ));
+    }
+
+    #[test]
+    fn empty_set_rejected() {
+        let set = TaskSet::new(vec![]).unwrap();
+        for cfg in [NpEdfRtaConfig::default(), NpEdfRtaConfig::paper()] {
+            assert_eq!(
+                np_edf_response_times(&set, &cfg).unwrap_err(),
+                AnalysisError::EmptySet
+            );
+        }
+    }
+
+    #[test]
+    fn candidate_cap_error_is_unchanged() {
+        // The cap is checked before the early-stop test, so a scan that
+        // would stop early still reports the cap it crossed first.
+        let set = TaskSet::from_ct(&[(1, 2), (99, 200)]).unwrap();
+        for cfg in [NpEdfRtaConfig::default(), NpEdfRtaConfig::paper()] {
+            let cfg = NpEdfRtaConfig {
+                max_candidates: 3,
+                ..cfg
+            };
+            assert_eq!(
+                np_edf_response_times(&set, &cfg).unwrap_err(),
+                AnalysisError::IterationLimit {
+                    what: "np-edf-rta candidates",
+                    limit: 3
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn periods_near_half_max_do_not_overflow() {
+        // T = i64::MAX / 2 and C = 0.4·T: the blocked busy period is about
+        // 2T ≈ i64::MAX, so `bound + Ci` is not representable; the stop test
+        // and the response formula must never form it.
+        let p = i64::MAX / 2;
+        let c = p / 5 * 2;
+        let set = TaskSet::from_ct(&[(c, p), (c, p)]).unwrap();
+        let (an, d) = analyze(&set);
+        assert!(an.all_schedulable());
+        for w in &d {
+            // a = 0: the other task interferes once, no blocking.
+            assert_eq!(w.wcrt, t(2 * c));
+            assert_eq!(w.critical_a, t(0));
+            // a = 0 and a = T, both evaluated: the stop cannot fire.
+            assert_eq!(w.candidates, 2);
+        }
     }
 
     #[test]

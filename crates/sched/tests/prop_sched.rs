@@ -131,7 +131,7 @@ proptest! {
                     prop_assert!(d.wcrt <= l);
                 }
             }
-            Err(_) => prop_assert!(!dem.feasible || set.total_utilization().lt_one() == false),
+            Err(_) => prop_assert!(!dem.feasible || !set.total_utilization().lt_one()),
         }
     }
 

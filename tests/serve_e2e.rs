@@ -36,7 +36,7 @@ const MAX_ROUNDS: usize = 100;
 
 /// The ring with `n` copies of the candidate stream on one master.
 fn ring(n: usize) -> NetworkConfig {
-    let triples: Vec<(i64, i64, i64)> = std::iter::repeat(CAND).take(n).collect();
+    let triples: Vec<(i64, i64, i64)> = std::iter::repeat_n(CAND, n).collect();
     let set = StreamSet::from_cdt(&triples).expect("valid streams");
     NetworkConfig::new(vec![MasterConfig::new(set, Time::ZERO)], Time::new(TTR))
         .expect("valid ring")
