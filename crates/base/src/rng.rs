@@ -2,9 +2,9 @@
 //!
 //! `Prng` embeds its own xoshiro256++ generator (seeded via SplitMix64)
 //! instead of delegating to the `rand` crate: simulation traces are part of
-//! the recorded experiment outputs (EXPERIMENTS.md), so the stream must be
-//! stable across dependency upgrades and platforms. The generator is the
-//! public-domain reference algorithm by Blackman & Vigna.
+//! the recorded campaign outputs (every preset's `units.csv`), so the
+//! stream must be stable across dependency upgrades and platforms. The
+//! generator is the public-domain reference algorithm by Blackman & Vigna.
 
 use crate::time::Time;
 

@@ -1,12 +1,12 @@
 //! `conc_exec` bench: the work-stealing executor core behind
-//! `par_map_seeds` against the channel-fed worker pool it replaced, on
+//! `try_par_map_seeds` against the channel-fed worker pool it replaced, on
 //! a campaign-shaped workload (many independent seeds, each evaluating
 //! a small schedulability analysis).
 //!
 //! The reference implementation below is the previous runner verbatim
 //! in shape: an unbounded MPMC channel distributes seeds to scoped
 //! workers, results land in per-seed mutex slots. The executor path is
-//! `profirt_experiments::runner::par_map_seeds`, now mounted on
+//! `profirt_experiments::runner::try_par_map_seeds`, now mounted on
 //! `profirt_conc::exec::Core` (sharded deques + stealing + the
 //! model-checked park protocol).
 //!
@@ -27,7 +27,7 @@ use crossbeam::channel;
 use profirt_base::artifact;
 use profirt_base::json::{self, Value};
 use profirt_bench::task_set;
-use profirt_experiments::runner::par_map_seeds;
+use profirt_experiments::runner::try_par_map_seeds;
 use profirt_sched::edf::{edf_response_times, EdfRtaConfig};
 
 const SEEDS: u64 = 96;
@@ -46,7 +46,7 @@ fn unit(seed: u64) -> u64 {
     }
 }
 
-/// The retained reference: the channel-fed pool `par_map_seeds` used
+/// The retained reference: the channel-fed pool the seed runner used
 /// before it moved onto the executor core.
 fn channel_pool(n: u64, workers: usize) -> Vec<u64> {
     let workers = workers.clamp(1, n.max(1) as usize);
@@ -75,7 +75,7 @@ fn channel_pool(n: u64, workers: usize) -> Vec<u64> {
 }
 
 fn executor_pool(n: u64, workers: usize) -> Vec<u64> {
-    par_map_seeds(n, workers, unit)
+    try_par_map_seeds(n, workers, unit).expect("no unit panics")
 }
 
 fn bench(c: &mut Criterion) {

@@ -1,7 +1,7 @@
 //! # profirt-bench — benchmark fixtures
 //!
 //! Shared inputs for the Criterion benchmarks in `benches/` (one benchmark
-//! per reproduced table/figure, plus the ablations of DESIGN.md §3). The
+//! per reproduced table/figure, plus the `ablation_*` benches). The
 //! fixtures pin seeds so timing comparisons across commits measure code,
 //! not workload drift.
 

@@ -2,7 +2,7 @@
 //!
 //! [`Core`] is the scheduling substrate the ROADMAP's
 //! feasibility-as-a-service daemon will mount, and what
-//! `experiments::runner::par_map_seeds` runs on today: sharded
+//! `experiments::runner::try_par_map_seeds` runs on today: sharded
 //! per-worker deques, steal-from-random-victim when a worker runs dry,
 //! a **bounded injection queue** with a backpressure error for external
 //! producers, and park/unpark built on the [`crate::sync`] facade's

@@ -92,9 +92,9 @@ pub struct NetworkConfig {
     /// carries no explicit overhead term (its footnote 7 folds "ring
     /// latency and other protocol overheads" into the illustration only).
     /// Simulation shows the literal bound can be exceeded by up to one
-    /// token pass per master in a worst-case rotation (see EXPERIMENTS.md,
-    /// T5), so validation experiments set this to the real SD4+TID2 pass
-    /// time. The default `0` reproduces the paper verbatim.
+    /// token pass per master in a worst-case rotation (the T5 finding), so
+    /// validation campaigns set this to the real SD4+TID2 pass time. The
+    /// default `0` reproduces the paper verbatim.
     #[serde(default)]
     pub token_pass: Time,
 }

@@ -24,8 +24,9 @@
 //!   lower-priority request can sit in the single stack slot) **and** the
 //!   stream's own service cycle separately:
 //!   `Ri = Bi + Tcycle + Σ_{hp} ⌈(Ri + Jj)/Tj⌉·Tcycle`, `Bi = Tcycle` iff
-//!   `lp(i) ≠ ∅`. This dominates the paper's bound; the T8 simulation
-//!   experiment arbitrates which is the true worst case (EXPERIMENTS.md).
+//!   `lp(i) ≠ ∅`. This dominates the paper's bound; the `t8` simulation
+//!   campaign preset arbitrates which is the true worst case: its `dm-paper`
+//!   units record bound violations, its `dm` units none.
 
 use profirt_base::{AnalysisResult, Time};
 use profirt_sched::fixed::PriorityMap;

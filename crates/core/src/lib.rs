@@ -29,11 +29,12 @@
 //! ## Fidelity switches
 //!
 //! Equations (11) and (16) embed modelling choices that are debatable as
-//! worst-case bounds (see DESIGN.md §3 and the module docs): analyses that
+//! worst-case bounds (see the module docs): analyses that
 //! implement a formula *verbatim* expose a `paper()` constructor, and
 //! sound-by-construction alternatives expose `conservative()`. The
-//! simulator crate arbitrates empirically; EXPERIMENTS.md records the
-//! verdicts.
+//! simulator crate arbitrates empirically; the `t8` campaign preset
+//! records the verdicts in its `sim_violations` column (`dm-paper` vs
+//! `dm`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

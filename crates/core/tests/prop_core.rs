@@ -73,6 +73,20 @@ proptest! {
     }
 
     #[test]
+    fn dm_conservative_tightest_stream_never_worse_than_fcfs(net in arb_network()) {
+        // The conservative variant charges a blocking cycle on top of the
+        // paper's bound and still never exceeds FCFS on the tightest stream.
+        let cmp = compare_policies(
+            &net,
+            &DmAnalysis::conservative(),
+            &EdfAnalysis::paper(),
+        ).unwrap();
+        for ok in cmp.priority_dominates_fcfs_on_tightest() {
+            prop_assert!(ok);
+        }
+    }
+
+    #[test]
     fn ttr_boundary_is_exact(net in arb_network()) {
         let setting = max_feasible_ttr(&net, TcycleModel::Paper);
         if let Some(ttr) = setting.max_ttr {
@@ -82,6 +96,17 @@ proptest! {
                 &net.with_ttr(ttr + Time::ONE).unwrap()
             ).unwrap();
             prop_assert!(!over.all_schedulable(), "TTR+1 still schedulable");
+        }
+    }
+
+    #[test]
+    fn refined_model_never_shrinks_feasible_ttr(net in arb_network()) {
+        // Refined Tdel <= paper Tdel, so eq. (15) leaves at least as much
+        // TTR headroom: a paper-feasible network stays refined-feasible.
+        let paper = max_feasible_ttr(&net, TcycleModel::Paper).max_ttr;
+        let refined = max_feasible_ttr(&net, TcycleModel::Refined).max_ttr;
+        if let Some(p) = paper {
+            prop_assert!(refined.is_some_and(|r| r >= p), "{paper:?} vs {refined:?}");
         }
     }
 

@@ -2,11 +2,13 @@
 //! hand-computed in the comments — the executable version of a referee's
 //! margin calculations.
 
-use profirt_base::{StreamSet, Time};
+use profirt_base::{StreamSet, TaskSet, Time};
 use profirt_core::tcycle::{tcycle, token_lateness, TcycleModel};
 use profirt_core::{
-    max_feasible_ttr, DmAnalysis, EdfAnalysis, FcfsAnalysis, MasterConfig, NetworkConfig,
+    max_feasible_ttr, DmAnalysis, EdfAnalysis, EndToEndAnalysis, FcfsAnalysis, JitterModel,
+    MasterConfig, NetworkConfig, TaskSegments,
 };
+use profirt_sched::fixed::PriorityMap;
 
 fn t(v: i64) -> Time {
     Time::new(v)
@@ -117,8 +119,8 @@ fn eq16_dm_both_variants() {
         "blocking+own = 14200 > 9000"
     );
     // The T8 finding in miniature: the two variants disagree about S0, and
-    // simulation (EXPERIMENTS.md) shows the conservative verdict is the
-    // trustworthy one.
+    // simulation (the `t8` campaign preset) shows the conservative verdict
+    // is the trustworthy one.
 }
 
 /// Eqs. (17)-(18) on master 1 (single stream): R = Tcycle exactly.
@@ -151,4 +153,142 @@ fn section_3_3_worked_chain() {
         + net.masters[2].max_high_cycle(); // 300
     assert_eq!(chain, t(6_500));
     assert!(chain <= bound);
+}
+
+/// `n` identical masters at TTR = 4000, each with high-priority cycles of
+/// 600 and 450 and a longest low-priority cycle `cl`.
+fn uniform_masters(n: usize, cl: i64) -> NetworkConfig {
+    let master = || {
+        MasterConfig::new(
+            StreamSet::from_cdt(&[(600, 200_000, 200_000), (450, 300_000, 300_000)]).unwrap(),
+            t(cl),
+        )
+    };
+    NetworkConfig::new((0..n).map(|_| master()).collect(), t(4_000)).unwrap()
+}
+
+/// Eq. (13) on uniform masters: every CM^k = max(600, Cl) = 900, so the
+/// paper Tdel is exactly n · 900 — linear in the master count.
+#[test]
+fn paper_tdel_is_linear_in_uniform_master_count() {
+    for n in [2usize, 4, 6, 8, 12, 16] {
+        let net = uniform_masters(n, 900);
+        assert_eq!(token_lateness(&net, TcycleModel::Paper), t(900 * n as i64));
+    }
+}
+
+/// The refinement charges the longest cycle to one overrunner only; the
+/// late masters send high-priority traffic (600) alone. On 4 uniform
+/// masters the gap is 3 · (max(600, Cl) − 600): zero until Cl exceeds
+/// the high cycle, then growing with Cl.
+#[test]
+fn refinement_gap_grows_with_longest_low_priority_cycle() {
+    let gaps: Vec<i64> = [0i64, 300, 600, 900, 1_800, 3_600]
+        .iter()
+        .map(|&cl| {
+            let net = uniform_masters(4, cl);
+            (token_lateness(&net, TcycleModel::Paper) - token_lateness(&net, TcycleModel::Refined))
+                .ticks()
+        })
+        .collect();
+    assert_eq!(gaps, [0, 0, 0, 900, 3_600, 9_000]);
+    assert!(gaps.windows(2).all(|w| w[1] >= w[0]));
+}
+
+/// An 8-stream master (C = 600, deadlines 12000 · 1.6^i, Cl = 800) next
+/// to a one-stream master, TTR = 4000: Tcycle = 4000 + 800 + 700 = 5500.
+fn eight_stream_master() -> NetworkConfig {
+    let mut streams = Vec::new();
+    let mut d = 12_000i64;
+    for _ in 0..8 {
+        streams.push((600i64, d, 400_000i64));
+        d = (d as f64 * 1.6) as i64;
+    }
+    NetworkConfig::new(
+        vec![
+            MasterConfig::new(StreamSet::from_cdt(&streams).unwrap(), t(800)),
+            MasterConfig::new(
+                StreamSet::from_cdt(&[(700, 200_000, 400_000)]).unwrap(),
+                t(0),
+            ),
+        ],
+        t(4_000),
+    )
+    .unwrap()
+}
+
+/// The WCRT profile across the master's streams: FCFS charges every stream
+/// nh · Tcycle = 44000, while DM grades the bounds by deadline rank — from
+/// two cycles for the tightest stream up to the FCFS figure — so the
+/// tightest stream gains 4x.
+#[test]
+fn dm_profile_is_graded_by_deadline_rank() {
+    let net = eight_stream_master();
+    let fcfs = FcfsAnalysis::analyze(&net).unwrap();
+    let dm = DmAnalysis::conservative().analyze(&net).unwrap();
+    let fcfs: Vec<Time> = fcfs.masters[0].iter().map(|r| r.response_time).collect();
+    let dm: Vec<Time> = dm.masters[0].iter().map(|r| r.response_time).collect();
+    assert!(fcfs.iter().all(|&r| r == t(44_000)), "{fcfs:?}");
+    assert_eq!((dm[0], dm[7]), (t(11_000), t(44_000)));
+    assert!(dm.windows(2).all(|w| w[0] <= w[1]), "{dm:?}");
+    assert!(fcfs[0].ticks() >= 2 * dm[0].ticks());
+}
+
+/// One master whose short-period stream S0 carries release jitter `j`;
+/// S1 is the observed stream, S2 a lax background stream.
+fn peer_jitter(j: i64) -> NetworkConfig {
+    NetworkConfig::new(
+        vec![MasterConfig::new(
+            StreamSet::from_cdtj(&[
+                (600, 25_000, 30_000, j),
+                (600, 90_000, 200_000, 0),
+                (600, 350_000, 400_000, 0),
+            ])
+            .unwrap(),
+            t(800),
+        )],
+        t(4_000),
+    )
+    .unwrap()
+}
+
+/// Eqs. (16) and (18) carry the peers' jitter: S1's DM and EDF bounds never
+/// fall as S0's jitter sweeps 0 → T, and the DM bound grows strictly
+/// (S0 can interfere one extra time).
+#[test]
+fn peer_jitter_inflates_dm_and_edf_bounds() {
+    let (mut dm, mut edf) = (Vec::new(), Vec::new());
+    for j in [0i64, 6_000, 12_000, 18_000, 24_000, 30_000] {
+        let net = peer_jitter(j);
+        dm.push(DmAnalysis::conservative().analyze(&net).unwrap().masters[0][1].response_time);
+        edf.push(EdfAnalysis::paper().analyze(&net).unwrap().masters[0][1].response_time);
+    }
+    assert!(dm.windows(2).all(|w| w[1] >= w[0]), "{dm:?}");
+    assert!(edf.windows(2).all(|w| w[1] >= w[0]), "{edf:?}");
+    assert!(dm[5] > dm[0], "{dm:?}");
+}
+
+/// §4.2 end-to-end decomposition on the jitter network with one separate
+/// sender task per stream: every total is exactly g + (Q+C) + d, and the
+/// generation delay g follows the generators' WCRTs (DM priority order).
+#[test]
+fn end_to_end_totals_decompose_with_ordered_generation_delay() {
+    let host = TaskSet::from_cdt(&[
+        (200, 8_000, 30_000),
+        (1_500, 25_000, 60_000),
+        (4_000, 100_000, 200_000),
+    ])
+    .unwrap();
+    let pm = PriorityMap::deadline_monotonic(&host);
+    let segments: Vec<TaskSegments> = (0..3)
+        .map(|task| TaskSegments {
+            generator: JitterModel::SeparateSender { task },
+            delivery_task: task,
+        })
+        .collect();
+    let e2e = EndToEndAnalysis::edf()
+        .analyze(&peer_jitter(0), 0, &host, &pm, &segments)
+        .unwrap();
+    assert!(e2e.iter().all(|b| b.total == b.g + b.qc + b.d));
+    assert!(e2e[0].g <= e2e[1].g && e2e[1].g <= e2e[2].g);
 }

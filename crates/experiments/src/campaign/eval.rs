@@ -42,12 +42,12 @@ use profirt_workload::{
     generate_task_set, CriticalityMix, GeneratedNetwork, NetGenParams, PeriodRange, TaskGenParams,
 };
 
-use super::plan::{generation_axes, WorkUnit};
-use super::spec::{AxisValue, CampaignSpec, ScenarioKind};
-use crate::exps::common::{
+use super::netsim::{
     churn_plan, gen_network, hi_obs_over_bound, obs_over_bound, percentile, sim_observed_with,
     RingScenario,
 };
+use super::plan::{generation_axes, WorkUnit};
+use super::spec::{AxisValue, CampaignSpec, ScenarioKind};
 
 /// The metric columns a campaign of the given kind produces, in CSV order.
 pub fn metric_names(kind: ScenarioKind) -> &'static [&'static str] {
@@ -450,7 +450,10 @@ fn eval_network_unit(spec: &CampaignSpec, unit: &WorkUnit) -> UnitEval {
     let params = network_base_params(unit);
     let mut acc = NetAccum::new();
     for rep in 0..spec.replications {
-        let mut g = gen_network(gen_seed(spec, unit, rep), &params);
+        let mut g = match gen_network(gen_seed(spec, unit, rep), &params) {
+            Ok(g) => g,
+            Err(e) => return failed_unit(spec.kind, 0.0, gen_error_note(rep, &e)),
+        };
         if let Some(t) = cfg.ttr {
             g.config = match g.config.with_ttr(Time::new(t)) {
                 Ok(c) => c,
@@ -498,7 +501,14 @@ fn eval_network_chain(spec: &CampaignSpec, units: &[WorkUnit]) -> Vec<UnitEval> 
             }
             let fresh = !matches!(&cached, Some((j, ..)) if keys[*j] == keys[i]);
             if fresh {
-                let g = gen_network(gen_seed(spec, unit, rep), &params[i]);
+                let g = match gen_network(gen_seed(spec, unit, rep), &params[i]) {
+                    Ok(g) => g,
+                    Err(e) => {
+                        errors[i] = Some(gen_error_note(rep, &e));
+                        cached = None;
+                        continue;
+                    }
+                };
                 let setting = max_feasible_ttr(&g.config, TcycleModel::Paper);
                 cached = Some((i, g, setting));
                 realized = None;

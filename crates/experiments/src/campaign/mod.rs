@@ -14,10 +14,11 @@
 //! 4. **Report** — writes `out/<campaign>/{campaign.json, units.csv,
 //!    summary.json, EXPERIMENTS.md}`.
 //!
-//! The historical T1–T8/F1–F6 experiment binaries are thin shims over
-//! [`presets`]: each legacy sweep is now a ~20-line [`CampaignSpec`]
-//! constructor, and a new scenario study is a preset or a JSON file — not
-//! a new binary.
+//! The paper's T1–T8/F1–F6 experiments are [`presets`]: each sweep is a
+//! ~15-line [`CampaignSpec`] constructor, and
+//! [`presets::shape_checks`] states its qualitative claims on the finished
+//! [`CampaignOutcome`]. A new scenario study is a preset or a JSON file —
+//! not a new binary.
 //!
 //! ```
 //! use profirt_experiments::campaign::{self, CampaignSpec, ScenarioKind};
@@ -33,6 +34,7 @@
 
 pub mod eval;
 pub mod exec;
+mod netsim;
 pub mod plan;
 pub mod presets;
 pub mod report;
@@ -44,7 +46,6 @@ pub use plan::{generation_axes, plan, CampaignPlan, WorkUnit};
 pub use spec::{Axis, AxisValue, CampaignSpec, ScenarioKind};
 
 use crate::runner::SeedPanics;
-use crate::ExpConfig;
 
 /// Everything that can go wrong planning or executing a campaign.
 #[derive(Clone, Debug)]
@@ -99,29 +100,6 @@ impl From<SeedPanics> for CampaignError {
                 .into_iter()
                 .map(|(seed, msg)| (format!("seed {seed}"), msg))
                 .collect(),
-        }
-    }
-}
-
-/// Runs a named preset scaled to an [`ExpConfig`], writing artifacts under
-/// `out/<preset>/`. The entry point of the legacy experiment binaries;
-/// returns a process exit code.
-///
-/// Exit semantics: nonzero on planning/execution/artifact failure and on
-/// a broken `observed ≤ analytical` contract in simulated presets (`t5`,
-/// `t6`, `t8`, `f6`). Analysis-only presets have no pass/fail criterion —
-/// the qualitative shape checks that used to gate the old binaries live
-/// in `exps::*::run` and still gate the `all_experiments` binary.
-pub fn run_preset_main(id: &str, cfg: &ExpConfig) -> i32 {
-    let Some(spec) = presets::preset(id) else {
-        eprintln!("unknown campaign preset {id:?}");
-        return 2;
-    };
-    match run_campaign(&spec.scaled(cfg), std::path::Path::new("out")) {
-        Ok(outcome) => print_outcome(&outcome),
-        Err(e) => {
-            eprintln!("campaign {id} failed: {e}");
-            1
         }
     }
 }

@@ -1,6 +1,9 @@
-//! Shared scenario builders for the experiments.
+//! Network-scenario scaffolding of the campaign evaluators: workload
+//! generation with the simulator's token-pass overhead, the simulator view
+//! of a generated network, the observer-equipped simulation run, and the
+//! `observed ≤ analytical` comparisons the `CONTRACT` verdicts rest on.
 
-use profirt_base::{Prng, Time};
+use profirt_base::{AnalysisResult, Prng, Time};
 use profirt_core::{ModeAnalysis, NetworkAnalysis};
 use profirt_profibus::{BusParams, QueuePolicy};
 use profirt_sim::{
@@ -8,32 +11,11 @@ use profirt_sim::{
     NetworkSimConfig, OffsetMode, ResponseStats, ResultObserver, RingStats, RingSummary, SimMaster,
     SimNetwork, StableResponseObserver, TrrStats,
 };
-use profirt_workload::{generate_network, GeneratedNetwork, NetGenParams, TaskGenParams};
-
-/// The default bus profile used across experiments (500 kbit/s).
-pub fn bus() -> BusParams {
-    BusParams::profile_500k()
-}
-
-/// Standard network-generation parameters.
-///
-/// `tightness` is the deadline/period fraction (both bounds), `nh` streams
-/// per master, `n_masters` masters. Delegates to the canonical
-/// [`NetGenParams::standard`] matrix point so experiments and campaign
-/// scenarios agree on what a scenario means.
-pub fn netgen(tightness: f64, nh: usize, n_masters: usize) -> NetGenParams {
-    NetGenParams::standard(tightness, nh, n_masters)
-}
-
-/// Standard task-generation parameters for the §2 experiments (the
-/// canonical [`TaskGenParams::standard`] matrix point).
-pub fn taskgen(n: usize, u: f64) -> TaskGenParams {
-    TaskGenParams::standard(n, u)
-}
+use profirt_workload::{generate_network, GeneratedNetwork, NetGenParams};
 
 /// The token-pass duration used by the simulator and the overhead-aware
 /// bounds (SD4 + TSYN + TID2 at 500 kbit/s).
-pub const TOKEN_PASS: i64 = 166;
+const TOKEN_PASS: i64 = 166;
 
 /// Generates the `seed`-th network for the given parameters.
 ///
@@ -42,18 +24,18 @@ pub const TOKEN_PASS: i64 = 166;
 /// fidelity note on [`profirt_core::NetworkConfig::token_pass`]). The
 /// paper-literal (zero-overhead) view is `g.config.clone()` re-created via
 /// `NetworkConfig::new` or by resetting `token_pass`.
-pub fn gen_network(seed: u64, params: &NetGenParams) -> GeneratedNetwork {
+pub(super) fn gen_network(seed: u64, params: &NetGenParams) -> AnalysisResult<GeneratedNetwork> {
     let mut rng = Prng::seed_from_u64(seed);
-    let mut g = generate_network(&mut rng, &bus(), params).expect("network generation");
+    let mut g = generate_network(&mut rng, &BusParams::profile_500k(), params)?;
     g.config = g.config.with_token_pass(Time::new(TOKEN_PASS));
-    g
+    Ok(g)
 }
 
 /// Assembles the simulator view of a generated network under one policy.
 /// Per-stream criticality labels carry over from the analysis config, so a
 /// mode-enabled simulation sheds exactly the streams the HI projection
 /// drops.
-pub fn to_sim(g: &GeneratedNetwork, policy: QueuePolicy) -> SimNetwork {
+fn to_sim(g: &GeneratedNetwork, policy: QueuePolicy) -> SimNetwork {
     SimNetwork {
         masters: g
             .streams
@@ -75,10 +57,10 @@ pub fn to_sim(g: &GeneratedNetwork, policy: QueuePolicy) -> SimNetwork {
     }
 }
 
-/// The canonical simulation config of the experiments: synchronous
+/// The canonical simulation config of the campaigns: synchronous
 /// releases, no jitter injection (the worst-case-biased setting every
 /// contract comparison uses).
-fn exp_sim_config(horizon: i64, seed: u64) -> NetworkSimConfig {
+fn contract_sim_config(horizon: i64, seed: u64) -> NetworkSimConfig {
     NetworkSimConfig {
         horizon: Time::new(horizon),
         seed,
@@ -88,36 +70,23 @@ fn exp_sim_config(horizon: i64, seed: u64) -> NetworkSimConfig {
     }
 }
 
-/// Simulates and returns per-master/per-stream maximum observed responses
-/// (a projection of [`sim_observed`] — one code path for the contract
-/// comparison and the statistics columns).
-pub fn sim_max_responses(
-    g: &GeneratedNetwork,
-    policy: QueuePolicy,
-    horizon: i64,
-    seed: u64,
-) -> (Vec<Vec<Time>>, Time) {
-    let s = sim_observed(g, policy, horizon, seed);
-    (s.max_responses, s.max_trr)
-}
-
 /// Ring-dynamics scenario of a simulated unit: the GAP update factor plus
 /// the scripted membership plan. The default (`gap_factor = 0`, empty
-/// plan) is the static §3.1 ring every pre-churn experiment uses.
+/// plan) is the static §3.1 ring of every paper preset.
 #[derive(Clone, Debug, Default)]
-pub struct RingScenario {
+pub(super) struct RingScenario {
     /// GAP update factor `G` (`0` disables GAP polling).
-    pub gap_factor: u32,
+    pub(super) gap_factor: u32,
     /// Scripted membership churn.
-    pub plan: MembershipPlan,
+    pub(super) plan: MembershipPlan,
     /// Mixed-criticality mode controller (disabled by default; enabling it
     /// routes the run through the dynamic loop).
-    pub mode: ModeSimConfig,
+    pub(super) mode: ModeSimConfig,
 }
 
 impl RingScenario {
     /// `true` when this scenario is the static ring.
-    pub fn is_static(&self) -> bool {
+    pub(super) fn is_static(&self) -> bool {
         self.gap_factor == 0 && self.plan.is_empty() && !self.mode.enabled
     }
 }
@@ -126,13 +95,14 @@ impl RingScenario {
 /// (static), `"light"` (one power cycle per non-anchor master) or
 /// `"heavy"` (three). Plans derive from the unit seed, so replications
 /// churn differently but reproducibly.
-pub fn churn_plan(level: &str, n_masters: usize, horizon: i64, seed: u64) -> MembershipPlan {
-    match level {
-        "none" => MembershipPlan::new(),
-        "light" => MembershipPlan::random_churn(seed, n_masters, Time::new(horizon), 1),
-        "heavy" => MembershipPlan::random_churn(seed, n_masters, Time::new(horizon), 3),
-        other => panic!("unknown churn level {other:?} (spec validation missed it)"),
-    }
+pub(super) fn churn_plan(level: &str, n_masters: usize, horizon: i64, seed: u64) -> MembershipPlan {
+    let power_cycles = match level {
+        "light" => 1,
+        "heavy" => 3,
+        // "none": spec validation admits no other level.
+        _ => return MembershipPlan::new(),
+    };
+    MembershipPlan::random_churn(seed, n_masters, Time::new(horizon), power_cycles)
 }
 
 /// Observer-derived summary of one simulation run: the per-stream maxima
@@ -141,7 +111,7 @@ pub fn churn_plan(level: &str, n_masters: usize, horizon: i64, seed: u64) -> Mem
 /// under ring dynamics — the membership timeline plus the stable-phase
 /// response maxima the churn-aware contract check is restricted to.
 #[derive(Clone, Debug)]
-pub struct SimObservation {
+pub(super) struct SimObservation {
     /// Per-master, per-stream maximum observed responses (whole run).
     pub max_responses: Vec<Vec<Time>>,
     /// Largest observed TRR across all masters.
@@ -160,8 +130,6 @@ pub struct SimObservation {
     /// the release. The `observed ≤ analytical` contract under churn is
     /// checked against these.
     pub stable_max_responses: Vec<Vec<Time>>,
-    /// High-priority cycles counted as stable samples.
-    pub stable_samples: u64,
     /// Mode-controller summary (all zeroes on a mode-disabled run).
     pub mode: ModeSummary,
     /// Every observed `time_to_matchup` span, in ticks (one entry per
@@ -174,8 +142,6 @@ pub struct SimObservation {
     /// phases: HI mode, no disturbance within the guard window. The
     /// HI-projection bounds are checked against these.
     pub hi_stable_max_responses: Vec<Vec<Time>>,
-    /// High-priority cycles counted as degraded-calm samples.
-    pub hi_stable_samples: u64,
     /// Token visits the kernel actually executed (`sim_visits` column).
     pub visits_simulated: u64,
     /// Idle rotations fast-forwarded arithmetically instead of being
@@ -183,20 +149,10 @@ pub struct SimObservation {
     pub rotations_fast_forwarded: u64,
 }
 
-/// Simulates with the statistics observers attached and summarises the
-/// run for the campaign evaluators. The result path is identical to
-/// [`sim_max_responses`] (observers are passive).
-pub fn sim_observed(
-    g: &GeneratedNetwork,
-    policy: QueuePolicy,
-    horizon: i64,
-    seed: u64,
-) -> SimObservation {
-    sim_observed_with(g, policy, horizon, seed, &RingScenario::default())
-}
-
-/// [`sim_observed`] under an explicit ring-dynamics scenario.
-pub fn sim_observed_with(
+/// Simulates under a ring-dynamics scenario with the statistics observers
+/// attached and summarises the run for the campaign evaluators. Observers
+/// are passive: the result path is that of a plain simulation.
+pub(super) fn sim_observed_with(
     g: &GeneratedNetwork,
     policy: QueuePolicy,
     horizon: i64,
@@ -204,7 +160,7 @@ pub fn sim_observed_with(
     scenario: &RingScenario,
 ) -> SimObservation {
     let net = to_sim(g, policy);
-    let mut cfg = exp_sim_config(horizon, seed);
+    let mut cfg = contract_sim_config(horizon, seed);
     cfg.gap_factor = scenario.gap_factor;
     cfg.membership = scenario.plan.clone();
     cfg.mode = scenario.mode;
@@ -242,7 +198,6 @@ pub fn sim_observed_with(
         trr_p99: trr.p99.ticks() as f64,
         ring,
         stable_max_responses: stable.max_responses,
-        stable_samples: stable.samples,
         mode: mode.summary(),
         matchup_waits: mode
             .matchup_waits()
@@ -251,7 +206,6 @@ pub fn sim_observed_with(
             .collect(),
         lo_shed_ratio: mode.lo_shed_ratio(),
         hi_stable_max_responses: stable.hi_max_responses,
-        hi_stable_samples: stable.hi_samples,
         visits_simulated: mem.visits_simulated,
         rotations_fast_forwarded: mem.rotations_fast_forwarded,
     }
@@ -261,8 +215,8 @@ pub fn sim_observed_with(
 /// analysis: the largest observed/bound ratio (`None` when nothing was
 /// comparable) and the number of streams whose observation exceeded the
 /// bound. The single implementation of the `observed ≤ analytical`
-/// contract check — experiments and campaigns must not drift apart.
-pub fn obs_over_bound(an: &NetworkAnalysis, observed: &[Vec<Time>]) -> (Option<f64>, usize) {
+/// contract check.
+pub(super) fn obs_over_bound(an: &NetworkAnalysis, observed: &[Vec<Time>]) -> (Option<f64>, usize) {
     let mut worst: Option<f64> = None;
     let mut violations = 0;
     for (k, rows) in an.masters.iter().enumerate() {
@@ -279,18 +233,12 @@ pub fn obs_over_bound(an: &NetworkAnalysis, observed: &[Vec<Time>]) -> (Option<f
     (worst, violations)
 }
 
-/// Largest observed/bound ratio over the schedulable streams of an
-/// analysis (`None` when nothing was comparable).
-pub fn worst_ratio(an: &NetworkAnalysis, observed: &[Vec<Time>]) -> Option<f64> {
-    obs_over_bound(an, observed).0
-}
-
 /// The HI-mode contract check: streams whose *degraded-calm* observation
 /// exceeded the HI-projection bound. Unlike [`obs_over_bound`], this
 /// contract has no stable-phase restriction beyond the calm guard — the
 /// full-ring HI bound dominates the bound on every degraded subring (see
 /// [`ModeAnalysis`]), so it must hold through any churn plan.
-pub fn hi_obs_over_bound(an: &ModeAnalysis, observed: &[Vec<Time>]) -> (Option<f64>, usize) {
+pub(super) fn hi_obs_over_bound(an: &ModeAnalysis, observed: &[Vec<Time>]) -> (Option<f64>, usize) {
     let mut worst: Option<f64> = None;
     let mut violations = 0;
     for (k, kept) in an.hi_kept.iter().enumerate() {
@@ -308,21 +256,13 @@ pub fn hi_obs_over_bound(an: &ModeAnalysis, observed: &[Vec<Time>]) -> (Option<f
     (worst, violations)
 }
 
-/// Mean of a non-empty f64 slice.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().sum::<f64>() / xs.len() as f64
-}
-
 /// p-th percentile (0..=100) of a slice (nearest-rank).
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
+pub(super) fn percentile(xs: &[f64], p: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
     let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    v.sort_by(f64::total_cmp);
     let rank = ((p / 100.0) * (v.len() as f64 - 1.0)).round() as usize;
     v[rank.min(v.len() - 1)]
 }
@@ -333,8 +273,6 @@ mod tests {
 
     #[test]
     fn statistics_helpers() {
-        assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(mean(&[]), 0.0);
         let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
         assert_eq!(percentile(&xs, 0.0), 1.0);
         assert_eq!(percentile(&xs, 100.0), 5.0);
@@ -343,27 +281,27 @@ mod tests {
 
     #[test]
     fn network_roundtrip() {
-        let g = gen_network(1, &netgen(0.8, 2, 2));
+        let g = gen_network(1, &NetGenParams::standard(0.8, 2, 2)).unwrap();
         assert_eq!(g.config.n_masters(), 2);
-        let (obs, trr) = sim_max_responses(&g, QueuePolicy::Fcfs, 500_000, 1);
-        assert_eq!(obs.len(), 2);
-        assert!(trr.is_positive());
+        let s = sim_observed_with(&g, QueuePolicy::Fcfs, 500_000, 1, &RingScenario::default());
+        assert_eq!(s.max_responses.len(), 2);
+        assert!(s.max_trr.is_positive());
     }
 
     #[test]
     fn observed_stats_agree_with_plain_simulation() {
-        let g = gen_network(3, &netgen(0.8, 2, 2));
+        let g = gen_network(3, &NetGenParams::standard(0.8, 2, 2)).unwrap();
         // A plain observer-free simulation of the same canonical config.
         let plain = profirt_sim::simulate_network(
             &to_sim(&g, QueuePolicy::Edf),
-            &exp_sim_config(500_000, 3),
+            &contract_sim_config(500_000, 3),
         );
         let obs: Vec<Vec<Time>> = plain
             .streams
             .iter()
             .map(|m| m.iter().map(|o| o.max_response).collect())
             .collect();
-        let s = sim_observed(&g, QueuePolicy::Edf, 500_000, 3);
+        let s = sim_observed_with(&g, QueuePolicy::Edf, 500_000, 3, &RingScenario::default());
         // Observers are passive: the contract-relevant maxima match the
         // plain run exactly.
         assert_eq!(s.max_responses, obs);

@@ -1,17 +1,26 @@
 //! The T1–T8 / F1–F6 experiments as campaign presets.
 //!
-//! Each legacy experiment's sweep is restated as a declarative
-//! [`CampaignSpec`]: the same axes, the same workload envelope (through
-//! [`profirt_workload::NetGenParams::standard`] /
+//! Each paper experiment's sweep is a declarative [`CampaignSpec`] over
+//! the canonical workload envelope
+//! ([`profirt_workload::NetGenParams::standard`] /
 //! [`profirt_workload::TaskGenParams::standard`]), run by the one campaign
-//! executor. The `src/bin` experiment binaries are shims over
-//! [`crate::campaign::run_preset_main`]; the bespoke shape-check narratives
-//! remain available through `exps::*::run` and the `all_experiments`
-//! binary.
+//! executor (`profirt campaign run <preset>`).
+//!
+//! [`shape_checks`] states each paper preset's qualitative claims on its
+//! finished [`CampaignOutcome`], reading the metric rows by axis value. A
+//! claim that needs a crafted exemplar or a per-stream quantity no column
+//! carries is pinned by a test in the crate that owns the analysis
+//! instead; `t6`, `f2`, `f3` and `f5` have all their claims there, so their
+//! outcomes carry no checks.
 
+use profirt_workload::NetGenParams;
+
+use super::exec::{fmt_metric, CampaignOutcome};
+use super::plan::WorkUnit;
 use super::spec::{CampaignSpec, ScenarioKind};
+use crate::shape::ShapeCheck;
 
-/// The deadline-tightness sweep shared by F1 and the legacy module.
+/// The F1 deadline-tightness sweep.
 const TIGHTNESS: [f64; 8] = [1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.2, 0.15];
 
 /// F1 — schedulability-ratio curves vs deadline tightness per policy.
@@ -292,11 +301,327 @@ pub fn preset(id: &str) -> Option<CampaignSpec> {
     all().into_iter().find(|spec| spec.name == id)
 }
 
+/// The shape checks of a paper preset, evaluated on its finished outcome
+/// (dispatched on the campaign name). Empty for `t6`, `f2`, `f3`, `f5`,
+/// the churn studies (whose verdict is the `CONTRACT` line) and any
+/// campaign that is not a preset; callers decide whether the outcome came
+/// from a preset.
+pub fn shape_checks(outcome: &CampaignOutcome) -> Vec<ShapeCheck> {
+    match outcome.spec.name.as_str() {
+        "t1" => t1_checks(outcome),
+        "t2" => t2_checks(outcome),
+        "t3" => t3_checks(outcome),
+        "t4" => t4_checks(outcome),
+        "t5" => t5_checks(outcome),
+        "t7" => t7_checks(outcome),
+        "t8" => t8_checks(outcome),
+        "f1" => f1_checks(outcome),
+        "f4" => f4_checks(outcome),
+        "f6" => f6_checks(outcome),
+        _ => Vec::new(),
+    }
+}
+
+/// One point of a policy comparison: the units that share every
+/// coordinate except `policy`.
+struct Point<'a> {
+    metrics: &'a [&'static str],
+    /// The first unit of the point (its non-policy coordinates).
+    unit: &'a WorkUnit,
+    /// `(policy, metric row)` per unit at this point, in plan order.
+    rows: Vec<(&'a str, &'a [f64])>,
+}
+
+impl Point<'_> {
+    /// `metric` of the unit running `policy` here (`NaN` when absent, so
+    /// every comparison against it fails).
+    fn get(&self, metric: &str, policy: &str) -> f64 {
+        let col = self.metrics.iter().position(|m| *m == metric);
+        let row = self.rows.iter().find(|(p, _)| *p == policy);
+        match (col, row) {
+            (Some(col), Some((_, row))) => row[col],
+            _ => f64::NAN,
+        }
+    }
+
+    /// A coordinate of the point (`NaN` when the axis is absent).
+    fn coord(&self, axis: &str) -> f64 {
+        self.unit.get_f64(axis, f64::NAN)
+    }
+
+    /// `axis=value` for every non-policy coordinate.
+    fn label(&self) -> String {
+        self.unit
+            .point
+            .iter()
+            .filter(|(axis, _)| axis != "policy")
+            .map(|(axis, v)| format!("{axis}={v}"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+
+    /// `policy=value` of `metric` for every unit at the point.
+    fn values(&self, metric: &str) -> String {
+        self.rows
+            .iter()
+            .map(|(p, _)| format!("{p}={}", fmt_metric(self.get(metric, p))))
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+}
+
+/// The outcome's policy-comparison points, in plan order.
+fn points(outcome: &CampaignOutcome) -> Vec<Point<'_>> {
+    let mut points: Vec<Point> = Vec::new();
+    for (unit, row) in outcome.plan.units.iter().zip(&outcome.rows) {
+        let policy = unit.get_str("policy", "");
+        let same = |p: &&mut Point| {
+            p.unit
+                .point
+                .iter()
+                .zip(&unit.point)
+                .all(|((axis, a), (_, b))| axis == "policy" || a == b)
+        };
+        match points.iter_mut().find(same) {
+            Some(p) => p.rows.push((policy, row)),
+            None => points.push(Point {
+                metrics: &outcome.metrics,
+                unit,
+                rows: vec![(policy, row)],
+            }),
+        }
+    }
+    points
+}
+
+/// A claim that must hold at every point of `metric`'s comparison.
+fn everywhere(
+    claim: &str,
+    points: &[Point],
+    metric: &str,
+    holds: impl Fn(&Point) -> bool,
+) -> ShapeCheck {
+    match points.iter().find(|p| !holds(p)) {
+        None => ShapeCheck::new(
+            claim,
+            true,
+            format!("holds at all {} point(s)", points.len()),
+        ),
+        Some(p) => ShapeCheck::new(
+            claim,
+            false,
+            format!("fails at {}: {} {}", p.label(), metric, p.values(metric)),
+        ),
+    }
+}
+
+/// T1 — the per-set acceptance ordering LL ⊆ hyperbolic ⊆ RTA implies the
+/// ordering of acceptance ratios over the shared workloads of a point.
+fn t1_checks(outcome: &CampaignOutcome) -> Vec<ShapeCheck> {
+    let acc = |p: &Point, policy| p.get("accept_ratio", policy);
+    vec![everywhere(
+        "acceptance ordering LL <= hyperbolic <= RTA at every (tasks, utilization) point",
+        &points(outcome),
+        "accept_ratio",
+        |p| acc(p, "rm-ll") <= acc(p, "rm-hb") && acc(p, "rm-hb") <= acc(p, "rm-rta"),
+    )]
+}
+
+/// T2 — the paper's ceiling demand formula is optimistic: a superset of
+/// the standard test's acceptances, strictly larger somewhere.
+fn t2_checks(outcome: &CampaignOutcome) -> Vec<ShapeCheck> {
+    let pts = points(outcome);
+    let gap =
+        |p: &Point| p.get("accept_ratio", "edf-demand-paper") - p.get("accept_ratio", "edf-demand");
+    let widest = pts.iter().max_by(|a, b| gap(a).total_cmp(&gap(b)));
+    vec![
+        everywhere(
+            "paper's ceiling formula accepts at least as often as the standard demand test",
+            &pts,
+            "accept_ratio",
+            |p| gap(p) >= 0.0,
+        ),
+        ShapeCheck::new(
+            "the optimism is real: the paper formula accepts strictly more somewhere",
+            widest.is_some_and(|p| gap(p) > 0.0),
+            widest.map_or_else(String::new, |p| {
+                format!(
+                    "at {}: accept_ratio {}",
+                    p.label(),
+                    p.values("accept_ratio")
+                )
+            }),
+        ),
+    ]
+}
+
+/// T3 — George et al.'s eq. (5) accepts every eq. (4)-accepted set.
+fn t3_checks(outcome: &CampaignOutcome) -> Vec<ShapeCheck> {
+    let acc = |p: &Point, policy| p.get("accept_ratio", policy);
+    vec![everywhere(
+        "eq. (5) (George) accepts at least as often as eq. (4) (Zheng-Shin) at every point",
+        &points(outcome),
+        "accept_ratio",
+        |p| acc(p, "np-edf-george") >= acc(p, "np-edf-zs"),
+    )]
+}
+
+/// T4 — non-preemptive blocking raises the EDF response-time bounds.
+fn t4_checks(outcome: &CampaignOutcome) -> Vec<ShapeCheck> {
+    let norm = |p: &Point, policy| p.get("mean_wcrt_norm", policy);
+    vec![everywhere(
+        "blocking raises the bound: non-preemptive mean WCRT/D exceeds preemptive at every utilization",
+        &points(outcome),
+        "mean_wcrt_norm",
+        |p| norm(p, "np-edf-rta") > norm(p, "edf-rta"),
+    )]
+}
+
+/// T5 — the token is observed late: some rotation exceeds the target
+/// `TTR` (the preset has no `ttr` axis, so every network runs at the
+/// generator's target).
+fn t5_checks(outcome: &CampaignOutcome) -> Vec<ShapeCheck> {
+    let ttr = NetGenParams::standard(0.9, 3, 2).ttr.ticks() as f64;
+    let trr = points(outcome)
+        .iter()
+        .map(|p| p.get("sim_max_trr", "fcfs"))
+        .fold(f64::NAN, f64::max);
+    vec![ShapeCheck::new(
+        "token lateness actually occurs (observed TRR > TTR)",
+        trr > ttr,
+        format!("largest observed TRR {} vs TTR {ttr}", fmt_metric(trr)),
+    )]
+}
+
+/// T7 — priority queues schedule at least as many streams as FCFS.
+fn t7_checks(outcome: &CampaignOutcome) -> Vec<ShapeCheck> {
+    let frac = |p: &Point, policy| p.get("mean_sched_frac", policy);
+    vec![everywhere(
+        "DM and EDF schedule at least as many streams as FCFS on average",
+        &points(outcome),
+        "mean_sched_frac",
+        |p| frac(p, "dm") >= frac(p, "fcfs") && frac(p, "edf") >= frac(p, "fcfs"),
+    )]
+}
+
+/// T8 — the sound bounds dominate simulation; the paper-literal DM bound's
+/// violations are the recorded finding.
+fn t8_checks(outcome: &CampaignOutcome) -> Vec<ShapeCheck> {
+    let pts = points(outcome);
+    let violations = |p: &Point, policy| p.get("sim_violations", policy);
+    let paper_dm: f64 = pts.iter().map(|p| violations(p, "dm-paper")).sum();
+    vec![ShapeCheck::new(
+        "FCFS, conservative-DM and EDF bounds dominate simulation everywhere",
+        pts.iter().all(|p| {
+            ["fcfs", "dm", "edf"]
+                .iter()
+                .all(|&q| violations(p, q) == 0.0)
+        }),
+        format!("paper-DM violations observed: {paper_dm}"),
+    )]
+}
+
+/// F1 — acceptance-ratio curves vs deadline tightness.
+fn f1_checks(outcome: &CampaignOutcome) -> Vec<ShapeCheck> {
+    let pts = points(outcome);
+    let ratio = |p: &Point, policy| p.get("sched_ratio", policy);
+    let gap = |p: &Point| ratio(p, "dm") - ratio(p, "fcfs");
+    let widest = pts.iter().max_by(|a, b| gap(a).total_cmp(&gap(b)));
+    let loosest = pts
+        .iter()
+        .max_by(|a, b| a.coord("tightness").total_cmp(&b.coord("tightness")));
+    vec![
+        everywhere(
+            "DM and EDF acceptance >= FCFS at every tightness",
+            &pts,
+            "sched_ratio",
+            |p| ratio(p, "dm") >= ratio(p, "fcfs") && ratio(p, "edf") >= ratio(p, "fcfs"),
+        ),
+        ShapeCheck::new(
+            "FCFS collapses markedly earlier (DM - FCFS gap >= 0.25 somewhere)",
+            widest.is_some_and(|p| gap(p) >= 0.25),
+            widest.map_or_else(String::new, |p| {
+                format!("largest gap {} at {}", fmt_metric(gap(p)), p.label())
+            }),
+        ),
+        ShapeCheck::new(
+            "all policies accept nearly everything (> 0.9) at the loosest deadlines",
+            loosest.is_some_and(|p| ["fcfs", "dm", "edf"].iter().all(|&q| ratio(p, q) > 0.9)),
+            loosest.map_or_else(String::new, |p| {
+                format!("at {}: sched_ratio {}", p.label(), p.values("sched_ratio"))
+            }),
+        ),
+    ]
+}
+
+/// F4 — the eq. (15) feasibility region shrinks as deadlines tighten.
+fn f4_checks(outcome: &CampaignOutcome) -> Vec<ShapeCheck> {
+    let mut pts = points(outcome);
+    pts.sort_by(|a, b| b.coord("tightness").total_cmp(&a.coord("tightness")));
+    let frac = |p: &Point| p.get("ttr_feasible_ratio", "fcfs");
+    let ttr = |p: &Point| p.get("mean_max_ttr", "fcfs");
+    let series = |f: &dyn Fn(&Point) -> f64| {
+        pts.iter()
+            .map(|p| fmt_metric(f(p)))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    let tightest = pts.last();
+    vec![
+        ShapeCheck::new(
+            "feasible fraction shrinks monotonically as deadlines tighten",
+            pts.windows(2).all(|w| frac(&w[0]) >= frac(&w[1])),
+            format!("ttr_feasible_ratio by falling tightness: {}", series(&frac)),
+        ),
+        ShapeCheck::new(
+            "mean TTR* shrinks as deadlines tighten (TTR headroom = D/nh - Tdel)",
+            pts.windows(2)
+                .filter(|w| frac(&w[0]) > 0.0 && frac(&w[1]) > 0.0)
+                .all(|w| ttr(&w[0]) >= ttr(&w[1])),
+            format!("mean_max_ttr by falling tightness: {}", series(&ttr)),
+        ),
+        ShapeCheck::new(
+            "a hard-infeasible region exists at very tight deadlines (feasible fraction < 0.5)",
+            tightest.is_some_and(|p| frac(p) < 0.5),
+            tightest.map_or_else(String::new, |p| {
+                format!(
+                    "ttr_feasible_ratio {} at {}",
+                    fmt_metric(frac(p)),
+                    p.label()
+                )
+            }),
+        ),
+    ]
+}
+
+/// F6 — bound tightness under simulation: sound everywhere, with visible
+/// FCFS pessimism.
+fn f6_checks(outcome: &CampaignOutcome) -> Vec<ShapeCheck> {
+    let pts = points(outcome);
+    let worst = |p: &Point, policy| p.get("sim_worst_ratio", policy);
+    let fcfs = pts
+        .iter()
+        .map(|p| worst(p, "fcfs"))
+        .fold(f64::NAN, f64::max);
+    vec![
+        everywhere(
+            "every bound/observed ratio is >= 1 (bounds are upper bounds)",
+            &pts,
+            "sim_worst_ratio",
+            |p| ["fcfs", "dm", "edf"].iter().all(|&q| worst(p, q) <= 1.0),
+        ),
+        ShapeCheck::new(
+            "bounds carry visible pessimism: every FCFS bound exceeds its observation by > 10%",
+            fcfs * 1.1 < 1.0,
+            format!("largest FCFS observed/bound {}", fmt_metric(fcfs)),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::campaign::plan::plan;
-    use crate::ExpConfig;
 
     #[test]
     fn all_sixteen_presets_validate_and_plan() {
@@ -316,16 +641,16 @@ mod tests {
 
     #[test]
     fn presets_scale_down_for_quick_runs() {
-        let quick = t8().scaled(&ExpConfig::quick());
-        assert!(quick.replications <= ExpConfig::quick().replications);
-        assert!(quick.sim_horizon <= ExpConfig::quick().sim_horizon);
+        let quick = t8().quick();
+        assert!(quick.replications <= 24);
+        assert!(quick.sim_horizon <= 1_500_000);
         // Analysis-only presets stay analysis-only.
-        assert_eq!(f1().scaled(&ExpConfig::quick()).sim_horizon, 0);
+        assert_eq!(f1().quick().sim_horizon, 0);
     }
 
     #[test]
     fn churn_preset_contract_holds_and_is_worker_independent() {
-        let mut spec = churn().scaled(&ExpConfig::quick());
+        let mut spec = churn().quick();
         spec.replications = 2;
         spec.sim_horizon = 500_000;
         spec.name = "churn-preset-smoke".into();
@@ -393,7 +718,7 @@ mod tests {
 
     #[test]
     fn mc_churn_preset_hi_contract_holds_and_is_worker_independent() {
-        let mut spec = mc_churn().scaled(&ExpConfig::quick());
+        let mut spec = mc_churn().quick();
         spec.replications = 2;
         spec.sim_horizon = 600_000;
         spec.name = "mc-churn-preset-smoke".into();
@@ -448,7 +773,7 @@ mod tests {
 
     #[test]
     fn one_preset_runs_end_to_end_quickly() {
-        let mut spec = f3().scaled(&ExpConfig::quick());
+        let mut spec = f3().quick();
         spec.replications = 2;
         spec.name = "f3-preset-smoke".into();
         let root = std::env::temp_dir().join("profirt-preset-smoke");
@@ -467,6 +792,35 @@ mod tests {
             last > first,
             "Tdel should grow with masters: {first} -> {last}"
         );
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// The paper presets whose claims are all pinned by tests in the
+    /// crates that own the analyses: their outcomes carry no checks.
+    const WITHOUT_OUTCOME_CHECKS: [&str; 4] = ["t6", "f2", "f3", "f5"];
+
+    #[test]
+    fn paper_presets_pass_their_shape_checks_at_quick_scale() {
+        let root = std::env::temp_dir().join("profirt-preset-shapes");
+        let _ = std::fs::remove_dir_all(&root);
+        let paper: Vec<_> = all()
+            .into_iter()
+            .filter(|spec| !spec.name.contains("churn"))
+            .collect();
+        assert_eq!(paper.len(), 14);
+        for spec in paper {
+            let outcome = crate::campaign::run_campaign(&spec.quick(), &root).unwrap();
+            let checks = shape_checks(&outcome);
+            assert_eq!(
+                checks.is_empty(),
+                WITHOUT_OUTCOME_CHECKS.contains(&spec.name.as_str()),
+                "{}: {checks:?}",
+                spec.name
+            );
+            for check in &checks {
+                assert!(check.pass, "{}: {check}", spec.name);
+            }
+        }
         std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -12,7 +12,6 @@ use profirt_base::json::{self, Value};
 use profirt_core::PolicyKind;
 
 use super::CampaignError;
-use crate::ExpConfig;
 
 /// Which evaluator interprets the matrix points.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -256,16 +255,19 @@ impl CampaignSpec {
         self
     }
 
-    /// Scales the campaign to an [`ExpConfig`] (the legacy binaries' knob):
-    /// replications and horizon are capped, the worker count is adopted.
-    /// The base seed is part of the campaign's identity and is kept.
-    pub fn scaled(&self, cfg: &ExpConfig) -> CampaignSpec {
+    /// The `--quick` scale: at most 24 replications and, for simulated
+    /// campaigns, a horizon of at most 1.5M ticks; the worker count becomes
+    /// the machine's available parallelism. The base seed is part of the
+    /// campaign's identity and is kept.
+    pub fn quick(&self) -> CampaignSpec {
         let mut spec = self.clone();
-        spec.replications = spec.replications.min(cfg.replications);
+        spec.replications = spec.replications.min(24);
         if spec.sim_horizon > 0 {
-            spec.sim_horizon = spec.sim_horizon.min(cfg.sim_horizon);
+            spec.sim_horizon = spec.sim_horizon.min(1_500_000);
         }
-        spec.workers = cfg.workers;
+        spec.workers = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4);
         spec
     }
 
@@ -655,10 +657,10 @@ mod tests {
     #[test]
     fn scaling_caps_replications_and_horizon() {
         let spec = demo().replications(200).sim_horizon(6_000_000);
-        let quick = spec.scaled(&ExpConfig::quick());
-        assert_eq!(quick.replications, ExpConfig::quick().replications);
-        assert_eq!(quick.sim_horizon, ExpConfig::quick().sim_horizon);
-        let analysis_only = demo().scaled(&ExpConfig::quick());
+        let quick = spec.quick();
+        assert_eq!(quick.replications, 24);
+        assert_eq!(quick.sim_horizon, 1_500_000);
+        let analysis_only = demo().quick();
         assert_eq!(analysis_only.sim_horizon, 0);
     }
 }

@@ -1,7 +1,4 @@
-//! Minimal CSV output for experiment results.
-//!
-//! Results land in `results/<name>.csv` relative to the working directory
-//! (the workspace root under `cargo run -p profirt-experiments`).
+//! Minimal CSV output for campaign tables (the `units.csv` artifact).
 
 use std::fs;
 use std::io::Write as _;
@@ -41,11 +38,6 @@ pub fn write_table(dir: &Path, name: &str, table: &Table) -> std::io::Result<Pat
         )?;
     }
     Ok(path)
-}
-
-/// The default results directory.
-pub fn results_dir() -> PathBuf {
-    PathBuf::from("results")
 }
 
 #[cfg(test)]

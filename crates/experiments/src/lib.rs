@@ -1,38 +1,38 @@
 //! # profirt-experiments — the reproduction harness
 //!
-//! One module per table/figure of DESIGN.md §4 (`T1`–`T8`, `F1`–`F6`), each
-//! with a `run(&ExpConfig) -> ExpReport` entry point, plus the
-//! [`campaign`] engine that runs any declarative scenario matrix — the 14
-//! experiments are also available as campaign presets, and the
-//! `src/bin/*` experiment binaries are thin shims over those presets.
+//! The paper's tables and figures (`T1`–`T8`, `F1`–`F6`) are campaign
+//! [`presets`](campaign::presets), run by the one [`campaign`] engine
+//! behind `profirt campaign run <preset>`. Each paper preset carries the
+//! [`ShapeCheck`]s its finished outcome must satisfy; claims that need a
+//! crafted exemplar or a quantity no campaign column holds are pinned by
+//! tests in the crates that own the analyses.
 //!
 //! Infrastructure:
 //! * [`campaign`] — declarative scenario-matrix campaigns: spec → plan →
 //!   parallel execution → CSV/JSON/Markdown artifacts under `out/`.
 //! * [`table`] — aligned text tables for terminal output.
 //! * [`csvout`] — minimal CSV writing (no external dependency).
-//! * [`runner`] — panic-safe seed-parallel experiment execution (std
-//!   scoped threads mounted on the model-checked work-stealing core
-//!   from `profirt_conc::exec`).
-//! * [`shape`] — recorded shape checks: every report carries explicit
-//!   PASS/FAIL verdicts for the qualitative predictions EXPERIMENTS.md
-//!   documents.
+//! * [`runner`] — panic-safe seed-parallel execution (std scoped threads
+//!   mounted on the model-checked work-stealing core from
+//!   `profirt_conc::exec`).
+//! * [`shape`] — recorded shape checks: explicit PASS/FAIL verdicts for
+//!   the qualitative predictions of the paper presets.
 //!
 //! ## Seed-parallel sweeps
 //!
-//! [`runner::par_map_seeds`] fans a closure over seeds and returns results
-//! in seed order no matter how the worker threads interleave:
+//! [`runner::try_par_map_seeds`] fans a closure over seeds and returns
+//! results in seed order no matter how the worker threads interleave:
 //!
 //! ```
-//! use profirt_experiments::runner::par_map_seeds;
+//! use profirt_experiments::runner::try_par_map_seeds;
 //!
 //! // 8 workers race over 16 seeds; the output is still seed-ordered.
-//! let out = par_map_seeds(16, 8, |seed| seed * seed);
+//! let out = try_par_map_seeds(16, 8, |seed| seed * seed).unwrap();
 //! assert_eq!(out, (0..16).map(|s| s * s).collect::<Vec<_>>());
 //! ```
 //!
-//! A panicking seed no longer aborts the sweep — it is caught, attributed,
-//! and reported ([`runner::try_par_map_seeds`]):
+//! A panicking seed does not abort the sweep — it is caught, attributed,
+//! and reported:
 //!
 //! ```
 //! use profirt_experiments::runner::try_par_map_seeds;
@@ -51,7 +51,7 @@
 //! ```
 //! use profirt_experiments::campaign::{self, presets};
 //!
-//! // Every legacy experiment is a preset spec; plan one without running it.
+//! // Every paper experiment is a preset spec; plan one without running it.
 //! let spec = presets::f1();
 //! let plan = campaign::plan(&spec).unwrap();
 //! assert_eq!(plan.units.len(), spec.unit_count());
@@ -62,69 +62,9 @@
 
 pub mod campaign;
 pub mod csvout;
-pub mod exps;
 pub mod runner;
 pub mod shape;
 pub mod table;
 
-pub use shape::{ExpReport, ShapeCheck};
+pub use shape::ShapeCheck;
 pub use table::Table;
-
-/// Global experiment configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct ExpConfig {
-    /// Replications per sweep point (cut for `--quick` / benches).
-    pub replications: u64,
-    /// Base RNG seed.
-    pub seed: u64,
-    /// Simulation horizon in ticks where simulation is involved.
-    pub sim_horizon: i64,
-    /// Worker threads for seed-parallel sweeps.
-    pub workers: usize,
-}
-
-impl Default for ExpConfig {
-    fn default() -> Self {
-        ExpConfig {
-            replications: 200,
-            seed: 0x5EED,
-            sim_horizon: 6_000_000,
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-        }
-    }
-}
-
-impl ExpConfig {
-    /// A reduced configuration for quick runs and benches.
-    pub fn quick() -> ExpConfig {
-        ExpConfig {
-            replications: 24,
-            sim_horizon: 1_500_000,
-            ..ExpConfig::default()
-        }
-    }
-
-    /// Parses `--quick` from argv (binaries' only flag).
-    pub fn from_args() -> ExpConfig {
-        if std::env::args().any(|a| a == "--quick") {
-            ExpConfig::quick()
-        } else {
-            ExpConfig::default()
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_is_smaller() {
-        let q = ExpConfig::quick();
-        let d = ExpConfig::default();
-        assert!(q.replications < d.replications);
-        assert!(q.sim_horizon < d.sim_horizon);
-    }
-}

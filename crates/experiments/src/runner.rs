@@ -1,6 +1,6 @@
 //! Seed-parallel experiment execution.
 //!
-//! Sweeps run the same closure over many seeds; [`par_map_seeds`]
+//! Sweeps run the same closure over many seeds; [`try_par_map_seeds`]
 //! distributes them over the work-stealing executor core from
 //! [`profirt_conc::exec`] and returns results in seed order
 //! (deterministic output regardless of scheduling). Seeds are
@@ -17,8 +17,7 @@
 //! mutex and abort the whole scope, so one bad seed took down the entire
 //! sweep with no indication of which seed failed. Each invocation is now
 //! wrapped in [`std::panic::catch_unwind`]; the failing seeds are recorded
-//! and surfaced through [`try_par_map_seeds`]'s error (or a descriptive
-//! panic from the infallible [`par_map_seeds`] wrapper), while the
+//! and surfaced through [`try_par_map_seeds`]'s error, while the
 //! remaining seeds still run to completion.
 //!
 //! Caught panics still pass through the process panic hook, so each
@@ -125,38 +124,26 @@ where
         .collect())
 }
 
-/// Applies `f` to every seed in `0..n`, in parallel over `workers` threads,
-/// returning results ordered by seed.
-///
-/// # Panics
-/// Panics with a report naming every failing seed if `f` panicked for any
-/// seed (see [`try_par_map_seeds`] for the non-panicking form).
-pub fn par_map_seeds<R, F>(n: u64, workers: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(u64) -> R + Sync,
-{
-    match try_par_map_seeds(n, workers, f) {
-        Ok(results) => results,
-        Err(panics) => panic!("par_map_seeds: {panics}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    /// The seed-ordered results of a sweep in which no seed panics.
+    fn map_seeds<R: Send>(n: u64, workers: usize, f: impl Fn(u64) -> R + Sync) -> Vec<R> {
+        try_par_map_seeds(n, workers, f).unwrap()
+    }
+
     #[test]
     fn results_in_seed_order() {
-        let out = par_map_seeds(64, 8, |s| s * 2);
+        let out = map_seeds(64, 8, |s| s * 2);
         assert_eq!(out, (0..64).map(|s| s * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn every_seed_runs_exactly_once() {
         let counter = AtomicU64::new(0);
-        let out = par_map_seeds(100, 4, |s| {
+        let out = map_seeds(100, 4, |s| {
             counter.fetch_add(1, Ordering::Relaxed);
             s
         });
@@ -166,23 +153,23 @@ mod tests {
 
     #[test]
     fn single_worker_and_zero_items() {
-        assert_eq!(par_map_seeds(0, 1, |s| s), Vec::<u64>::new());
-        assert_eq!(par_map_seeds(3, 0, |s| s), vec![0, 1, 2]); // workers clamped to 1
+        assert_eq!(map_seeds(0, 1, |s| s), Vec::<u64>::new());
+        assert_eq!(map_seeds(3, 0, |s| s), vec![0, 1, 2]); // workers clamped to 1
     }
 
     #[test]
     fn absurd_worker_counts_are_clamped_to_item_count() {
         // Must not try to spawn a million threads for four items.
-        assert_eq!(par_map_seeds(4, 1_000_000, |s| s), vec![0, 1, 2, 3]);
+        assert_eq!(map_seeds(4, 1_000_000, |s| s), vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn results_identical_across_worker_counts() {
         // Worker-count independence: the executor may interleave and
         // steal however it likes, but the seed-ordered output is fixed.
-        let reference = par_map_seeds(50, 1, |s| s.wrapping_mul(0x9E37_79B9) ^ (s << 7));
+        let reference = map_seeds(50, 1, |s| s.wrapping_mul(0x9E37_79B9) ^ (s << 7));
         for workers in [2, 3, 8, 50] {
-            let out = par_map_seeds(50, workers, |s| s.wrapping_mul(0x9E37_79B9) ^ (s << 7));
+            let out = map_seeds(50, workers, |s| s.wrapping_mul(0x9E37_79B9) ^ (s << 7));
             assert_eq!(out, reference, "workers = {workers}");
         }
     }
@@ -235,16 +222,5 @@ mod tests {
         let seeds: Vec<u64> = err.failures.iter().map(|f| f.0).collect();
         assert_eq!(seeds, (0..24).filter(|s| s % 2 == 1).collect::<Vec<_>>());
         assert!(err.failures[0].1.contains("odd seed 1"), "{err}");
-    }
-
-    #[test]
-    #[should_panic(expected = "seed 5")]
-    fn infallible_wrapper_panics_with_seed_report() {
-        let _ = par_map_seeds(8, 2, |s| {
-            if s == 5 {
-                panic!("only this one");
-            }
-            s
-        });
     }
 }

@@ -1,10 +1,12 @@
 //! Recorded shape checks.
 //!
-//! Every experiment states its qualitative predictions (who wins, what
-//! dominates, where curves collapse) as [`ShapeCheck`]s so EXPERIMENTS.md
-//! can cite machine-verified verdicts instead of prose.
+//! A paper preset states its qualitative predictions (who wins, what
+//! dominates, where curves collapse) as [`ShapeCheck`]s evaluated on the
+//! finished campaign outcome (see
+//! [`presets::shape_checks`](crate::campaign::presets::shape_checks)), so a
+//! run reports machine-verified verdicts instead of prose.
 
-use crate::table::Table;
+use std::fmt;
 
 /// One qualitative prediction and its verdict.
 #[derive(Clone, Debug)]
@@ -28,83 +30,10 @@ impl ShapeCheck {
     }
 }
 
-/// A complete experiment report: tables plus shape verdicts.
-#[derive(Clone, Debug, Default)]
-pub struct ExpReport {
-    /// Experiment identifier (`T1` … `F6`).
-    pub id: String,
-    /// Output tables, in print order.
-    pub tables: Vec<Table>,
-    /// Shape checks.
-    pub checks: Vec<ShapeCheck>,
-}
-
-impl ExpReport {
-    /// Creates an empty report.
-    pub fn new(id: &str) -> ExpReport {
-        ExpReport {
-            id: id.to_string(),
-            ..Default::default()
-        }
-    }
-
-    /// Adds a table.
-    pub fn table(&mut self, t: Table) -> &mut Self {
-        self.tables.push(t);
-        self
-    }
-
-    /// Adds a shape check.
-    pub fn check(&mut self, claim: &str, pass: bool, detail: String) -> &mut Self {
-        self.checks.push(ShapeCheck::new(claim, pass, detail));
-        self
-    }
-
-    /// `true` iff every shape check passed.
-    pub fn all_pass(&self) -> bool {
-        self.checks.iter().all(|c| c.pass)
-    }
-
-    /// Prints the report and writes its tables as CSVs; returns process
-    /// exit code (0 iff all checks pass).
-    pub fn emit(&self) -> i32 {
-        for t in &self.tables {
-            println!("{t}");
-            let name = format!(
-                "{}_{}",
-                self.id.to_lowercase(),
-                t.title().to_lowercase().replace([' ', '/', ':'], "_")
-            );
-            match crate::csvout::write_table(&crate::csvout::results_dir(), &name, t) {
-                Ok(path) => println!("[csv] {}", path.display()),
-                Err(e) => eprintln!("[csv] write failed: {e}"),
-            }
-            println!();
-        }
-        for c in &self.checks {
-            println!(
-                "SHAPE [{}] {} — {} ({})",
-                if c.pass { "PASS" } else { "FAIL" },
-                self.id,
-                c.claim,
-                c.detail
-            );
-        }
-        i32::from(!self.all_pass())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn verdict_aggregation() {
-        let mut r = ExpReport::new("T0");
-        r.check("a", true, "x".into());
-        assert!(r.all_pass());
-        r.check("b", false, "y".into());
-        assert!(!r.all_pass());
-        assert_eq!(r.checks.len(), 2);
+/// The report line: `SHAPE [PASS|FAIL] <claim> — <detail>`.
+impl fmt::Display for ShapeCheck {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let verdict = if self.pass { "PASS" } else { "FAIL" };
+        write!(f, "SHAPE [{verdict}] {} — {}", self.claim, self.detail)
     }
 }

@@ -34,16 +34,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Header access (for CSV export).
     pub fn headers(&self) -> &[String] {
         &self.headers
@@ -52,11 +42,6 @@ impl Table {
     /// Row access (for CSV export).
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows
-    }
-
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
     }
 }
 
@@ -94,16 +79,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Formats a ratio with three decimals.
-pub fn fmt_ratio(x: f64) -> String {
-    format!("{x:.3}")
-}
-
-/// Formats an optional tick value (`-` when absent).
-pub fn fmt_opt_ticks(x: Option<i64>) -> String {
-    x.map(|v| v.to_string()).unwrap_or_else(|| "-".to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,8 +93,7 @@ mod tests {
         assert!(s.contains("long-name"));
         // Right alignment of numeric column.
         assert!(s.contains("     1\n") || s.contains("      1\n"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows().len(), 2);
     }
 
     #[test]
@@ -127,12 +101,5 @@ mod tests {
     fn arity_mismatch_panics() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.row(vec!["x".into()]);
-    }
-
-    #[test]
-    fn formatters() {
-        assert_eq!(fmt_ratio(0.5), "0.500");
-        assert_eq!(fmt_opt_ticks(Some(7)), "7");
-        assert_eq!(fmt_opt_ticks(None), "-");
     }
 }

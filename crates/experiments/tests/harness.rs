@@ -1,22 +1,9 @@
-//! Integration tests for the experiment harness itself: reports emit
-//! correctly, CSVs round-trip, and the parallel runner composes with real
-//! experiment workloads.
+//! Integration tests for the harness infrastructure: CSVs round-trip and
+//! the parallel runner is worker-count independent.
 
 use profirt_experiments::csvout::write_table;
-use profirt_experiments::runner::par_map_seeds;
-use profirt_experiments::{ExpConfig, ExpReport, Table};
-
-#[test]
-fn report_exit_semantics() {
-    let mut ok = ExpReport::new("X1");
-    ok.check("always true", true, "detail".into());
-    assert!(ok.all_pass());
-
-    let mut bad = ExpReport::new("X2");
-    bad.check("true", true, String::new());
-    bad.check("false", false, String::new());
-    assert!(!bad.all_pass());
-}
+use profirt_experiments::runner::try_par_map_seeds;
+use profirt_experiments::Table;
 
 #[test]
 fn table_csv_round_trip_preserves_cells() {
@@ -37,32 +24,7 @@ fn table_csv_round_trip_preserves_cells() {
 #[test]
 fn runner_scales_with_worker_counts() {
     for workers in [1usize, 2, 8, 64] {
-        let out = par_map_seeds(32, workers, |seed| seed * seed);
+        let out = try_par_map_seeds(32, workers, |seed| seed * seed).unwrap();
         assert_eq!(out, (0..32).map(|s| s * s).collect::<Vec<_>>());
-    }
-}
-
-#[test]
-fn quick_config_runs_a_real_experiment_end_to_end() {
-    // The cheapest experiment (F3 is pure analysis) as an end-to-end smoke
-    // test of the harness plumbing.
-    let report = profirt_experiments::exps::f3::run(&ExpConfig::quick());
-    assert!(report.all_pass());
-    assert_eq!(report.tables.len(), 2);
-    assert!(report.tables.iter().all(|t| !t.is_empty()));
-}
-
-#[test]
-fn experiment_reports_are_deterministic() {
-    let cfg = ExpConfig {
-        replications: 6,
-        ..ExpConfig::quick()
-    };
-    let a = profirt_experiments::exps::f2::run(&cfg);
-    let b = profirt_experiments::exps::f2::run(&cfg);
-    // Same tables cell-for-cell.
-    assert_eq!(a.tables.len(), b.tables.len());
-    for (ta, tb) in a.tables.iter().zip(b.tables.iter()) {
-        assert_eq!(ta.rows(), tb.rows());
     }
 }

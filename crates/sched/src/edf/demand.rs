@@ -14,7 +14,8 @@
 //! ceiling form misses the job whose deadline is exactly `t` — at `t = Di`
 //! it counts zero jobs although one deadline elapses. `Standard` is the
 //! correct (and default) test; `PaperCeiling` is kept for fidelity and the
-//! B-A3 ablation (see DESIGN.md §3).
+//! B-A3 ablation (the `ablation_demand_formula` bench and the
+//! `edf-demand-paper` policy of the `t2` campaign preset).
 //!
 //! `h` only steps at absolute deadlines `t ∈ S = ⋃{k·Ti + Di}`, and under
 //! `U < 1` it suffices to check `t` up to the synchronous busy period `L`

@@ -23,7 +23,7 @@
 //! Deviation note: we bound the per-`a` fixpoints (and optionally the
 //! candidate range, see [`NpEdfRtaConfig::extend_candidates_with_blocking`])
 //! by the *blocking-extended* busy period, which dominates the paper's `L` —
-//! strictly more candidates, never fewer (sound; see DESIGN.md §3).
+//! strictly more candidates, never fewer, so the bound stays sound.
 //!
 //! The candidate scan is the one of [`crate::edf::rta`] (warm seeds, early
 //! stop, cold redo on error) with two changes. The blocking term

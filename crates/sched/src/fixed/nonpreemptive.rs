@@ -27,8 +27,8 @@
 //!   Rivierre & Spuri \[31\]: `wi = Bi + Σ_{j∈hp(i)} (⌊wi/Tj⌋ + 1) · Cj`,
 //!   which counts a higher-priority job released exactly at the candidate
 //!   start time as delaying the start. This is never smaller than the
-//!   Audsley form (ablation B-A5 in DESIGN.md quantifies the gap: they
-//!   differ only when a fixpoint lands exactly on a release boundary).
+//!   Audsley form (the B-A5 `ablation_np_variant` bench quantifies the gap:
+//!   they differ only when a fixpoint lands exactly on a release boundary).
 
 use profirt_base::{AnalysisResult, TaskSet, Time};
 use serde::{Deserialize, Serialize};

@@ -3,8 +3,9 @@
 
 use profirt_base::TaskSet;
 use profirt_sched::edf::{
-    edf_feasible_preemptive, edf_response_times, np_edf_response_times, synchronous_busy_period,
-    DemandConfig, EdfRtaConfig, NpEdfRtaConfig,
+    edf_feasible_nonpreemptive, edf_feasible_preemptive, edf_response_times, np_edf_response_times,
+    synchronous_busy_period, DemandConfig, DemandFormula, EdfRtaConfig, NpBlockingModel,
+    NpEdfRtaConfig, NpFeasibilityConfig,
 };
 use profirt_sched::fixed::{
     liu_layland_bound, np_response_times, response_times, rm_utilization_schedulable,
@@ -118,4 +119,33 @@ fn rm_edf_separation_set() {
     assert!(!rm.all_schedulable(), "RM should miss τ1 (r = 8 > 7)");
     let edf = edf_feasible_preemptive(&set, &DemandConfig::default()).unwrap();
     assert!(edf.feasible, "EDF schedules U = 34/35");
+}
+
+/// The eq. (4) pessimism gap: Zheng & Shin charge `max Ci` blocking at
+/// every checkpoint, George et al.'s eq. (5) only the blocking of tasks
+/// whose deadline lies beyond it. A lone task `(3, 5, 10)` blocks itself
+/// under eq. (4) (3 + 3 > 5), and a short-deadline task next to a long
+/// job is swamped by the long job's cost: both sets are eq. (5)-feasible
+/// yet eq. (4)-infeasible.
+#[test]
+fn zheng_shin_rejects_sets_george_accepts() {
+    for set in [
+        TaskSet::from_cdt(&[(3, 5, 10)]).unwrap(),
+        TaskSet::from_cdt(&[(2, 10, 20), (9, 100, 100)]).unwrap(),
+    ] {
+        let feasible = |blocking| {
+            edf_feasible_nonpreemptive(
+                &set,
+                &NpFeasibilityConfig {
+                    blocking,
+                    formula: DemandFormula::Standard,
+                    ..Default::default()
+                },
+            )
+            .unwrap()
+            .feasible
+        };
+        assert!(!feasible(NpBlockingModel::ZhengShin), "{set:?}");
+        assert!(feasible(NpBlockingModel::George), "{set:?}");
+    }
 }

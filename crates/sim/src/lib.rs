@@ -31,7 +31,7 @@
 //!
 //! Simulation produces **lower bounds** on true worst cases: the validation
 //! contract is `observed ≤ analytical` everywhere, plus tightness ratios
-//! for EXPERIMENTS.md.
+//! (the campaigns' `sim_worst_ratio` column, e.g. of the `f6` preset).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

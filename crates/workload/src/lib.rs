@@ -1,6 +1,6 @@
 //! # profirt-workload — seeded synthetic workload generators
 //!
-//! The evaluation inputs of DESIGN.md's experiments: random task sets for
+//! The evaluation inputs of the campaign presets: random task sets for
 //! the §2 analyses and random PROFIBUS networks (stream sets, payloads,
 //! low-priority traffic) for the §3–§4 analyses. All generation is driven
 //! by [`profirt_base::Prng`], so every experiment is reproducible from its

@@ -3,7 +3,9 @@
 //! network (the T8 experiment's contract, run here on a fixed seed batch).
 
 use profirt::base::{Prng, Time};
-use profirt::core::{DmAnalysis, EdfAnalysis, FcfsAnalysis, NetworkAnalysis};
+use profirt::core::{
+    max_feasible_ttr, DmAnalysis, EdfAnalysis, FcfsAnalysis, NetworkAnalysis, TcycleModel,
+};
 use profirt::profibus::{BusParams, QueuePolicy};
 use profirt::sim::{
     simulate_network, JitterInjection, NetworkSimConfig, OffsetMode, SimMaster, SimNetwork,
@@ -162,10 +164,11 @@ fn trr_observation_bounded_by_tcycle() {
 
 #[test]
 fn paper_dm_optimism_is_covered_by_conservative() {
-    // The literal eq. (16) may under-approximate (see DESIGN.md); whenever
-    // simulation exceeds the paper bound, the conservative bound must still
-    // hold — and we record that the gap is real at least somewhere is NOT
-    // required (networks here may or may not expose it).
+    // The literal eq. (16) may under-approximate (see `DmVariant` in
+    // `core::dm`); whenever simulation exceeds the paper bound, the
+    // conservative bound must still hold — and we record that the gap is
+    // real at least somewhere is NOT required (networks here may or may
+    // not expose it).
     for seed in 0..6 {
         let g = gen(seed);
         let paper = DmAnalysis::paper().analyze(&g.config).unwrap();
@@ -184,4 +187,32 @@ fn paper_dm_optimism_is_covered_by_conservative() {
             }
         }
     }
+}
+
+#[test]
+fn fcfs_at_max_feasible_ttr_is_miss_free() {
+    // Eq. (15)'s TTR* is the largest target rotation time at which every
+    // FCFS bound meets its deadline; stock masters tuned to it must not
+    // miss a deadline in simulation either.
+    let mut tuned = 0;
+    for seed in 0..6 {
+        let mut g = gen(seed);
+        let Some(ttr) = max_feasible_ttr(&g.config, TcycleModel::Paper).max_ttr else {
+            continue;
+        };
+        g.config = g.config.with_ttr(ttr).unwrap();
+        tuned += 1;
+        let obs = simulate(&g, QueuePolicy::Fcfs, seed);
+        for (k, master) in g.config.masters.iter().enumerate() {
+            for (i, stream) in master.streams.streams().iter().enumerate() {
+                assert!(
+                    obs[k][i] <= stream.d,
+                    "seed {seed}, TTR* {ttr:?}: M{k}/S{i} observed {:?} > D {:?}",
+                    obs[k][i],
+                    stream.d
+                );
+            }
+        }
+    }
+    assert!(tuned > 0, "no network had a feasible TTR");
 }

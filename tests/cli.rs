@@ -196,6 +196,28 @@ fn campaign_horizon_override() {
 }
 
 #[test]
+fn campaign_run_prints_shape_verdicts_for_presets_only() {
+    let out = std::env::temp_dir().join("profirt-cli-shape");
+    let _ = std::fs::remove_dir_all(&out);
+    let out_arg = out.to_str().unwrap();
+    // A paper preset prints its claims after the CONTRACT/artifact lines.
+    let (ok, stdout, stderr) = profirt(&["campaign", "run", "f1", "--quick", "--out", out_arg]);
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    let shapes: Vec<&str> = stdout.lines().filter(|l| l.starts_with("SHAPE")).collect();
+    assert_eq!(shapes.len(), 3, "{stdout}");
+    assert!(
+        shapes.iter().all(|l| l.starts_with("SHAPE [PASS] ")),
+        "{stdout}"
+    );
+    // A spec file makes no claims.
+    let smoke = concat!(env!("CARGO_MANIFEST_DIR"), "/configs/campaign_smoke.json");
+    let (ok, stdout, stderr) = profirt(&["campaign", "run", smoke, "--out", out_arg]);
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    assert!(!stdout.contains("SHAPE"), "{stdout}");
+    std::fs::remove_dir_all(&out).ok();
+}
+
+#[test]
 fn sample_config_in_repo_is_valid() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/configs/sample_network.json");
     let (ok, stdout, stderr) = profirt(&["analyze", path, "--policy", "dm"]);

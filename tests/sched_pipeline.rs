@@ -4,7 +4,8 @@
 
 use profirt::base::{Prng, Time};
 use profirt::sched::edf::{
-    edf_feasible_preemptive, edf_response_times, DemandConfig, EdfRtaConfig,
+    edf_feasible_nonpreemptive, edf_feasible_preemptive, edf_response_times, np_edf_response_times,
+    DemandConfig, EdfRtaConfig, NpEdfRtaConfig, NpFeasibilityConfig,
 };
 use profirt::sched::fixed::{
     np_response_times, response_times, rm_utilization_schedulable, NpFixedConfig, PriorityMap,
@@ -181,6 +182,94 @@ fn edf_demand_feasible_sets_do_not_miss_in_simulation() {
                 },
             );
             assert!(sim.no_misses(), "seed {seed}: feasible set missed");
+        }
+    }
+}
+
+#[test]
+fn np_edf_feasible_sets_do_not_miss_in_simulation() {
+    // Eq. (5) on wide period spreads (strong blocking) with constrained
+    // deadlines: every accepted set runs miss-free under non-preemptive
+    // EDF from a synchronous release.
+    let mut accepted = 0;
+    for seed in 0..60u64 {
+        let mut rng = Prng::seed_from_u64(5_000 + seed);
+        let params = TaskGenParams {
+            n: [3, 4][seed as usize % 2],
+            total_utilization: [0.3, 0.4, 0.5][seed as usize % 3],
+            periods: PeriodRange::new(Time::new(50), Time::new(20_000), Time::new(10)),
+            deadline: DeadlinePolicy::ConstrainedFraction {
+                min_frac: 0.5,
+                max_frac: 1.0,
+            },
+        };
+        let set = generate_task_set(&mut rng, &params).unwrap();
+        let feas = edf_feasible_nonpreemptive(&set, &NpFeasibilityConfig::default()).unwrap();
+        if feas.feasible {
+            accepted += 1;
+            let sim = simulate_cpu(
+                &set,
+                None,
+                &CpuSimConfig {
+                    policy: CpuPolicy::EdfNonPreemptive,
+                    horizon: Time::new(200_000),
+                    offsets: vec![],
+                    criticality: vec![],
+                    shed_lo: false,
+                },
+            );
+            assert!(sim.no_misses(), "seed {seed}: eq. (5)-feasible set missed");
+        }
+    }
+    assert!(accepted >= 10, "eq. (5) accepted only {accepted} set(s)");
+}
+
+#[test]
+fn edf_and_np_edf_rta_bounds_dominate_simulation() {
+    // Spuri's preemptive and George's non-preemptive EDF bounds against
+    // both simulators, from a synchronous release and three random
+    // offset patterns.
+    for seed in 0..12u64 {
+        let mut rng = Prng::seed_from_u64(6_000 + seed);
+        let u = [0.55, 0.7, 0.85][seed as usize % 3];
+        let set = generate_task_set(&mut rng, &params(4, u)).unwrap();
+        let (Ok((_, p)), Ok((_, np))) = (
+            edf_response_times(&set, &EdfRtaConfig::default()),
+            np_edf_response_times(&set, &NpEdfRtaConfig::default()),
+        ) else {
+            continue; // realised utilisation rounded up to >= 1
+        };
+        for trial in 0..4u64 {
+            let offsets: Vec<Time> = if trial == 0 {
+                vec![]
+            } else {
+                let mut orng = Prng::seed_from_u64(seed * 17 + trial);
+                set.tasks().iter().map(|t| orng.time_in(t.t)).collect()
+            };
+            for (policy, bounds) in [
+                (CpuPolicy::EdfPreemptive, &p),
+                (CpuPolicy::EdfNonPreemptive, &np),
+            ] {
+                let sim = simulate_cpu(
+                    &set,
+                    None,
+                    &CpuSimConfig {
+                        policy,
+                        horizon: Time::new(60_000),
+                        offsets: offsets.clone(),
+                        criticality: vec![],
+                        shed_lo: false,
+                    },
+                );
+                for (i, b) in bounds.iter().enumerate() {
+                    assert!(
+                        sim.max_response[i] <= b.wcrt,
+                        "seed {seed} trial {trial} {policy:?} task {i}: {:?} > {:?}",
+                        sim.max_response[i],
+                        b.wcrt
+                    );
+                }
+            }
         }
     }
 }
