@@ -68,3 +68,104 @@ pub mod table;
 
 pub use shape::ShapeCheck;
 pub use table::Table;
+
+#[cfg(test)]
+mod tests {
+    use crate::campaign::presets;
+
+    #[test]
+    fn quick_is_smaller() {
+        let full = presets::t8();
+        let quick = full.quick();
+        assert!(quick.replications < full.replications);
+        assert!(quick.sim_horizon < full.sim_horizon);
+    }
+}
+
+/// The shape gate of the paper experiments: one test per paper preset
+/// (`T1`–`T8`, `F1`–`F6`) runs it at the `--quick` scale and asserts that
+/// its outcome is clean and that every [`shape_checks`] claim holds.
+#[cfg(test)]
+mod exps {
+    use crate::campaign::presets::{self, shape_checks};
+    use crate::campaign::run_campaign;
+
+    /// The paper presets whose claims are all pinned by tests in the crates
+    /// that own the analyses: their outcomes carry no checks.
+    const WITHOUT_OUTCOME_CHECKS: [&str; 4] = ["t6", "f2", "f3", "f5"];
+
+    /// Runs preset `name` at the `--quick` scale and asserts a clean outcome
+    /// whose shape checks all pass (or, for [`WITHOUT_OUTCOME_CHECKS`], are
+    /// absent).
+    fn assert_shape_at_quick_scale(name: &str) {
+        let spec = presets::preset(name).unwrap().quick();
+        let root = std::env::temp_dir()
+            .join("profirt-preset-shapes")
+            .join(name);
+        let _ = std::fs::remove_dir_all(&root);
+        let outcome = run_campaign(&spec, &root).unwrap();
+        assert!(
+            outcome.unit_errors.iter().all(Option::is_none),
+            "{name}: {:?}",
+            outcome.unit_errors
+        );
+        assert!(
+            outcome.contract_failures().is_empty(),
+            "{name}: {:?}",
+            outcome.contract_failures()
+        );
+        let checks = shape_checks(&outcome);
+        assert_eq!(
+            checks.is_empty(),
+            WITHOUT_OUTCOME_CHECKS.contains(&name),
+            "{name}: {checks:?}"
+        );
+        for check in &checks {
+            assert!(check.pass, "{name}: {check}");
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// One `<preset>::tests::<test>` module per paper preset, plus the list of
+    /// gated preset names.
+    macro_rules! gate {
+        ($($preset:ident :: $test:ident),* $(,)?) => {
+            $(mod $preset {
+                mod tests {
+                    #[test]
+                    fn $test() {
+                        super::super::assert_shape_at_quick_scale(stringify!($preset));
+                    }
+                }
+            })*
+            const GATED: &[&str] = &[$(stringify!($preset)),*];
+        };
+    }
+
+    gate!(
+        t1::t1_quick_passes,
+        t2::t2_quick_passes,
+        t3::t3_quick_passes,
+        t4::t4_quick_passes,
+        t5::t5_quick_passes,
+        t6::t6_quick_passes,
+        t7::t7_quick_passes,
+        t8::t8_quick_passes,
+        f1::f1_quick_passes,
+        f2::f2_passes,
+        f3::f3_passes,
+        f4::f4_quick_passes,
+        f5::f5_passes,
+        f6::f6_quick_passes,
+    );
+
+    #[test]
+    fn every_paper_preset_is_gated() {
+        let paper: Vec<String> = presets::all()
+            .into_iter()
+            .map(|spec| spec.name)
+            .filter(|name| !name.contains("churn"))
+            .collect();
+        assert_eq!(paper, GATED);
+    }
+}

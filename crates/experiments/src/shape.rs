@@ -37,3 +37,41 @@ impl fmt::Display for ShapeCheck {
         write!(f, "SHAPE [{verdict}] {} — {}", self.claim, self.detail)
     }
 }
+
+/// The run's verdict on its checks: `Err` naming every failed claim when
+/// any check failed (the CLI's non-zero exit), `Ok` otherwise — including
+/// for a run that makes no claims.
+pub fn verdict(checks: &[ShapeCheck]) -> Result<(), String> {
+    let failed: Vec<&str> = checks
+        .iter()
+        .filter(|c| !c.pass)
+        .map(|c| c.claim.as_str())
+        .collect();
+    if failed.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "{} paper claim(s) failed on this outcome (see SHAPE lines): {}",
+        failed.len(),
+        failed.join("; ")
+    ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn verdict_aggregation() {
+        let a = ShapeCheck::new("a", true, "x".into());
+        let b = ShapeCheck::new("b", false, "y".into());
+        let c = ShapeCheck::new("c", false, "z".into());
+        assert_eq!(a.to_string(), "SHAPE [PASS] a — x");
+        assert_eq!(b.to_string(), "SHAPE [FAIL] b — y");
+        assert!(verdict(&[]).is_ok());
+        assert!(verdict(std::slice::from_ref(&a)).is_ok());
+        let err = verdict(&[a, b, c]).unwrap_err();
+        assert!(err.starts_with("2 paper claim(s) failed"), "{err}");
+        assert!(err.ends_with(": b; c"), "{err}");
+    }
+}

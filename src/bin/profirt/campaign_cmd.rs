@@ -22,6 +22,7 @@ use std::path::Path;
 use profirt::experiments::campaign::{
     plan, presets, print_outcome, run_campaign, CampaignOutcome, CampaignSpec,
 };
+use profirt::experiments::shape;
 
 /// Resolves a spec argument: existing file path, then preset name. The
 /// flag is `true` for a preset.
@@ -81,10 +82,7 @@ fn report(outcome: &CampaignOutcome, is_preset: bool) -> Result<(), String> {
                 .into(),
         );
     }
-    if checks.iter().any(|c| !c.pass) {
-        return Err("a paper claim failed on this outcome (see SHAPE lines)".into());
-    }
-    Ok(())
+    shape::verdict(&checks)
 }
 
 /// `profirt campaign list`.
