@@ -35,7 +35,9 @@
 //! speedup, the `edf_rta_scan` block (summed arrival candidates and
 //! fixpoint evaluations of `edf-rta` and `np-edf-rta` over the
 //! `edf_rta_sweep` fixture: deterministic work counts, free of timing
-//! noise), plus the campaign `units_per_sec` block the advisory
+//! noise), the `edf_message_scan` block (the same two counts for the EDF
+//! message analysis of eqs. (17)–(18) over a fixed set of generated
+//! networks), plus the campaign `units_per_sec` block the advisory
 //! `perf_floor` CI step checks. Before timing, every pair is checked for
 //! verdict equality, so a speedup in the artifact is always a speedup at
 //! equal answers.
@@ -48,6 +50,7 @@ use profirt_base::artifact;
 use profirt_base::json::{self, Value};
 use profirt_base::{Task, TaskSet, Time};
 use profirt_bench::large;
+use profirt_core::{EdfAnalysis, NetworkConfig};
 use profirt_experiments::campaign::{
     run_campaign_with, CampaignOutcome, CampaignSpec, EvalMode, ScenarioKind,
 };
@@ -353,6 +356,40 @@ fn best_ns(iters: u32, mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// The deterministic work of the EDF message analysis, on one fresh
+/// scratch, over a fixed fixture — one pinned-seed network per 2–4
+/// masters × 2–6 streams each, deadlines at 80% of the period: the summed
+/// per-stream arrival candidates examined and the fixpoint evaluations,
+/// busy periods included.
+fn edf_message_work() -> Value {
+    let nets: Vec<NetworkConfig> = (2..=4)
+        .flat_map(|masters| (2..=6).map(move |nh| profirt_bench::network(masters, nh, 0.8)))
+        .collect();
+    let mut scratch = AnalysisScratch::new();
+    let mut streams = 0;
+    let mut candidates = 0;
+    for net in &nets {
+        let (_, details) = EdfAnalysis::paper()
+            .analyze_detailed(net, &mut scratch)
+            .expect("message fixture is analysable");
+        streams += details.iter().map(Vec::len).sum::<usize>();
+        candidates += details
+            .iter()
+            .flatten()
+            .map(|w| w.candidates)
+            .sum::<usize>();
+    }
+    json::object([
+        ("networks", Value::Int(nets.len() as i64)),
+        ("streams", Value::Int(streams as i64)),
+        ("candidates", Value::Int(candidates as i64)),
+        (
+            "fixpoint_iters",
+            Value::Int(scratch.take_fixpoint_iters() as i64),
+        ),
+    ])
+}
+
 /// Checks every fast path against its reference once, then times both and
 /// writes the `BENCH_analysis.json` perf baseline (the artifact CI
 /// uploads).
@@ -528,6 +565,7 @@ fn write_baseline(full: bool) {
         ("smoke_run", Value::Bool(!full)),
         ("comparisons", Value::Array(rows)),
         ("edf_rta_scan", edf_scan_work(&edf_sweep)),
+        ("edf_message_scan", edf_message_work()),
         ("campaign", campaign),
     ]);
     let path = artifact::bench_json_path("BENCH_ANALYSIS_JSON", "BENCH_analysis.json")

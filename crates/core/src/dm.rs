@@ -78,7 +78,7 @@ impl DmAnalysis {
     /// Streams are prioritised deadline-monotonically within each master
     /// (ties by index), exactly the §4 inheritance scheme.
     pub fn analyze(&self, net: &NetworkConfig) -> AnalysisResult<NetworkAnalysis> {
-        let bound = tcycle(net, self.model);
+        let bound = tcycle(net, self.model)?;
         let tc = bound.tcycle;
         let mut masters = Vec::with_capacity(net.n_masters());
         for (k, master) in net.masters.iter().enumerate() {

@@ -12,20 +12,29 @@
 //! `Wi(a, t) = Σ_{j≠i, Dj ≤ a+Di}
 //!     min{1 + ⌊(t+Jj)/Tj⌋, 1 + ⌊(a+Di−Dj+Jj)/Tj⌋} · Tcycle`   (eq. (18))
 //!
-//! Arrival candidates follow eq. (10)'s pattern; because jitter advances
-//! releases, we enumerate both the plain offsets `k·Tj + Dj − Di` and the
-//! jitter-shifted `k·Tj + Dj − Jj − Di` (a sound superset of the paper's
-//! set), bounded by the blocking-extended message busy period.
+//! This module is only that mapping. Per master it builds one row
+//! `(C := Tcycle, D, T, J)` per stream and runs `profirt-sched`'s
+//! non-preemptive EDF scan ([`np_edf_rows_with`]) on the rows, with a
+//! later-deadline message blocking for a full token cycle
+//! ([`BlockingRule::MaxLowerCost`]). The scan enumerates the plain arrival
+//! offsets `k·Tj + Dj − Di` and the jitter-shifted `k·Tj + Dj − Jj − Di`
+//! (a sound superset of the paper's set), bounded by the
+//! blocking-extended message busy period, and shares the task analysis'
+//! warm seeds and early stop. The rows are not a `TaskSet`: a stream whose
+//! deadline is below `Tcycle` is legal and simply unschedulable.
 //!
 //! The analysis requires `Σ_j Tcycle/Tj < 1` per master (each pending
-//! message consumes a full token cycle of service capacity); violations are
-//! reported as [`profirt_base::AnalysisError::UtilizationAtLeastOne`].
+//! message consumes a full token cycle of service capacity), checked
+//! exactly by the scan; violations are reported as
+//! [`profirt_base::AnalysisError::UtilizationAtLeastOne`]. A master without
+//! streams has no rows to analyse.
 
-use profirt_base::{AnalysisError, AnalysisResult, Frac, Time};
-use profirt_sched::{fixpoint, CheckpointScratch, FixOutcome, FixpointConfig};
-use serde::{Deserialize, Serialize};
+use profirt_base::{AnalysisResult, Task};
+use profirt_sched::edf::{np_edf_rows_with, EdfWcrt, NpEdfRtaConfig};
+use profirt_sched::fixed::BlockingRule;
+use profirt_sched::{AnalysisScratch, FixpointConfig};
 
-use crate::config::{MasterConfig, NetworkConfig};
+use crate::config::NetworkConfig;
 use crate::tcycle::{tcycle, TcycleModel};
 use crate::{NetworkAnalysis, StreamResponse};
 
@@ -42,21 +51,13 @@ pub struct EdfAnalysis {
 
 impl Default for EdfAnalysis {
     fn default() -> Self {
+        let scan = NpEdfRtaConfig::default();
         EdfAnalysis {
             model: TcycleModel::Paper,
-            fixpoint: FixpointConfig::default(),
-            max_candidates: 2_000_000,
+            fixpoint: scan.fixpoint,
+            max_candidates: scan.max_candidates,
         }
     }
-}
-
-/// Detailed per-stream outcome (the critical arrival offset).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct EdfStreamDetail {
-    /// The arrival offset at which the worst case is attained.
-    pub critical_a: Time,
-    /// Number of candidates examined.
-    pub candidates: usize,
 }
 
 impl EdfAnalysis {
@@ -67,7 +68,7 @@ impl EdfAnalysis {
 
     /// Runs the analysis for every master and stream.
     pub fn analyze(&self, net: &NetworkConfig) -> AnalysisResult<NetworkAnalysis> {
-        Ok(self.analyze_detailed(net)?.0)
+        self.analyze_with_scratch(net, &mut AnalysisScratch::new())
     }
 
     /// Runs the analysis reusing a caller-owned scratch — the hot path for
@@ -76,36 +77,60 @@ impl EdfAnalysis {
     pub fn analyze_with_scratch(
         &self,
         net: &NetworkConfig,
-        scratch: &mut MessageScratch,
+        scratch: &mut AnalysisScratch,
     ) -> AnalysisResult<NetworkAnalysis> {
-        Ok(self.analyze_detailed_with(net, scratch)?.0)
+        Ok(self.analyze_detailed(net, scratch)?.0)
     }
 
-    /// Runs the analysis, also returning per-stream critical offsets.
+    /// Runs the analysis, also returning each stream's scan outcome (its
+    /// critical arrival offset and the candidates examined), indexed like
+    /// [`NetworkAnalysis::masters`].
     pub fn analyze_detailed(
         &self,
         net: &NetworkConfig,
-    ) -> AnalysisResult<(NetworkAnalysis, Vec<Vec<EdfStreamDetail>>)> {
-        // One set of working buffers per analysis run, reused across every
-        // master, stream and arrival candidate.
-        let mut scratch = MessageScratch::default();
-        self.analyze_detailed_with(net, &mut scratch)
-    }
-
-    /// [`EdfAnalysis::analyze_detailed`] with a caller-owned scratch.
-    pub fn analyze_detailed_with(
-        &self,
-        net: &NetworkConfig,
-        scratch: &mut MessageScratch,
-    ) -> AnalysisResult<(NetworkAnalysis, Vec<Vec<EdfStreamDetail>>)> {
-        let bound = tcycle(net, self.model);
+        scratch: &mut AnalysisScratch,
+    ) -> AnalysisResult<(NetworkAnalysis, Vec<Vec<EdfWcrt>>)> {
+        let bound = tcycle(net, self.model)?;
         let tc = bound.tcycle;
+        let config = NpEdfRtaConfig {
+            fixpoint: self.fixpoint,
+            max_candidates: self.max_candidates,
+            ..NpEdfRtaConfig::default()
+        };
+        let mut rows = Vec::new();
         let mut masters = Vec::with_capacity(net.n_masters());
         let mut details = Vec::with_capacity(net.n_masters());
         for (k, master) in net.masters.iter().enumerate() {
-            let (rows, det) = self.analyze_master(k, master, tc, scratch)?;
-            masters.push(rows);
-            details.push(det);
+            let streams = master.streams.streams();
+            if streams.is_empty() {
+                masters.push(Vec::new());
+                details.push(Vec::new());
+                continue;
+            }
+            rows.clear();
+            rows.extend(streams.iter().map(|s| Task {
+                c: tc,
+                d: s.d,
+                t: s.t,
+                j: s.j,
+            }));
+            let wcrts = np_edf_rows_with(&rows, BlockingRule::MaxLowerCost, &config, scratch)?;
+            masters.push(
+                streams
+                    .iter()
+                    .zip(&wcrts)
+                    .enumerate()
+                    .map(|(i, (s, w))| StreamResponse {
+                        master: k,
+                        stream: i,
+                        response_time: w.wcrt,
+                        deadline: s.d,
+                        schedulable: w.wcrt <= s.d,
+                        queuing_delay: (w.wcrt - s.ch).max_zero(),
+                    })
+                    .collect(),
+            );
+            details.push(wcrts);
         }
         Ok((
             NetworkAnalysis {
@@ -116,168 +141,6 @@ impl EdfAnalysis {
             details,
         ))
     }
-
-    fn analyze_master(
-        &self,
-        k: usize,
-        master: &MasterConfig,
-        tc: Time,
-        scratch: &mut MessageScratch,
-    ) -> AnalysisResult<(Vec<StreamResponse>, Vec<EdfStreamDetail>)> {
-        let streams = master.streams.streams();
-        if streams.is_empty() {
-            return Ok((Vec::new(), Vec::new()));
-        }
-        // Service-capacity check: Σ Tcycle/Tj < 1 (exact).
-        let u: Frac = streams
-            .iter()
-            .map(|s| Frac::new(tc.ticks() as i128, s.t.ticks() as i128))
-            .sum();
-        if !u.lt_one() {
-            return Err(AnalysisError::UtilizationAtLeastOne);
-        }
-        // Blocking-extended message busy period: fixpoint of
-        // Tcycle + Σ ⌈(t+Jj)/Tj⌉·Tcycle.
-        let seed: Time = tc.try_mul(streams.len() as i64 + 1)?;
-        let l_outcome = fixpoint(
-            "edf-message busy period",
-            seed,
-            Time::MAX,
-            self.fixpoint,
-            |t| {
-                let mut next = tc;
-                for s in streams {
-                    let n = (t + s.j).ceil_div(s.t).max(1);
-                    next = next.try_add(tc.try_mul(n)?)?;
-                }
-                Ok(next)
-            },
-        )?;
-        let l = match l_outcome {
-            FixOutcome::Converged(v) => v,
-            FixOutcome::ExceededBound(_) => {
-                return Err(AnalysisError::Overflow {
-                    context: "edf message busy period",
-                })
-            }
-        };
-
-        let mut rows = Vec::with_capacity(streams.len());
-        let mut details = Vec::with_capacity(streams.len());
-        for (i, s) in master.streams.iter() {
-            // Candidate arrivals: plain and jitter-shifted progressions.
-            let progs = &mut scratch.progs;
-            progs.clear();
-            for sj in streams {
-                progs.push((sj.d - s.d, sj.t));
-                if sj.j.is_positive() {
-                    progs.push((sj.d - sj.j - s.d, sj.t));
-                }
-            }
-            let mut best_r = tc;
-            let mut best_a = Time::ZERO;
-            let mut examined: u64 = 0;
-            let mut cursor = scratch.checkpoints.start(progs, l);
-            while let Some(a) = cursor.next_point() {
-                examined += 1;
-                if examined > self.max_candidates {
-                    return Err(AnalysisError::IterationLimit {
-                        what: "edf-message candidates",
-                        limit: self.max_candidates,
-                    });
-                }
-                let li = self.start_busy_period(master, i, a, tc, l, &mut scratch.terms)?;
-                let r = tc.max(li + tc - a);
-                if r > best_r {
-                    best_r = r;
-                    best_a = a;
-                }
-            }
-            rows.push(StreamResponse {
-                master: k,
-                stream: i,
-                response_time: best_r,
-                deadline: s.d,
-                schedulable: best_r <= s.d,
-                queuing_delay: (best_r - s.ch).max_zero(),
-            });
-            details.push(EdfStreamDetail {
-                critical_a: best_a,
-                candidates: examined as usize,
-            });
-        }
-        Ok((rows, details))
-    }
-
-    /// Solves eq. (18) for one arrival offset. The deadline-qualified
-    /// interference rows — period, jitter, and the arrival-independent job
-    /// cap — are hoisted into `terms` so the fixpoint closure walks one
-    /// flat array.
-    fn start_busy_period(
-        &self,
-        master: &MasterConfig,
-        i: usize,
-        a: Time,
-        tc: Time,
-        bound: Time,
-        terms: &mut Vec<(Time, Time, i64)>,
-    ) -> AnalysisResult<Time> {
-        let streams = master.streams.streams();
-        let s_i = streams[i];
-        let deadline_i = a + s_i.d;
-        // Blocking: one token cycle if any stream's relative deadline
-        // exceeds a + Di (a later-deadline request may hold the stack slot).
-        let mut blocked = false;
-        terms.clear();
-        for (j, sj) in streams.iter().enumerate() {
-            if j == i {
-                continue;
-            }
-            if sj.d > deadline_i {
-                blocked = true;
-            } else {
-                let by_deadline = 1 + (deadline_i - sj.d + sj.j).floor_div(sj.t);
-                terms.push((sj.t, sj.j, by_deadline));
-            }
-        }
-        let blocking = if blocked { tc } else { Time::ZERO };
-        let own_prior = tc.try_mul(a.floor_div(s_i.t))?;
-        let base = blocking.try_add(own_prior)?;
-
-        let outcome = fixpoint(
-            "edf-message start busy period",
-            Time::ZERO,
-            bound,
-            self.fixpoint,
-            |t| {
-                let mut next = base;
-                for &(t_j, j_j, by_deadline) in terms.iter() {
-                    let by_time = 1 + (t + j_j).floor_div(t_j);
-                    next = next.try_add(tc.try_mul(by_time.min(by_deadline).max(0))?)?;
-                }
-                Ok(next)
-            },
-        )?;
-        match outcome {
-            FixOutcome::Converged(v) => Ok(v),
-            FixOutcome::ExceededBound(v) => Err(AnalysisError::DivergentIteration {
-                what: "edf-message start busy period",
-                bound: v.ticks(),
-            }),
-        }
-    }
-}
-
-/// Reusable buffers for one [`EdfAnalysis`] run: candidate progressions,
-/// the checkpoint merge heap, and the hoisted interference rows. All fields
-/// are cleared before use, so a single instance can serve any sequence of
-/// analyses (see [`EdfAnalysis::analyze_with_scratch`]); results never
-/// depend on what a previous run left behind.
-#[derive(Debug, Default)]
-pub struct MessageScratch {
-    progs: Vec<(Time, Time)>,
-    checkpoints: CheckpointScratch,
-    terms: Vec<(Time, Time, i64)>,
 }
 
 #[cfg(test)]
@@ -286,7 +149,7 @@ mod tests {
     use crate::config::MasterConfig;
     use crate::fcfs::FcfsAnalysis;
     use profirt_base::time::t;
-    use profirt_base::StreamSet;
+    use profirt_base::{AnalysisError, StreamSet};
 
     /// Tcycle = 1000 (TTR = 900, Tdel = 100 via Cl).
     fn net(streams: &[(i64, i64, i64)]) -> NetworkConfig {
@@ -380,7 +243,9 @@ mod tests {
     #[test]
     fn detailed_reports_candidates() {
         let cfg = net(&[(100, 3_000, 10_000), (100, 40_000, 10_000)]);
-        let (_, det) = EdfAnalysis::paper().analyze_detailed(&cfg).unwrap();
+        let (_, det) = EdfAnalysis::paper()
+            .analyze_detailed(&cfg, &mut AnalysisScratch::new())
+            .unwrap();
         assert_eq!(det.len(), 1);
         assert_eq!(det[0].len(), 2);
         assert!(det[0][0].candidates > 0);

@@ -48,7 +48,7 @@ impl FcfsAnalysis {
 
     /// Computes the analysis with this configuration.
     pub fn run(&self, net: &NetworkConfig) -> AnalysisResult<NetworkAnalysis> {
-        let bound = tcycle(net, self.model);
+        let bound = tcycle(net, self.model)?;
         let mut masters = Vec::with_capacity(net.n_masters());
         for (k, master) in net.masters.iter().enumerate() {
             let nh = master.nh() as i64;

@@ -14,8 +14,11 @@
 //! * [`ttr`] — setting the `TTR` parameter from deadlines (eq. (15)).
 //! * [`dm`] — the §4 priority-queue architecture with deadline-monotonic
 //!   dispatching: the jitter-aware fixed-priority iteration of eq. (16).
-//! * [`edf`] — the same architecture with EDF dispatching: the jitter-aware
-//!   non-preemptive busy-period analysis of eqs. (17)–(18).
+//! * [`edf`] — the same architecture with EDF dispatching: eqs. (17)–(18),
+//!   which are eqs. (9)–(10) with `C → Tcycle` and release jitter. The
+//!   module only maps each master's streams to rows `(Tcycle, D, T, J)` and
+//!   runs `profirt-sched`'s non-preemptive EDF arrival scan on them, the
+//!   same scan the CPU task analysis uses.
 //! * [`jitter`] — release-jitter inheritance from the generating tasks
 //!   (§4.1), computed with `profirt-sched`'s response-time analyses.
 //! * [`end_to_end`] — the `E = g + Q + C + d` decomposition of §4.2.

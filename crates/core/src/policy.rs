@@ -9,11 +9,11 @@
 
 use profirt_base::AnalysisResult;
 use profirt_profibus::QueuePolicy;
-use profirt_sched::FixpointConfig;
+use profirt_sched::{AnalysisScratch, FixpointConfig};
 
 use crate::config::NetworkConfig;
 use crate::dm::DmAnalysis;
-use crate::edf::{EdfAnalysis, MessageScratch};
+use crate::edf::EdfAnalysis;
 use crate::fcfs::FcfsAnalysis;
 use crate::NetworkAnalysis;
 
@@ -25,7 +25,7 @@ use crate::NetworkAnalysis;
 /// request mix asks for.
 #[derive(Debug, Default)]
 pub struct PolicyScratch {
-    edf: MessageScratch,
+    edf: AnalysisScratch,
 }
 
 /// Analysis tuning shared by every policy's analysis and passed through the

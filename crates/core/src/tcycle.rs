@@ -21,11 +21,14 @@
 //!
 //! which never exceeds the eq. (13) value. Both are provided via
 //! [`TcycleModel`].
+//!
+//! Every sum is checked: a network whose `Tdel` or `Tcycle` does not fit in
+//! a tick count gets [`profirt_base::AnalysisError::Overflow`], never a wrapped bound.
 
-use profirt_base::Time;
+use profirt_base::{AnalysisResult, Time};
 use serde::{Deserialize, Serialize};
 
-use crate::config::NetworkConfig;
+use crate::config::{MasterConfig, NetworkConfig};
 
 /// Which token-lateness bound to use.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
@@ -50,16 +53,22 @@ pub struct TcycleBound {
 }
 
 /// Computes the token lateness `Tdel` under the chosen model.
-pub fn token_lateness(net: &NetworkConfig, model: TcycleModel) -> Time {
+///
+/// # Errors
+/// [`profirt_base::AnalysisError::Overflow`] if `Tdel` exceeds the tick range.
+pub fn token_lateness(net: &NetworkConfig, model: TcycleModel) -> AnalysisResult<Time> {
+    let sum = |cycle: fn(&MasterConfig) -> Time| {
+        net.masters
+            .iter()
+            .try_fold(Time::ZERO, |acc, m| acc.try_add(cycle(m)))
+    };
     match model {
-        TcycleModel::Paper => net.masters.iter().map(|m| m.longest_cycle()).sum(),
+        TcycleModel::Paper => sum(MasterConfig::longest_cycle),
         TcycleModel::Refined => {
-            let high_sum: Time = net.masters.iter().map(|m| m.max_high_cycle()).sum();
-            net.masters
-                .iter()
-                .map(|m| m.longest_cycle() + (high_sum - m.max_high_cycle()))
-                .max()
-                .unwrap_or(Time::ZERO)
+            let high_sum = sum(MasterConfig::max_high_cycle)?;
+            net.masters.iter().try_fold(Time::ZERO, |worst, m| {
+                Ok(worst.max(m.longest_cycle().try_add(high_sum - m.max_high_cycle())?))
+            })
         }
     }
 }
@@ -67,13 +76,17 @@ pub fn token_lateness(net: &NetworkConfig, model: TcycleModel) -> Time {
 /// Computes the full bound `Tcycle = TTR + Tdel + ring overhead`
 /// (eq. (14); the overhead term is zero in the paper-literal configuration,
 /// see [`NetworkConfig::token_pass`]).
-pub fn tcycle(net: &NetworkConfig, model: TcycleModel) -> TcycleBound {
-    let tdel = token_lateness(net, model);
-    TcycleBound {
+///
+/// # Errors
+/// [`profirt_base::AnalysisError::Overflow`] if `Tdel` or `Tcycle` exceeds the tick
+/// range.
+pub fn tcycle(net: &NetworkConfig, model: TcycleModel) -> AnalysisResult<TcycleBound> {
+    let tdel = token_lateness(net, model)?;
+    Ok(TcycleBound {
         tdel,
-        tcycle: net.ttr + tdel + net.ring_overhead(),
+        tcycle: net.ttr.try_add(tdel)?.try_add(net.ring_overhead())?,
         model,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -81,7 +94,7 @@ mod tests {
     use super::*;
     use crate::config::MasterConfig;
     use profirt_base::time::t;
-    use profirt_base::StreamSet;
+    use profirt_base::{AnalysisError, StreamSet};
 
     fn net3() -> NetworkConfig {
         // Master 0: high cycles {300, 240}, Cl = 360 -> CM = 360.
@@ -107,8 +120,11 @@ mod tests {
     #[test]
     fn paper_tdel_sums_longest_cycles() {
         let net = net3();
-        assert_eq!(token_lateness(&net, TcycleModel::Paper), t(360 + 300 + 500));
-        let b = tcycle(&net, TcycleModel::Paper);
+        assert_eq!(
+            token_lateness(&net, TcycleModel::Paper).unwrap(),
+            t(360 + 300 + 500)
+        );
+        let b = tcycle(&net, TcycleModel::Paper).unwrap();
         assert_eq!(b.tdel, t(1160));
         assert_eq!(b.tcycle, t(4160));
     }
@@ -121,22 +137,23 @@ mod tests {
         // overrunner 1: 300 + (1100-300) = 1100
         // overrunner 2: 500 + (1100-500) = 1100
         // max = 1160.
-        assert_eq!(token_lateness(&net, TcycleModel::Refined), t(1160));
+        assert_eq!(token_lateness(&net, TcycleModel::Refined).unwrap(), t(1160));
     }
 
     #[test]
     fn refined_never_exceeds_paper() {
         let net = net3();
         assert!(
-            token_lateness(&net, TcycleModel::Refined) <= token_lateness(&net, TcycleModel::Paper)
+            token_lateness(&net, TcycleModel::Refined).unwrap()
+                <= token_lateness(&net, TcycleModel::Paper).unwrap()
         );
         // Strictly smaller when some master's Cl dominates its high cycles
         // at more than one station: make master 1 carry a big Cl.
         let mut masters = net.masters.clone();
         masters[1].cl = t(900); // CM1 = 900 now
         let net2 = NetworkConfig::new(masters, t(3_000)).unwrap();
-        let p = token_lateness(&net2, TcycleModel::Paper); // 360+900+500 = 1760
-        let r = token_lateness(&net2, TcycleModel::Refined);
+        let p = token_lateness(&net2, TcycleModel::Paper).unwrap(); // 360+900+500 = 1760
+        let r = token_lateness(&net2, TcycleModel::Refined).unwrap();
         // overrunner 1: 900 + (1100-300) = 1700; others smaller.
         assert_eq!(p, t(1760));
         assert_eq!(r, t(1700));
@@ -153,9 +170,32 @@ mod tests {
             t(1_000),
         )
         .unwrap();
-        assert_eq!(token_lateness(&net, TcycleModel::Paper), t(200));
-        assert_eq!(token_lateness(&net, TcycleModel::Refined), t(200));
-        assert_eq!(tcycle(&net, TcycleModel::Paper).tcycle, t(1_200));
+        assert_eq!(token_lateness(&net, TcycleModel::Paper).unwrap(), t(200));
+        assert_eq!(token_lateness(&net, TcycleModel::Refined).unwrap(), t(200));
+        assert_eq!(tcycle(&net, TcycleModel::Paper).unwrap().tcycle, t(1_200));
+    }
+
+    #[test]
+    fn overflowing_sums_are_errors() {
+        let huge = i64::MAX / 2 + 1;
+        let master = MasterConfig::new(
+            StreamSet::from_cdt(&[(huge, i64::MAX, i64::MAX)]).unwrap(),
+            t(0),
+        );
+        let net = NetworkConfig::new(vec![master.clone(), master], t(1)).unwrap();
+        for model in [TcycleModel::Paper, TcycleModel::Refined] {
+            assert!(matches!(
+                token_lateness(&net, model),
+                Err(AnalysisError::Overflow { .. })
+            ));
+        }
+        // Tdel fits, TTR + Tdel does not.
+        let one = NetworkConfig::new(vec![net.masters[0].clone()], t(huge)).unwrap();
+        assert_eq!(token_lateness(&one, TcycleModel::Paper).unwrap(), t(huge));
+        assert!(matches!(
+            tcycle(&one, TcycleModel::Paper),
+            Err(AnalysisError::Overflow { .. })
+        ));
     }
 
     #[test]
@@ -165,7 +205,7 @@ mod tests {
         // a late token and send one high-priority cycle each. The bound
         // must cover that chain: Tcycle >= TTR + CM^k + Σ_{j≠k} maxHigh^j.
         let net = net3();
-        let b = tcycle(&net, TcycleModel::Paper);
+        let b = tcycle(&net, TcycleModel::Paper).unwrap();
         for k in 0..net.n_masters() {
             let chain: Time = net.masters[k].longest_cycle()
                 + net

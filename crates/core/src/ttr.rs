@@ -10,7 +10,7 @@
 //! it exactly with floor division, and [`TtrSetting`] also reports the
 //! binding stream.
 
-use profirt_base::Time;
+use profirt_base::{AnalysisResult, Time};
 use serde::{Deserialize, Serialize};
 
 use crate::config::NetworkConfig;
@@ -34,8 +34,12 @@ pub struct TtrSetting {
 ///
 /// Returns `None` inside [`TtrSetting::max_ttr`] when the bound is `< 1`
 /// tick (PROFIBUS requires a positive `TTR`).
-pub fn max_feasible_ttr(net: &NetworkConfig, model: TcycleModel) -> TtrSetting {
-    let tdel = token_lateness(net, model) + net.ring_overhead();
+///
+/// # Errors
+/// [`profirt_base::AnalysisError::Overflow`] if `Tdel` plus the ring
+/// overhead exceeds the tick range.
+pub fn max_feasible_ttr(net: &NetworkConfig, model: TcycleModel) -> AnalysisResult<TtrSetting> {
+    let tdel = token_lateness(net, model)?.try_add(net.ring_overhead())?;
     let mut best: Option<(Time, (usize, usize))> = None;
     for (k, master) in net.masters.iter().enumerate() {
         let nh = master.nh() as i64;
@@ -52,7 +56,7 @@ pub fn max_feasible_ttr(net: &NetworkConfig, model: TcycleModel) -> TtrSetting {
         }
     }
     let (limit, binding) = best.unwrap_or((Time::MAX, (0, 0)));
-    TtrSetting {
+    Ok(TtrSetting {
         max_ttr: if limit >= Time::ONE {
             Some(limit)
         } else {
@@ -60,7 +64,7 @@ pub fn max_feasible_ttr(net: &NetworkConfig, model: TcycleModel) -> TtrSetting {
         },
         tdel,
         binding,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -87,7 +91,7 @@ mod tests {
 
     #[test]
     fn derived_ttr_makes_set_schedulable() {
-        let setting = max_feasible_ttr(&net(), TcycleModel::Paper);
+        let setting = max_feasible_ttr(&net(), TcycleModel::Paper).unwrap();
         let ttr = setting.max_ttr.expect("feasible");
         // Tdel = 660. Limits: (0,0): 30000/2-660 = 14340; (0,1): 9000/2-660
         // = 3840; (1,0): 45000-660 = 44340. Binding: (0,1) at 3840.
@@ -101,7 +105,7 @@ mod tests {
 
     #[test]
     fn one_tick_more_breaks_the_binding_stream() {
-        let setting = max_feasible_ttr(&net(), TcycleModel::Paper);
+        let setting = max_feasible_ttr(&net(), TcycleModel::Paper).unwrap();
         let ttr = setting.max_ttr.unwrap();
         let over = net().with_ttr(ttr + t(1)).unwrap();
         let an = FcfsAnalysis::analyze(&over).unwrap();
@@ -122,7 +126,7 @@ mod tests {
         )
         .unwrap();
         // Tdel = 500 > D = 400.
-        let setting = max_feasible_ttr(&net, TcycleModel::Paper);
+        let setting = max_feasible_ttr(&net, TcycleModel::Paper).unwrap();
         assert_eq!(setting.max_ttr, None);
     }
 
@@ -144,8 +148,8 @@ mod tests {
             t(1_000),
         )
         .unwrap();
-        let paper = max_feasible_ttr(&net, TcycleModel::Paper);
-        let refined = max_feasible_ttr(&net, TcycleModel::Refined);
+        let paper = max_feasible_ttr(&net, TcycleModel::Paper).unwrap();
+        let refined = max_feasible_ttr(&net, TcycleModel::Refined).unwrap();
         // Paper Tdel = 900+900 = 1800; refined = max(900+100) = 1000.
         assert_eq!(paper.tdel, t(1_800));
         assert_eq!(refined.tdel, t(1_000));
@@ -154,7 +158,7 @@ mod tests {
 
     #[test]
     fn binding_stream_is_tightest_per_capita_deadline() {
-        let setting = max_feasible_ttr(&net(), TcycleModel::Paper);
+        let setting = max_feasible_ttr(&net(), TcycleModel::Paper).unwrap();
         assert_eq!(setting.binding, (0, 1));
     }
 }

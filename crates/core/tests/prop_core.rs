@@ -36,8 +36,8 @@ proptest! {
     #[test]
     fn refined_tdel_never_exceeds_paper(net in arb_network()) {
         prop_assert!(
-            token_lateness(&net, TcycleModel::Refined)
-                <= token_lateness(&net, TcycleModel::Paper)
+            token_lateness(&net, TcycleModel::Refined).unwrap()
+                <= token_lateness(&net, TcycleModel::Paper).unwrap()
         );
     }
 
@@ -88,7 +88,7 @@ proptest! {
 
     #[test]
     fn ttr_boundary_is_exact(net in arb_network()) {
-        let setting = max_feasible_ttr(&net, TcycleModel::Paper);
+        let setting = max_feasible_ttr(&net, TcycleModel::Paper).unwrap();
         if let Some(ttr) = setting.max_ttr {
             let at = FcfsAnalysis::analyze(&net.with_ttr(ttr).unwrap()).unwrap();
             prop_assert!(at.all_schedulable(), "eq. (15) TTR not schedulable");
@@ -103,8 +103,8 @@ proptest! {
     fn refined_model_never_shrinks_feasible_ttr(net in arb_network()) {
         // Refined Tdel <= paper Tdel, so eq. (15) leaves at least as much
         // TTR headroom: a paper-feasible network stays refined-feasible.
-        let paper = max_feasible_ttr(&net, TcycleModel::Paper).max_ttr;
-        let refined = max_feasible_ttr(&net, TcycleModel::Refined).max_ttr;
+        let paper = max_feasible_ttr(&net, TcycleModel::Paper).unwrap().max_ttr;
+        let refined = max_feasible_ttr(&net, TcycleModel::Refined).unwrap().max_ttr;
         if let Some(p) = paper {
             prop_assert!(refined.is_some_and(|r| r >= p), "{paper:?} vs {refined:?}");
         }

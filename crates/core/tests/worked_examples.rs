@@ -46,8 +46,8 @@ fn example() -> NetworkConfig {
 #[test]
 fn eq13_eq14_token_cycle() {
     let net = example();
-    assert_eq!(token_lateness(&net, TcycleModel::Paper), t(2_100));
-    let b = tcycle(&net, TcycleModel::Paper);
+    assert_eq!(token_lateness(&net, TcycleModel::Paper).unwrap(), t(2_100));
+    let b = tcycle(&net, TcycleModel::Paper).unwrap();
     assert_eq!(b.tcycle, t(7_100));
 
     // Refined: overrunner charged CM, others only their longest high cycle.
@@ -55,7 +55,10 @@ fn eq13_eq14_token_cycle() {
     //   j=0: 700 + (1400-600) = 1500
     //   j=1: 500 + (1400-500) = 1400
     //   j=2: 900 + (1400-300) = 2000  <- max
-    assert_eq!(token_lateness(&net, TcycleModel::Refined), t(2_000));
+    assert_eq!(
+        token_lateness(&net, TcycleModel::Refined).unwrap(),
+        t(2_000)
+    );
 }
 
 /// Eq. (11): Ri^k = nh^k · Tcycle.
@@ -86,7 +89,7 @@ fn eq11_eq12_fcfs() {
 ///   M2/S0: 50000/1 - 2100 = 47900
 #[test]
 fn eq15_ttr_setting() {
-    let setting = max_feasible_ttr(&example(), TcycleModel::Paper);
+    let setting = max_feasible_ttr(&example(), TcycleModel::Paper).unwrap();
     assert_eq!(setting.max_ttr, Some(t(2_400)));
     assert_eq!(setting.binding, (0, 0));
     // Verification loop: schedulable at 2400, not at 2401.
@@ -146,7 +149,7 @@ fn eq17_eq18_edf() {
 #[test]
 fn section_3_3_worked_chain() {
     let net = example();
-    let bound = tcycle(&net, TcycleModel::Paper).tcycle;
+    let bound = tcycle(&net, TcycleModel::Paper).unwrap().tcycle;
     let chain = net.ttr
         + net.masters[0].longest_cycle()   // 700 (overrunner, any priority)
         + net.masters[1].max_high_cycle()  // 500 (late token: high only)
@@ -173,7 +176,10 @@ fn uniform_masters(n: usize, cl: i64) -> NetworkConfig {
 fn paper_tdel_is_linear_in_uniform_master_count() {
     for n in [2usize, 4, 6, 8, 12, 16] {
         let net = uniform_masters(n, 900);
-        assert_eq!(token_lateness(&net, TcycleModel::Paper), t(900 * n as i64));
+        assert_eq!(
+            token_lateness(&net, TcycleModel::Paper).unwrap(),
+            t(900 * n as i64)
+        );
     }
 }
 
@@ -187,8 +193,9 @@ fn refinement_gap_grows_with_longest_low_priority_cycle() {
         .iter()
         .map(|&cl| {
             let net = uniform_masters(4, cl);
-            (token_lateness(&net, TcycleModel::Paper) - token_lateness(&net, TcycleModel::Refined))
-                .ticks()
+            (token_lateness(&net, TcycleModel::Paper).unwrap()
+                - token_lateness(&net, TcycleModel::Refined).unwrap())
+            .ticks()
         })
         .collect();
     assert_eq!(gaps, [0, 0, 0, 900, 3_600, 9_000]);

@@ -158,6 +158,10 @@ fn gen_error_note(rep: u64, err: &dyn std::fmt::Display) -> String {
     format!("workload generation failed at replication {rep}: {err}")
 }
 
+fn ttr_error_note(rep: u64, err: &dyn std::fmt::Display) -> String {
+    format!("eq. (15) TTR setting failed at replication {rep}: {err}")
+}
+
 fn failed_unit(kind: ScenarioKind, warm_hit: f64, error: String) -> UnitEval {
     UnitEval {
         row: vec![f64::NAN; metric_names(kind).len()],
@@ -460,7 +464,10 @@ fn eval_network_unit(spec: &CampaignSpec, unit: &WorkUnit) -> UnitEval {
                 Err(e) => return failed_unit(spec.kind, 0.0, gen_error_note(rep, &e)),
             };
         }
-        let setting = max_feasible_ttr(&g.config, TcycleModel::Paper);
+        let setting = match max_feasible_ttr(&g.config, TcycleModel::Paper) {
+            Ok(s) => s,
+            Err(e) => return failed_unit(spec.kind, 0.0, ttr_error_note(rep, &e)),
+        };
         record_network_rep(
             &mut acc,
             spec,
@@ -509,7 +516,14 @@ fn eval_network_chain(spec: &CampaignSpec, units: &[WorkUnit]) -> Vec<UnitEval> 
                         continue;
                     }
                 };
-                let setting = max_feasible_ttr(&g.config, TcycleModel::Paper);
+                let setting = match max_feasible_ttr(&g.config, TcycleModel::Paper) {
+                    Ok(s) => s,
+                    Err(e) => {
+                        errors[i] = Some(ttr_error_note(rep, &e));
+                        cached = None;
+                        continue;
+                    }
+                };
                 cached = Some((i, g, setting));
                 realized = None;
             } else if rep == 0 {

@@ -4,37 +4,45 @@
 //! continuous processor demand when all tasks are released together at their
 //! maximum rate — is the least positive fixpoint of
 //!
-//! `L = W(L)`,  `W(t) = Σ_i ⌈t/Ti⌉ · Ci`
+//! `L = W(L)`,  `W(t) = Σ_i ⌈(t + Ji)/Ti⌉ · Ci`
 //!
 //! iterated from `L⁰ = Σ Ci` (the recurrence printed after the paper's
-//! eq. (10)). It exists iff total utilisation is `< 1` and bounds both the
-//! EDF demand-test checkpoints (eq. (3)) and the arrival candidates of the
-//! EDF response-time analyses (eqs. (8), (10)).
+//! eq. (10); a task released up to `Ji` late can have `⌈(t + Ji)/Ti⌉` jobs
+//! in a window of length `t`, the count eq. (18) uses for messages). It
+//! exists iff total utilisation is `< 1` and bounds both the EDF
+//! demand-test checkpoints (eq. (3)) and the arrival candidates of the EDF
+//! response-time analyses (eqs. (8), (10)).
 
-use profirt_base::{AnalysisError, AnalysisResult, Task, TaskSet, Time};
+use profirt_base::{AnalysisError, AnalysisResult, Frac, Task, TaskSet, Time};
 
 use crate::fixpoint::{fixpoint_counted, FixOutcome, FixpointConfig};
 use crate::scratch::WarmState;
 use crate::soa;
 
-/// Shared fixpoint core: least solution of `l = B + Σ ⌈l/Ti⌉·Ci` over the
-/// flat task slice (no per-iteration indirection; the iteration body is the
-/// [`soa::busy_step`] kernel).
+/// The busy period `l = B + Σ ⌈(l + Ji)/Ti⌉·Ci` over task rows, with the
+/// errors of [`synchronous_busy_period`] — the form the scratch-threaded
+/// analyses use internally. The iteration body is the [`soa::busy_step`]
+/// kernel over the flat row slice.
 ///
 /// Cold start seeds at `B + Σ Ci`. When a [`WarmState`] is supplied and
-/// holds the least fixpoint of *exactly* this `(B, (Ci, Ti))` input, the
+/// holds the least fixpoint of *exactly* this `(B, (Ci, Ti, Ji))` input, the
 /// iteration is seeded there instead and converges in one evaluation
 /// (`W(L) = L`); a converged cold run populates the memo. The busy period
 /// reads neither deadlines nor a policy, so one memo entry serves every
 /// analysis variant of the same workload.
-fn busy_period_core(
-    what: &'static str,
+pub(crate) fn busy_period_warm(
     tasks: &[Task],
     blocking: Time,
     config: FixpointConfig,
     warm: Option<&mut WarmState>,
     iters: &mut u64,
 ) -> AnalysisResult<Time> {
+    if tasks.is_empty() {
+        return Err(AnalysisError::EmptySet);
+    }
+    if !tasks.iter().map(Task::utilization).sum::<Frac>().lt_one() {
+        return Err(AnalysisError::UtilizationAtLeastOne);
+    }
     let memo = warm.as_ref().and_then(|w| w.lookup_busy(blocking, tasks));
     let seed = match memo {
         Some(lfp) => lfp,
@@ -46,7 +54,7 @@ fn busy_period_core(
             seed
         }
     };
-    let outcome = fixpoint_counted(what, seed, Time::MAX, config, iters, |l| {
+    let outcome = fixpoint_counted("busy-period", seed, Time::MAX, config, iters, |l| {
         soa::busy_step(tasks, blocking, l)
     })?;
     match outcome {
@@ -74,28 +82,11 @@ fn busy_period_core(
 /// * [`AnalysisError::EmptySet`] for an empty set (no busy period).
 /// * Iteration-cap / overflow errors from pathological inputs.
 pub fn synchronous_busy_period(set: &TaskSet, config: FixpointConfig) -> AnalysisResult<Time> {
-    synchronous_busy_period_warm(set, config, None, &mut 0)
-}
-
-/// [`synchronous_busy_period`] with warm-start memoization and evaluation
-/// counting — the form the scratch-threaded analyses use internally.
-pub(crate) fn synchronous_busy_period_warm(
-    set: &TaskSet,
-    config: FixpointConfig,
-    warm: Option<&mut WarmState>,
-    iters: &mut u64,
-) -> AnalysisResult<Time> {
-    if set.is_empty() {
-        return Err(AnalysisError::EmptySet);
-    }
-    if !set.total_utilization().lt_one() {
-        return Err(AnalysisError::UtilizationAtLeastOne);
-    }
-    busy_period_core("busy-period", set.tasks(), Time::ZERO, config, warm, iters)
+    busy_period_warm(set.tasks(), Time::ZERO, config, None, &mut 0)
 }
 
 /// Computes the blocking-extended busy period: the least fixpoint of
-/// `t = B + Σ ⌈t/Ti⌉·Ci`.
+/// `t = B + Σ ⌈(t + Ji)/Ti⌉·Ci`.
 ///
 /// Under non-preemptive dispatching a busy interval can open with a blocker
 /// of length up to `B = max Ci`; the extended fixpoint safely bounds the
@@ -107,25 +98,7 @@ pub fn nonpreemptive_busy_period(
     blocking: Time,
     config: FixpointConfig,
 ) -> AnalysisResult<Time> {
-    nonpreemptive_busy_period_warm(set, blocking, config, None, &mut 0)
-}
-
-/// [`nonpreemptive_busy_period`] with warm-start memoization and evaluation
-/// counting — the form the scratch-threaded analyses use internally.
-pub(crate) fn nonpreemptive_busy_period_warm(
-    set: &TaskSet,
-    blocking: Time,
-    config: FixpointConfig,
-    warm: Option<&mut WarmState>,
-    iters: &mut u64,
-) -> AnalysisResult<Time> {
-    if set.is_empty() {
-        return Err(AnalysisError::EmptySet);
-    }
-    if !set.total_utilization().lt_one() {
-        return Err(AnalysisError::UtilizationAtLeastOne);
-    }
-    busy_period_core("np-busy-period", set.tasks(), blocking, config, warm, iters)
+    busy_period_warm(set.tasks(), blocking, config, None, &mut 0)
 }
 
 #[cfg(test)]
@@ -208,20 +181,53 @@ mod tests {
         let cfg = FixpointConfig::default();
         let mut warm = WarmState::default();
         let (mut cold_iters, mut warm_iters) = (0u64, 0u64);
-        let cold =
-            synchronous_busy_period_warm(&set, cfg, Some(&mut warm), &mut cold_iters).unwrap();
-        let hit =
-            synchronous_busy_period_warm(&set, cfg, Some(&mut warm), &mut warm_iters).unwrap();
+        let cold = busy_period_warm(
+            set.tasks(),
+            Time::ZERO,
+            cfg,
+            Some(&mut warm),
+            &mut cold_iters,
+        )
+        .unwrap();
+        let hit = busy_period_warm(
+            set.tasks(),
+            Time::ZERO,
+            cfg,
+            Some(&mut warm),
+            &mut warm_iters,
+        )
+        .unwrap();
         assert_eq!(cold, hit);
         assert!(cold_iters > 1, "cold run iterates: {cold_iters}");
         assert_eq!(warm_iters, 1, "warm hit re-verifies in one evaluation");
         // A different blocking term misses the memo and iterates cold.
         let mut miss_iters = 0u64;
         let blocked =
-            nonpreemptive_busy_period_warm(&set, t(8), cfg, Some(&mut warm), &mut miss_iters)
-                .unwrap();
+            busy_period_warm(set.tasks(), t(8), cfg, Some(&mut warm), &mut miss_iters).unwrap();
         assert_eq!(blocked, nonpreemptive_busy_period(&set, t(8), cfg).unwrap());
         assert!(miss_iters > 1);
+    }
+
+    #[test]
+    fn jitter_extends_the_busy_period_and_its_memo_key() {
+        // (9, 10) and (9, 100): W(t) = ⌈(t + J0)/10⌉·9 + ⌈t/100⌉·9. Without
+        // jitter L = 90; with J0 = 5, L = 495 = 50·9 + 5·9.
+        let plain = TaskSet::from_ct(&[(9, 10), (9, 100)]).unwrap();
+        let jittered = TaskSet::new(vec![
+            Task::with_jitter(9, 10, 10, 5).unwrap(),
+            Task::implicit(9, 100).unwrap(),
+        ])
+        .unwrap();
+        let cfg = FixpointConfig::default();
+        assert_eq!(l(&jittered), t(495));
+        // One warm state serves both sets and each still gets its own
+        // least fixpoint.
+        let mut warm = WarmState::default();
+        for set in [&plain, &jittered, &plain, &jittered] {
+            let got =
+                busy_period_warm(set.tasks(), Time::ZERO, cfg, Some(&mut warm), &mut 0).unwrap();
+            assert_eq!(got, l(set));
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ use profirt_base::{AnalysisResult, TaskSet, Time};
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoints::CheckpointScratch;
-use crate::edf::busy_period::synchronous_busy_period_warm;
+use crate::edf::busy_period::busy_period_warm;
 use crate::edf::qpa::{self, QpaOutcome};
 use crate::fixpoint::FixpointConfig;
 use crate::scratch::{AnalysisScratch, WarmState};
@@ -128,8 +128,9 @@ pub(crate) fn preemptive_plan(
     }
     if u.lt_one() {
         // The busy period bounds every first deadline miss.
-        return Ok(ScanPlan::UpTo(synchronous_busy_period_warm(
-            set,
+        return Ok(ScanPlan::UpTo(busy_period_warm(
+            set.tasks(),
+            Time::ZERO,
             config.fixpoint,
             warm,
             iters,

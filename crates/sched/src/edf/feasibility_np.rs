@@ -33,7 +33,7 @@
 use profirt_base::{AnalysisResult, TaskSet, Time};
 use serde::{Deserialize, Serialize};
 
-use crate::edf::busy_period::nonpreemptive_busy_period_warm;
+use crate::edf::busy_period::busy_period_warm;
 use crate::edf::demand::{exhaustive_scan, load_dpc, DemandFormula, Feasibility, ScanPlan};
 use crate::edf::qpa::{self, QpaOutcome};
 use crate::fixpoint::FixpointConfig;
@@ -108,8 +108,8 @@ pub(crate) fn np_plan(
     let horizon = if u.lt_one() {
         // Safe horizon: the blocking-extended busy period (a non-preemptive
         // busy interval can open with a blocker of up to max Ci).
-        nonpreemptive_busy_period_warm(
-            set,
+        busy_period_warm(
+            set.tasks(),
             set.max_cost().unwrap_or(Time::ZERO),
             config.fixpoint,
             warm,

@@ -22,6 +22,8 @@ pub use feasibility_np::{
     edf_feasible_nonpreemptive_exhaustive_with, edf_feasible_nonpreemptive_with, NpBlockingModel,
     NpFeasibilityConfig,
 };
-pub use rta::{edf_response_times, edf_response_times_with, EdfRtaConfig};
-pub use rta_np::{np_edf_response_times, np_edf_response_times_with, NpEdfRtaConfig};
+pub use rta::{edf_response_times, edf_response_times_with, EdfRtaConfig, EdfWcrt};
+pub use rta_np::{
+    np_edf_response_times, np_edf_response_times_with, np_edf_rows_with, NpEdfRtaConfig,
+};
 pub use utilization::edf_utilization_test;

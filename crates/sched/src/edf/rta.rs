@@ -23,7 +23,8 @@
 //!
 //! and `a` needs checking only where `Wi` steps (eq. (8)):
 //! `a ∈ ⋃_j {k·Tj + Dj − Di ≥ 0} ∩ [0, L)` with `L` the synchronous busy
-//! period.
+//! period. Release jitter `Jj` enters as in the message analysis of
+//! eqs. (17)–(18): see the `scan` module.
 //!
 //! ### The candidate scan
 //!
@@ -50,10 +51,10 @@
 //! the deadline-qualified interference caps are hoisted out of the fixpoint
 //! closure — each iteration only computes the `⌈t/Tj⌉` side of the `min`.
 
-use profirt_base::{AnalysisError, AnalysisResult, TaskSet, Time};
+use profirt_base::{AnalysisResult, Task, TaskSet, Time};
 
-use crate::edf::busy_period::synchronous_busy_period_warm;
-use crate::edf::scan::{scan_arrivals, Caps, ScanSpec};
+use crate::edf::busy_period::busy_period_warm;
+use crate::edf::scan::{scan_arrivals, with_verdicts, Caps, ScanSpec};
 use crate::fixpoint::FixpointConfig;
 use crate::scratch::AnalysisScratch;
 use crate::SetAnalysis;
@@ -94,8 +95,8 @@ pub struct EdfWcrt {
 /// (eqs. (6)–(8)) and deadline verdicts.
 ///
 /// # Errors
-/// * [`AnalysisError::UtilizationAtLeastOne`] if `Σ Ci/Ti ≥ 1`.
-/// * [`AnalysisError::EmptySet`] for an empty set.
+/// * [`profirt_base::AnalysisError::UtilizationAtLeastOne`] if `Σ Ci/Ti ≥ 1`.
+/// * [`profirt_base::AnalysisError::EmptySet`] for an empty set.
 /// * Candidate/iteration caps from [`EdfRtaConfig`].
 pub fn edf_response_times(
     set: &TaskSet,
@@ -111,11 +112,9 @@ pub fn edf_response_times_with(
     config: &EdfRtaConfig,
     scratch: &mut AnalysisScratch,
 ) -> AnalysisResult<(SetAnalysis, Vec<EdfWcrt>)> {
-    if set.is_empty() {
-        return Err(AnalysisError::EmptySet);
-    }
-    let l = synchronous_busy_period_warm(
-        set,
+    let l = busy_period_warm(
+        set.tasks(),
+        Time::ZERO,
         config.fixpoint,
         Some(&mut scratch.warm),
         &mut scratch.fixpoint_iters,
@@ -132,28 +131,28 @@ pub fn edf_response_times_with(
         fix_bound: l,
         start_preceding: false,
     };
-    scan_arrivals(&spec, set, scratch, arrival_terms)
+    let details = scan_arrivals(&spec, set.tasks(), scratch, arrival_terms)?;
+    Ok(with_verdicts(set, details))
 }
 
 /// Loads `Li(a)`'s terms: returns the own-job term `(1 + ⌊a/Ti⌋)·Ci` with
 /// a constant reseed key, and hoists the deadline-qualified interference
 /// terms, whose job caps do not depend on the iterate, into `caps`.
 fn arrival_terms(
-    dpc: &[(Time, Time, Time)],
+    rows: &[Task],
     i: usize,
     a: Time,
     caps: &mut Caps,
 ) -> AnalysisResult<(Time, Time)> {
-    let (d_i, t_i, c_i) = dpc[i];
-    let own = c_i.try_mul(1 + a.floor_div(t_i))?;
-    let deadline_i = a + d_i;
+    let own = rows[i].c.try_mul(1 + a.floor_div(rows[i].t))?;
+    let deadline_i = a + rows[i].d;
     caps.clear();
-    for (j, &(d_j, t_j, c_j)) in dpc.iter().enumerate() {
-        if j == i || d_j > deadline_i {
+    for (j, row) in rows.iter().enumerate() {
+        if j == i || row.d > deadline_i {
             continue;
         }
-        let by_deadline = 1 + (deadline_i - d_j).floor_div(t_j);
-        caps.push((t_j, c_j, by_deadline));
+        let by_deadline = 1 + (deadline_i - row.d + row.j).floor_div(row.t);
+        caps.push((row.t, row.c, row.j, by_deadline));
     }
     Ok((own, Time::ZERO))
 }
@@ -162,6 +161,7 @@ fn arrival_terms(
 mod tests {
     use super::*;
     use profirt_base::time::t;
+    use profirt_base::AnalysisError;
 
     fn analyze(set: &TaskSet) -> (SetAnalysis, Vec<EdfWcrt>) {
         edf_response_times(set, &EdfRtaConfig::default()).unwrap()

@@ -20,6 +20,13 @@
 //! with arrival candidates (eq. (10)):
 //! `a ∈ ⋃_j {k·Tj + Dj − Di ≥ 0} ∩ [0, L]`, `L` the synchronous busy period.
 //!
+//! Release jitter `Jj` enters as in the paper's message analysis,
+//! eqs. (17)–(18), which is this analysis with every cost replaced by the
+//! token cycle: see the `scan` module and [`np_edf_rows_with`]. How long a
+//! later-deadline job blocks is a [`BlockingRule`]: tasks block for
+//! `Cj − 1` (the blocker must have started strictly earlier), messages for
+//! their full cost.
+//!
 //! Deviation note: we bound the per-`a` fixpoints (and optionally the
 //! candidate range, see [`NpEdfRtaConfig::extend_candidates_with_blocking`])
 //! by the *blocking-extended* busy period, which dominates the paper's `L` —
@@ -27,10 +34,10 @@
 //!
 //! The candidate scan is the one of [`crate::edf::rta`] (warm seeds, early
 //! stop, cold redo on error) with two changes. The blocking term
-//! `max_{Dj > a+Di}(Cj − 1)` only *shrinks* as `a` grows, so a candidate
-//! reuses the previous `Li` as its seed only while the blocking value is
-//! unchanged, and restarts from zero when it changes (at most `n` times per
-//! task). And the stop rule uses the fixpoint bound `B` (the
+//! `max_{Dj > a+Di}(Cj − 1)` (`Cj` for messages) only *shrinks* as `a`
+//! grows, so a candidate reuses the previous `Li` as its seed only while
+//! the blocking value is unchanged, and restarts from zero when it changes
+//! (at most `n` times per task). And the stop rule uses the fixpoint bound `B` (the
 //! blocking-extended busy period): `ri(a) ≤ max{Ci, B + Ci − a}`, so the
 //! scan ends once `B − a ≤ best − Ci`. The same divergence is permitted: a
 //! warm seed may converge where the cold chain would hit the iteration cap,
@@ -40,11 +47,12 @@
 //! come from [`AnalysisScratch`]; see [`crate::edf::rta`] for the
 //! allocation discipline.
 
-use profirt_base::{AnalysisError, AnalysisResult, TaskSet, Time};
+use profirt_base::{AnalysisResult, Task, TaskSet, Time};
 
-use crate::edf::busy_period::{nonpreemptive_busy_period_warm, synchronous_busy_period_warm};
+use crate::edf::busy_period::busy_period_warm;
 use crate::edf::rta::EdfWcrt;
-use crate::edf::scan::{scan_arrivals, Caps, ScanSpec};
+use crate::edf::scan::{scan_arrivals, with_verdicts, Caps, ScanSpec};
+use crate::fixed::BlockingRule;
 use crate::fixpoint::FixpointConfig;
 use crate::scratch::AnalysisScratch;
 use crate::SetAnalysis;
@@ -100,22 +108,38 @@ pub fn np_edf_response_times_with(
     config: &NpEdfRtaConfig,
     scratch: &mut AnalysisScratch,
 ) -> AnalysisResult<(SetAnalysis, Vec<EdfWcrt>)> {
-    if set.is_empty() {
-        return Err(AnalysisError::EmptySet);
-    }
-    let l_sync = synchronous_busy_period_warm(
-        set,
-        config.fixpoint,
-        Some(&mut scratch.warm),
-        &mut scratch.fixpoint_iters,
-    )?;
-    let max_block = set
+    let rule = BlockingRule::MaxLowerCostMinusOne;
+    let details = np_edf_rows_with(set.tasks(), rule, config, scratch)?;
+    Ok(with_verdicts(set, details))
+}
+
+/// The worst cases of [`np_edf_response_times_with`] over bare rows
+/// `(C, D, T, J)`, with the blocking of a later-deadline job given by
+/// `blocking`; the caller judges them against its deadlines.
+///
+/// The rows need not form a [`TaskSet`]: a row's cost may exceed its
+/// deadline. That is the shape of the paper's message analysis
+/// (eqs. (17)–(18)), where every stream costs one token cycle `Tcycle`
+/// whatever its deadline and blocks for all of it
+/// ([`BlockingRule::MaxLowerCost`]). Costs and periods must be positive
+/// and jitters non-negative.
+///
+/// # Errors
+/// Same conditions as [`crate::edf::rta::edf_response_times`], with the
+/// utilisation `Σ Ci/Ti` taken over the rows.
+pub fn np_edf_rows_with(
+    rows: &[Task],
+    blocking: BlockingRule,
+    config: &NpEdfRtaConfig,
+    scratch: &mut AnalysisScratch,
+) -> AnalysisResult<Vec<EdfWcrt>> {
+    let max_block = rows
         .iter()
-        .map(|(_, task)| (task.c - Time::ONE).max_zero())
+        .map(|row| blocking.of(row.c))
         .max()
         .unwrap_or(Time::ZERO);
-    let l_blocked = nonpreemptive_busy_period_warm(
-        set,
+    let l_blocked = busy_period_warm(
+        rows,
         max_block,
         config.fixpoint,
         Some(&mut scratch.warm),
@@ -130,12 +154,20 @@ pub fn np_edf_response_times_with(
         candidate_bound: if config.extend_candidates_with_blocking {
             l_blocked
         } else {
-            l_sync
+            busy_period_warm(
+                rows,
+                Time::ZERO,
+                config.fixpoint,
+                Some(&mut scratch.warm),
+                &mut scratch.fixpoint_iters,
+            )?
         },
         fix_bound: l_blocked,
         start_preceding: true,
     };
-    scan_arrivals(&spec, set, scratch, start_terms)
+    scan_arrivals(&spec, rows, scratch, |rows, i, a, caps| {
+        start_terms(rows, i, a, blocking, caps)
+    })
 }
 
 /// Loads the terms of the start-preceding busy period `Li(a)` of eq. (9)'s
@@ -143,30 +175,30 @@ pub fn np_edf_response_times_with(
 /// hoists the deadline-qualified interference terms into `caps`. The
 /// blocking term is the reseed key.
 fn start_terms(
-    dpc: &[(Time, Time, Time)],
+    rows: &[Task],
     i: usize,
     a: Time,
+    rule: BlockingRule,
     caps: &mut Caps,
 ) -> AnalysisResult<(Time, Time)> {
-    let (d_i, t_i, c_i) = dpc[i];
-    let deadline_i = a + d_i;
-    // Blocking by a later-deadline job, started one tick earlier (Cj - 1),
-    // and the interference terms with their arrival-independent job caps.
+    let deadline_i = a + rows[i].d;
+    // Blocking by a later-deadline job, and the interference terms with
+    // their arrival-independent job caps.
     let mut blocking = Time::ZERO;
     caps.clear();
-    for (j, &(d_j, t_j, c_j)) in dpc.iter().enumerate() {
+    for (j, row) in rows.iter().enumerate() {
         if j == i {
             continue;
         }
-        if d_j > deadline_i {
-            blocking = blocking.max((c_j - Time::ONE).max_zero());
+        if row.d > deadline_i {
+            blocking = blocking.max(rule.of(row.c));
         } else {
-            let by_deadline = 1 + (deadline_i - d_j).floor_div(t_j);
-            caps.push((t_j, c_j, by_deadline));
+            let by_deadline = 1 + (deadline_i - row.d + row.j).floor_div(row.t);
+            caps.push((row.t, row.c, row.j, by_deadline));
         }
     }
     // Earlier instances of τi itself (asap pattern): ⌊a/Ti⌋ of them.
-    let own_prior = c_i.try_mul(a.floor_div(t_i))?;
+    let own_prior = rows[i].c.try_mul(a.floor_div(rows[i].t))?;
     Ok((blocking.try_add(own_prior)?, blocking))
 }
 
@@ -174,6 +206,7 @@ fn start_terms(
 mod tests {
     use super::*;
     use profirt_base::time::t;
+    use profirt_base::AnalysisError;
 
     fn analyze(set: &TaskSet) -> (SetAnalysis, Vec<EdfWcrt>) {
         np_edf_response_times(set, &NpEdfRtaConfig::default()).unwrap()

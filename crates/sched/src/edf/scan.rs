@@ -5,12 +5,17 @@
 //! For one task `τi` both analyses walk the candidates `a` of eqs. (8)/(10)
 //! in strictly increasing order, solve one busy-period recurrence
 //!
-//! `Li(a) = base(a) + Σ_{j≠i, Dj ≤ a+Di} min{jobs_j(Li(a)), capj(a)} · Cj`
+//! `Li(a) = base(a) + Σ_{j≠i, Dj ≤ a+Di} min{jobs_j(Li(a) + Jj), capj(a)} · Cj`
 //!
 //! per candidate, and keep the first strict maximum of
 //! `ri(a) = max{Ci, Li(a) + tail − a}` (`tail` is `0` preemptively and `Ci`
-//! non-preemptively). The scan returns exactly that maximum and its offset,
-//! but does less work than solving every candidate from zero:
+//! non-preemptively). Release jitter enters as in the paper's message
+//! analysis, eqs. (17)–(18): a task released up to `Jj` late adds the
+//! candidates `k·Tj + Dj − Jj − Di` to the plain `k·Tj + Dj − Di`, its job
+//! count in a window `t` is taken at `t + Jj`, and its deadline cap is
+//! `1 + ⌊(a + Di − Dj + Jj)/Tj⌋`. With every `J = 0` these are the
+//! jitter-free eqs. (6)–(10). The scan returns exactly that maximum and its
+//! offset, but does less work than solving every candidate from zero:
 //!
 //! * **Warm seed.** Between two candidates `a < a'` the own-job count, the
 //!   set of deadline-qualified tasks and every `capj` only grow, so
@@ -20,8 +25,8 @@
 //!   iterating from zero, in at most as many evaluations. The analyses
 //!   hand the scan a *reseed key* with each recurrence: the seed carries
 //!   over only while the key is unchanged. The preemptive key is constant;
-//!   the non-preemptive key is the blocking term `max_{Dj > a+Di}(Cj − 1)`,
-//!   the one part of `base` that shrinks as `a` grows, so the scan restarts
+//!   the non-preemptive key is the blocking term `max_{Dj > a+Di}(Cj − 1)`
+//!   (`Cj` for messages), the one part of `base` that shrinks as `a` grows, so the scan restarts
 //!   from zero at most `n` times per task.
 //! * **Cold redo on error.** A warm-seeded fixpoint that fails (bound
 //!   crossed, iteration cap, overflow) is redone from zero and the cold
@@ -44,16 +49,15 @@
 //! cases every returned value is still the exact least fixpoint; verdicts,
 //! `wcrt` and `critical_a` never differ otherwise.
 
-use profirt_base::{AnalysisError, AnalysisResult, TaskSet, Time};
+use profirt_base::{AnalysisError, AnalysisResult, Task, TaskSet, Time};
 
-use crate::edf::demand::load_dpc;
 use crate::edf::rta::EdfWcrt;
 use crate::fixpoint::{fixpoint_counted, FixOutcome, FixpointConfig};
 use crate::scratch::AnalysisScratch;
 use crate::{soa, SetAnalysis, TaskVerdict};
 
-/// Interference terms `(Tj, Cj, capj)` of one candidate's recurrence.
-pub(crate) type Caps = Vec<(Time, Time, i64)>;
+/// Interference terms `(Tj, Cj, Jj, capj)` of one candidate's recurrence.
+pub(crate) type Caps = Vec<(Time, Time, Time, i64)>;
 
 /// The per-analysis constants of an arrival scan.
 pub(crate) struct ScanSpec {
@@ -72,67 +76,79 @@ pub(crate) struct ScanSpec {
     pub fix_bound: Time,
     /// `Li(a)` is the busy period preceding the instance's *start*
     /// (eq. (9)): `ri(a) = max{Ci, Li(a) + Ci − a}` and the jobs of `τj` in
-    /// `t` count as `1 + ⌊t/Tj⌋`. Otherwise it precedes the completion
-    /// (eq. (6)): `ri(a) = max{Ci, Li(a) − a}` with `⌈t/Tj⌉` jobs.
+    /// `t` count as `1 + ⌊(t + Jj)/Tj⌋`. Otherwise it precedes the
+    /// completion (eq. (6)): `ri(a) = max{Ci, Li(a) − a}` with
+    /// `⌈(t + Jj)/Tj⌉` jobs.
     pub start_preceding: bool,
 }
 
-/// An analysis' per-candidate recurrence: `load(dpc, i, a, caps)` fills
-/// `caps` with the interference terms of task `i`'s candidate `a` (`dpc`
-/// holds the `(Di, Ti, Ci)` rows) and returns `(base, reseed_key)`.
-pub(crate) type LoadFn =
-    fn(&[(Time, Time, Time)], usize, Time, &mut Caps) -> AnalysisResult<(Time, Time)>;
-
-/// Scans every task's arrival candidates (see the module docs) and returns
-/// the deadline verdicts with the per-task worst cases.
-pub(crate) fn scan_arrivals(
+/// Scans every row's arrival candidates (see the module docs) and returns
+/// the per-row worst cases. `load(rows, i, a, caps)` is the analysis'
+/// per-candidate recurrence: it fills `caps` with the interference terms
+/// of row `i`'s candidate `a` and returns `(base, reseed_key)`.
+pub(crate) fn scan_arrivals<F>(
     spec: &ScanSpec,
-    set: &TaskSet,
+    rows: &[Task],
     scratch: &mut AnalysisScratch,
-    load: LoadFn,
-) -> AnalysisResult<(SetAnalysis, Vec<EdfWcrt>)> {
-    load_dpc(set, &mut scratch.dpc);
-    let mut verdicts = Vec::with_capacity(set.len());
-    let mut details = Vec::with_capacity(set.len());
-    for (i, task) in set.iter() {
-        let detail = scan_task(spec, i, scratch, load)?;
-        verdicts.push(if detail.wcrt <= task.d {
-            TaskVerdict::Schedulable { wcrt: detail.wcrt }
-        } else {
-            TaskVerdict::Unschedulable {
-                exceeded_at: detail.wcrt,
-            }
-        });
-        details.push(detail);
-    }
-    Ok((SetAnalysis { verdicts }, details))
+    load: F,
+) -> AnalysisResult<Vec<EdfWcrt>>
+where
+    F: Fn(&[Task], usize, Time, &mut Caps) -> AnalysisResult<(Time, Time)>,
+{
+    (0..rows.len())
+        .map(|i| scan_task(spec, rows, i, scratch, &load))
+        .collect()
 }
 
-/// The scan of one task `i`.
-fn scan_task(
+/// The deadline verdicts of a task set's worst cases, paired with them.
+pub(crate) fn with_verdicts(set: &TaskSet, details: Vec<EdfWcrt>) -> (SetAnalysis, Vec<EdfWcrt>) {
+    let verdicts = set
+        .iter()
+        .map(|(i, task)| {
+            let wcrt = details[i].wcrt;
+            if wcrt <= task.d {
+                TaskVerdict::Schedulable { wcrt }
+            } else {
+                TaskVerdict::Unschedulable { exceeded_at: wcrt }
+            }
+        })
+        .collect();
+    (SetAnalysis { verdicts }, details)
+}
+
+/// The scan of one row `i`.
+fn scan_task<F>(
     spec: &ScanSpec,
+    rows: &[Task],
     i: usize,
     scratch: &mut AnalysisScratch,
-    load: LoadFn,
-) -> AnalysisResult<EdfWcrt> {
+    load: &F,
+) -> AnalysisResult<EdfWcrt>
+where
+    F: Fn(&[Task], usize, Time, &mut Caps) -> AnalysisResult<(Time, Time)>,
+{
     let AnalysisScratch {
         checkpoints,
         progressions,
-        dpc,
         caps,
         fixpoint_iters: iters,
         ..
     } = scratch;
-    let (d_i, _, c_i) = dpc[i];
+    let Task { c: c_i, d: d_i, .. } = rows[i];
     let tail = if spec.start_preceding {
         c_i
     } else {
         Time::ZERO
     };
-    // Candidates a = k*Tj + Dj - Di >= 0; the merge advances negative
-    // offsets automatically.
+    // Candidates a = k*Tj + Dj - Di >= 0, and a = k*Tj + Dj - Jj - Di for a
+    // jittered row; the merge advances negative offsets automatically.
     progressions.clear();
-    progressions.extend(dpc.iter().map(|&(d_j, t_j, _)| (d_j - d_i, t_j)));
+    for row in rows {
+        progressions.push((row.d - d_i, row.t));
+        if row.j.is_positive() {
+            progressions.push((row.d - row.j - d_i, row.t));
+        }
+    }
     let mut best = EdfWcrt {
         wcrt: c_i,
         critical_a: Time::ZERO,
@@ -153,7 +169,7 @@ fn scan_task(
         if spec.fix_bound - a <= best.wcrt - tail {
             break;
         }
-        let (base, key) = load(dpc, i, a, caps)?;
+        let (base, key) = load(rows, i, a, caps)?;
         let seed = match warm {
             Some((k, li)) if k == key => li,
             _ => Time::ZERO,

@@ -50,6 +50,12 @@ pub enum NpFixedVariant {
 }
 
 /// How the blocking factor `Bi` is computed from lower-priority costs.
+///
+/// The non-preemptive EDF analysis ([`crate::edf::rta_np`]) applies the
+/// same rule to the later-deadline jobs: tasks use
+/// [`BlockingRule::MaxLowerCostMinusOne`], while PROFIBUS messages, whose
+/// token-cycle cost is an upper bound rather than an execution time, block
+/// for the full cost ([`BlockingRule::MaxLowerCost`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub enum BlockingRule {
     /// The paper's eq. (2): `Bi = max_{j ∈ lp(i)} Cj`.
@@ -69,9 +75,15 @@ impl BlockingRule {
             .map(|j| set.tasks()[j].c)
             .max()
             .unwrap_or(Time::ZERO);
+        self.of(worst)
+    }
+
+    /// The blocking a started blocker of cost `c` can cause under this
+    /// rule.
+    pub fn of(self, c: Time) -> Time {
         match self {
-            BlockingRule::MaxLowerCost => worst,
-            BlockingRule::MaxLowerCostMinusOne => (worst - Time::ONE).max_zero(),
+            BlockingRule::MaxLowerCost => c,
+            BlockingRule::MaxLowerCostMinusOne => (c - Time::ONE).max_zero(),
         }
     }
 }

@@ -25,7 +25,8 @@
 //!   pessimistic George/Rivierre/Spuri refinement (eq. (5)).
 //! * Worst-case response times under preemptive EDF (Spuri; eqs. (6)–(8))
 //!   and non-preemptive EDF (George et al.; eqs. (9)–(10)) via deadline
-//!   busy-period enumeration.
+//!   busy-period enumeration, with release jitter as in the paper's
+//!   message analysis (eqs. (17)–(18)), which runs on the same scan.
 //!
 //! All analyses return [`profirt_base::AnalysisResult`]; divergent fixpoints
 //! and overflow surface as typed errors, never panics.

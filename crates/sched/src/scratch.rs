@@ -28,14 +28,14 @@ use crate::checkpoints::CheckpointScratch;
 
 /// Memoized least fixpoint of one busy-period recurrence, keyed by the exact
 /// inputs the recurrence reads: the blocking seed term and the per-task
-/// `(cost, period)` columns. Deadlines, priorities and scan formulas do not
+/// `(cost, period, jitter)` columns. Deadlines, priorities and scan formulas do not
 /// enter a busy-period computation, so one memo entry serves every analysis
 /// variant of the same workload — the main sharing lever of a policy sweep.
 #[derive(Debug, Clone)]
 struct BusyMemo {
     blocking: Time,
-    /// `(cost, period)` per task, in task-set order.
-    cols: Vec<(Time, Time)>,
+    /// `(cost, period, jitter)` per task, in task-set order.
+    cols: Vec<(Time, Time, Time)>,
     /// The converged least fixpoint.
     lfp: Time,
 }
@@ -92,7 +92,7 @@ impl WarmState {
     }
 
     /// Looks up the memoized busy-period least fixpoint for exactly this
-    /// blocking term and these `(cost, period)` columns.
+    /// blocking term and these `(cost, period, jitter)` columns.
     pub(crate) fn lookup_busy(&self, blocking: Time, tasks: &[Task]) -> Option<Time> {
         self.busy
             .iter()
@@ -102,7 +102,7 @@ impl WarmState {
                     && m.cols
                         .iter()
                         .zip(tasks)
-                        .all(|(&(c, t), task)| c == task.c && t == task.t)
+                        .all(|(&(c, t, j), task)| c == task.c && t == task.t && j == task.j)
             })
             .map(|m| m.lfp)
     }
@@ -115,7 +115,7 @@ impl WarmState {
         }
         self.busy.push(BusyMemo {
             blocking,
-            cols: tasks.iter().map(|t| (t.c, t.t)).collect(),
+            cols: tasks.iter().map(|t| (t.c, t.t, t.j)).collect(),
             lfp,
         });
     }
@@ -165,9 +165,9 @@ pub struct AnalysisScratch {
     pub(crate) progressions: Vec<(Time, Time)>,
     /// Hoisted per-task `(deadline, period, cost)` rows.
     pub(crate) dpc: Vec<(Time, Time, Time)>,
-    /// `(period, cost, job cap)` interference terms for the EDF busy-period
-    /// fixpoints (the deadline-qualified `min{·, cap}` sums).
-    pub(crate) caps: Vec<(Time, Time, i64)>,
+    /// `(period, cost, jitter, job cap)` interference terms for the EDF
+    /// busy-period fixpoints (the deadline-qualified `min{·, cap}` sums).
+    pub(crate) caps: Vec<(Time, Time, Time, i64)>,
     /// `(period, cost, jitter)` interference terms for the fixed-priority
     /// fixpoints.
     pub(crate) terms: Vec<(Time, Time, Time)>,
@@ -236,8 +236,8 @@ mod tests {
         assert_eq!(w.lookup_busy(Time::ZERO, &tasks), None);
         w.store_busy(Time::ZERO, &tasks, t(5));
         assert_eq!(w.lookup_busy(Time::ZERO, &tasks), Some(t(5)));
-        // A different blocking term, task count or any (cost, period) column
-        // is a miss; deadlines are deliberately not part of the key.
+        // A different blocking term, task count or any (cost, period, jitter)
+        // column is a miss; deadlines are deliberately not part of the key.
         assert_eq!(w.lookup_busy(t(1), &tasks), None);
         assert_eq!(w.lookup_busy(Time::ZERO, &tasks[..1]), None);
         let mut tightened = tasks.clone();
@@ -256,6 +256,24 @@ mod tests {
         assert_eq!(w.lookup_busy(t(100), &tasks), Some(t(0)));
         w.clear();
         assert_eq!(w.lookup_busy(t(100), &tasks), None);
+    }
+
+    #[test]
+    fn busy_memo_key_includes_jitter() {
+        // Two sets that differ only in one task's jitter never share an
+        // entry, in either order of storing.
+        let mut w = WarmState::default();
+        let plain = vec![
+            Task::new(t(2), t(10), t(10)).unwrap(),
+            Task::new(t(3), t(15), t(15)).unwrap(),
+        ];
+        let mut jittered = plain.clone();
+        jittered[1].j = t(4);
+        w.store_busy(Time::ZERO, &plain, t(5));
+        assert_eq!(w.lookup_busy(Time::ZERO, &jittered), None);
+        w.store_busy(Time::ZERO, &jittered, t(8));
+        assert_eq!(w.lookup_busy(Time::ZERO, &plain), Some(t(5)));
+        assert_eq!(w.lookup_busy(Time::ZERO, &jittered), Some(t(8)));
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! once no later offset can beat the best response found (see
 //! `profirt_sched::edf::rta`). The oracle here is the literal scan of the
 //! paper's eqs. (6)–(10): every candidate, each busy period iterated from
-//! zero, no early stop. Over random implicit- and constrained-deadline sets
-//! of 1–8 tasks, analysed through one shared `AnalysisScratch`, the library
-//! must reproduce the oracle's verdicts, `wcrt` and `critical_a` for the
-//! preemptive analysis and for both non-preemptive candidate ranges, while
-//! examining no more candidates. Non-vacuity: across the run the stop must
+//! zero, no early stop, with release jitter entering as in eqs. (17)–(18).
+//! Over random implicit- and constrained-deadline sets of 1–8 tasks, once
+//! jitter-free and once with jitter on some tasks, analysed through one
+//! shared `AnalysisScratch`, the library must reproduce the oracle's
+//! verdicts, `wcrt` and `critical_a` for the preemptive analysis and for
+//! both non-preemptive candidate ranges, while examining no more
+//! candidates. Non-vacuity: across the run the stop must
 //! fire on some tasks, and the library's fixpoint evaluations (busy periods
 //! included) must total fewer than the oracle's on the candidates the
 //! library evaluated — the saving of the warm seeds alone. Run under any
@@ -75,27 +77,54 @@ struct OracleWcrt {
     evals: Vec<u64>,
 }
 
-/// `(Di, Ti, Ci)` rows in ticks.
-fn rows(set: &TaskSet) -> Vec<(i64, i64, i64)> {
+/// The sets of [`arb_task_set`] with a jitter of up to twice its period
+/// on each task drawn `1`, and none on the others.
+fn arb_jittered_task_set() -> impl Strategy<Value = TaskSet> {
+    (
+        arb_task_set(),
+        proptest::collection::vec((0u8..3, 0i64..2_000), 9),
+    )
+        .prop_map(|(set, draws)| {
+            let tasks = set
+                .tasks()
+                .iter()
+                .zip(draws)
+                .map(|(task, (draw, j))| Task {
+                    j: if draw == 1 {
+                        profirt_base::Time::new(j % (2 * task.t.ticks()))
+                    } else {
+                        task.j
+                    },
+                    ..*task
+                })
+                .collect();
+            TaskSet::new(tasks).unwrap()
+        })
+}
+
+/// `(Di, Ti, Ci, Ji)` rows in ticks.
+fn rows(set: &TaskSet) -> Vec<(i64, i64, i64, i64)> {
     set.tasks()
         .iter()
-        .map(|t| (t.d.ticks(), t.t.ticks(), t.c.ticks()))
+        .map(|t| (t.d.ticks(), t.t.ticks(), t.c.ticks(), t.j.ticks()))
         .collect()
 }
 
-/// Every candidate `a = k·Tj + Dj − Di` in `[0, last]`, ascending, without
-/// duplicates.
-fn candidates(rows: &[(i64, i64, i64)], i: usize, last: i64) -> Vec<i64> {
+/// Every candidate `a = k·Tj + Dj − Di`, and `a = k·Tj + Dj − Jj − Di` for
+/// a jittered task, in `[0, last]`, ascending, without duplicates.
+fn candidates(rows: &[(i64, i64, i64, i64)], i: usize, last: i64) -> Vec<i64> {
     let d_i = rows[i].0;
     let mut out = Vec::new();
-    for &(d_j, t_j, _) in rows {
-        let mut a = d_j - d_i;
-        while a < 0 {
-            a += t_j;
-        }
-        while a <= last {
-            out.push(a);
-            a += t_j;
+    for &(d_j, t_j, _, j_j) in rows {
+        for shift in [0, j_j] {
+            let mut a = d_j - shift - d_i;
+            while a < 0 {
+                a += t_j;
+            }
+            while a <= last {
+                out.push(a);
+                a += t_j;
+            }
         }
     }
     out.sort_unstable();
@@ -119,12 +148,12 @@ fn lfp_from_zero(evals: &mut Vec<u64>, f: impl Fn(i64) -> i64) -> i64 {
 }
 
 /// Eqs. (6)–(8): `Li(a) = (1 + ⌊a/Ti⌋)·Ci + Σ_{j≠i, Dj ≤ a+Di}
-/// min{⌈t/Tj⌉, 1 + ⌊(a+Di−Dj)/Tj⌋}·Cj`, `ri(a) = max{Ci, Li(a) − a}` over
-/// `a ∈ [0, L)`.
-fn oracle_preemptive(rows: &[(i64, i64, i64)], l: i64) -> Vec<OracleWcrt> {
+/// min{⌈(t+Jj)/Tj⌉, 1 + ⌊(a+Di−Dj+Jj)/Tj⌋}·Cj`,
+/// `ri(a) = max{Ci, Li(a) − a}` over `a ∈ [0, L)`.
+fn oracle_preemptive(rows: &[(i64, i64, i64, i64)], l: i64) -> Vec<OracleWcrt> {
     (0..rows.len())
         .map(|i| {
-            let (d_i, t_i, c_i) = rows[i];
+            let (d_i, t_i, c_i, _) = rows[i];
             let cands = candidates(rows, i, (l - 1).max(0));
             let mut best = OracleWcrt {
                 wcrt: c_i,
@@ -134,9 +163,10 @@ fn oracle_preemptive(rows: &[(i64, i64, i64)], l: i64) -> Vec<OracleWcrt> {
             for &a in &cands {
                 let li = lfp_from_zero(&mut best.evals, |t| {
                     let mut w = (1 + a / t_i) * c_i;
-                    for (j, &(d_j, t_j, c_j)) in rows.iter().enumerate() {
+                    for (j, &(d_j, t_j, c_j, j_j)) in rows.iter().enumerate() {
                         if j != i && d_j <= a + d_i {
-                            let jobs = ((t + t_j - 1) / t_j).min(1 + (a + d_i - d_j) / t_j);
+                            let jobs =
+                                ((t + j_j + t_j - 1) / t_j).min(1 + (a + d_i - d_j + j_j) / t_j);
                             w += jobs * c_j;
                         }
                     }
@@ -154,12 +184,12 @@ fn oracle_preemptive(rows: &[(i64, i64, i64)], l: i64) -> Vec<OracleWcrt> {
 }
 
 /// Eqs. (9)–(10): `Li(a) = max_{Dj > a+Di}(Cj − 1) + ⌊a/Ti⌋·Ci +
-/// Σ_{j≠i, Dj ≤ a+Di} min{1 + ⌊t/Tj⌋, 1 + ⌊(a+Di−Dj)/Tj⌋}·Cj`,
+/// Σ_{j≠i, Dj ≤ a+Di} min{1 + ⌊(t+Jj)/Tj⌋, 1 + ⌊(a+Di−Dj+Jj)/Tj⌋}·Cj`,
 /// `ri(a) = max{Ci, Li(a) + Ci − a}` over `a ∈ [0, last]`.
-fn oracle_np(rows: &[(i64, i64, i64)], last: i64) -> Vec<OracleWcrt> {
+fn oracle_np(rows: &[(i64, i64, i64, i64)], last: i64) -> Vec<OracleWcrt> {
     (0..rows.len())
         .map(|i| {
-            let (d_i, t_i, c_i) = rows[i];
+            let (d_i, t_i, c_i, _) = rows[i];
             let cands = candidates(rows, i, last);
             let mut best = OracleWcrt {
                 wcrt: c_i,
@@ -170,15 +200,15 @@ fn oracle_np(rows: &[(i64, i64, i64)], last: i64) -> Vec<OracleWcrt> {
                 let blocking = rows
                     .iter()
                     .enumerate()
-                    .filter(|&(j, &(d_j, _, _))| j != i && d_j > a + d_i)
-                    .map(|(_, &(_, _, c_j))| c_j - 1)
+                    .filter(|&(j, &(d_j, _, _, _))| j != i && d_j > a + d_i)
+                    .map(|(_, &(_, _, c_j, _))| c_j - 1)
                     .max()
                     .unwrap_or(0);
                 let li = lfp_from_zero(&mut best.evals, |t| {
                     let mut w = blocking + (a / t_i) * c_i;
-                    for (j, &(d_j, t_j, c_j)) in rows.iter().enumerate() {
+                    for (j, &(d_j, t_j, c_j, j_j)) in rows.iter().enumerate() {
                         if j != i && d_j <= a + d_i {
-                            let jobs = (1 + t / t_j).min(1 + (a + d_i - d_j) / t_j);
+                            let jobs = (1 + (t + j_j) / t_j).min(1 + (a + d_i - d_j + j_j) / t_j);
                             w += jobs * c_j;
                         }
                     }
@@ -199,6 +229,8 @@ fn oracle_np(rows: &[(i64, i64, i64)], last: i64) -> Vec<OracleWcrt> {
 #[derive(Default)]
 struct Tally {
     analysed: usize,
+    /// Jittered tasks among the analysed sets.
+    jittered_tasks: usize,
     /// Tasks whose scan stopped before the last candidate.
     stopped_tasks: usize,
     /// Library fixpoint evaluations, busy periods included.
@@ -229,10 +261,11 @@ fn check_case(set: &TaskSet, scratch: &mut AnalysisScratch, tally: &mut Tally) {
         return;
     }
     tally.analysed += 1;
+    tally.jittered_tasks += rows.iter().filter(|row| row.3 > 0).count();
     tally.library_evals += scratch.take_fixpoint_iters();
 
     let l = synchronous_busy_period(set, fix).unwrap().ticks();
-    let max_block = rows.iter().map(|&(_, _, c)| c - 1).max().unwrap_or(0);
+    let max_block = rows.iter().map(|&(_, _, c, _)| c - 1).max().unwrap_or(0);
     let l_blocked = nonpreemptive_busy_period(set, profirt_base::Time::new(max_block), fix)
         .unwrap()
         .ticks();
@@ -269,8 +302,20 @@ fn check_case(set: &TaskSet, scratch: &mut AnalysisScratch, tally: &mut Tally) {
 
 #[test]
 fn scan_matches_literal_oracle() {
-    let strategy = arb_task_set();
-    let mut rng = TestRng::for_test("scan_matches_literal_oracle");
+    run_scan_against_oracle("scan_matches_literal_oracle", arb_task_set());
+}
+
+#[test]
+fn jittered_scan_matches_literal_oracle() {
+    let tally = run_scan_against_oracle(
+        "jittered_scan_matches_literal_oracle",
+        arb_jittered_task_set(),
+    );
+    assert!(tally.jittered_tasks > 0, "no jittered task analysed");
+}
+
+fn run_scan_against_oracle(name: &str, strategy: impl Strategy<Value = TaskSet>) -> Tally {
+    let mut rng = TestRng::for_test(name);
     let mut scratch = AnalysisScratch::new();
     let mut tally = Tally::default();
     for _ in 0..CASES {
@@ -284,4 +329,5 @@ fn scan_matches_literal_oracle() {
         tally.library_evals,
         tally.oracle_evals
     );
+    tally
 }

@@ -17,7 +17,10 @@
 //! "utilization ≥ 1, the analysis rejects the set" — is a successful
 //! answer (`ok:true` with `"feasible":false` and a `"reason"`), while
 //! wire-level problems (malformed JSON, unknown ops, invalid model
-//! parameters, queue overload) are errors with a typed `kind`.
+//! parameters, queue overload) are errors with a typed `kind`. A network
+//! whose bounds overflow the tick range (`Tcycle` past `i64::MAX`, say) has
+//! invalid model parameters: its `feasibility` and `response_times`
+//! queries answer a `"model"` error.
 //!
 //! [`eval`] is deliberately free of any serving machinery: the engine is
 //! a scheduler around it, and [`answer_line`] — parse, evaluate, render
@@ -25,7 +28,9 @@
 //! tests compare the whole queue/shard/memo pipeline against.
 
 use profirt_base::json::{self, Value};
-use profirt_base::{Criticality, MessageStream, StreamSet, Task, TaskSet, Time};
+use profirt_base::{
+    AnalysisError, AnalysisResult, Criticality, MessageStream, StreamSet, Task, TaskSet, Time,
+};
 use profirt_core::{
     MasterConfig, ModeAnalysis, NetworkAnalysis, NetworkConfig, PolicyKind, PolicyTuning,
 };
@@ -379,14 +384,23 @@ fn feasibility_result(an: &NetworkAnalysis) -> Value {
     ])
 }
 
-/// The `ok:true, feasible:false` shape for analysis-level rejections
-/// (utilization ≥ 1, divergent recurrences): the analysis *answered* —
-/// the set is not admissible — and says why.
-fn infeasible_result(reason: impl std::fmt::Display) -> Value {
-    json::object([
-        ("feasible", Value::Bool(false)),
-        ("reason", Value::Str(reason.to_string())),
-    ])
+/// Renders a network analysis with `render`. An overflow is a `"model"`
+/// error; any other analysis error gets the `ok:true, feasible:false`
+/// shape for analysis-level rejections (utilization ≥ 1, divergent
+/// recurrences): the analysis *answered* — the set is not admissible —
+/// and says why.
+fn network_result(
+    an: AnalysisResult<NetworkAnalysis>,
+    render: fn(&NetworkAnalysis) -> Value,
+) -> Result<Value, WireError> {
+    match an {
+        Ok(an) => Ok(render(&an)),
+        Err(e @ AnalysisError::Overflow { .. }) => Err(wire("model", e.to_string())),
+        Err(e) => Ok(json::object([
+            ("feasible", Value::Bool(false)),
+            ("reason", Value::Str(e.to_string())),
+        ])),
+    }
 }
 
 fn response_times_result(an: &NetworkAnalysis) -> Value {
@@ -623,18 +637,14 @@ pub fn eval(
             "schema",
             "op \"stats\" is only answered by a running engine",
         )),
-        Op::Feasibility { policy, net } => {
-            match policy.analyze_with_scratch(net, tuning, &mut scratch.policy) {
-                Ok(an) => Ok(feasibility_result(&an)),
-                Err(e) => Ok(infeasible_result(e)),
-            }
-        }
-        Op::ResponseTimes { policy, net } => {
-            match policy.analyze_with_scratch(net, tuning, &mut scratch.policy) {
-                Ok(an) => Ok(response_times_result(&an)),
-                Err(e) => Ok(infeasible_result(e)),
-            }
-        }
+        Op::Feasibility { policy, net } => network_result(
+            policy.analyze_with_scratch(net, tuning, &mut scratch.policy),
+            feasibility_result,
+        ),
+        Op::ResponseTimes { policy, net } => network_result(
+            policy.analyze_with_scratch(net, tuning, &mut scratch.policy),
+            response_times_result,
+        ),
         Op::Admit {
             policy,
             net,
@@ -1023,6 +1033,28 @@ mod tests {
             "model"
         );
         assert_eq!(kind_of(r#"{"op":"stats"}"#), "schema");
+    }
+
+    #[test]
+    fn overflowing_token_cycle_is_a_model_error() {
+        // TTR + Tdel wraps past i64::MAX; this line used to be answered
+        // `feasible:true` with a negative Tcycle.
+        let line = r#"{"op":"feasibility","policy":"dm","net":{"ttr":9223372036854775000,"masters":[{"cl":9223372036854775000,"streams":[{"ch":9223372036854775000,"d":30000,"t":30000}]}]}}"#;
+        for line in [
+            line.to_string(),
+            line.replace("feasibility", "response_times"),
+        ] {
+            let doc = json::parse(&answer_line(&line)).unwrap();
+            assert_eq!(doc.get("ok").unwrap().as_bool(), Some(false), "{line}");
+            let error = doc.get("error").unwrap();
+            assert_eq!(error.get("kind").unwrap().as_str(), Some("model"));
+            assert!(error
+                .get("detail")
+                .unwrap()
+                .as_str()
+                .unwrap()
+                .contains("overflow"));
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use profirt::base::{StreamSet, Time};
+use profirt::base::{AnalysisError, StreamSet, Time};
 use profirt::core::{
     compare_policies, max_feasible_ttr, DmAnalysis, EdfAnalysis, MasterConfig, NetworkConfig,
     TcycleModel,
@@ -13,7 +13,7 @@ use profirt::core::{
 use profirt::profibus::QueuePolicy;
 use profirt::sim::{simulate_network, NetworkSimConfig, SimMaster, SimNetwork};
 
-fn main() {
+fn main() -> Result<(), AnalysisError> {
     // --- 1. Describe the network -----------------------------------------
     // Two masters at 500 kbit/s (1 tick = 2 us). Times in bit times.
     // Master 0: three sensor-polling streams; master 1: one actuator stream.
@@ -67,7 +67,7 @@ fn main() {
     );
 
     // --- 3. Set the TTR parameter from deadlines (eq. (15)) --------------
-    let setting = max_feasible_ttr(&net, TcycleModel::Paper);
+    let setting = max_feasible_ttr(&net, TcycleModel::Paper)?;
     match setting.max_ttr {
         Some(ttr) => println!(
             "largest FCFS-feasible TTR: {} (binding stream M{}/S{})",
@@ -110,4 +110,5 @@ fn main() {
         "a simulated response exceeded its analytical bound"
     );
     println!("\nall observations within analytical bounds ✓");
+    Ok(())
 }

@@ -8,11 +8,11 @@
 //! cargo run --example ttr_tuning
 //! ```
 
-use profirt::base::{StreamSet, Time};
+use profirt::base::{AnalysisError, StreamSet, Time};
 use profirt::core::{max_feasible_ttr, FcfsAnalysis, MasterConfig, NetworkConfig, TcycleModel};
 use profirt::sim::{simulate_network, NetworkSimConfig, SimMaster, SimNetwork};
 
-fn main() {
+fn main() -> Result<(), AnalysisError> {
     // Three masters with mixed deadline tightness; Cl on master 2 inflates
     // the token lateness.
     let masters = vec![
@@ -32,7 +32,7 @@ fn main() {
     let probe = NetworkConfig::new(masters.clone(), Time::new(1)).unwrap();
 
     for model in [TcycleModel::Paper, TcycleModel::Refined] {
-        let setting = max_feasible_ttr(&probe, model);
+        let setting = max_feasible_ttr(&probe, model)?;
         println!(
             "{model:?} lateness model: Tdel = {}, max feasible TTR = {:?} (binding M{}/S{})",
             setting.tdel,
@@ -41,7 +41,7 @@ fn main() {
             setting.binding.1,
         );
     }
-    let setting = max_feasible_ttr(&probe, TcycleModel::Paper);
+    let setting = max_feasible_ttr(&probe, TcycleModel::Paper)?;
     let ttr_star = setting.max_ttr.expect("feasible configuration");
 
     // --- Feasibility sweep around the optimum ----------------------------
@@ -100,4 +100,5 @@ fn main() {
     assert!(obs.max_trr_overall() <= an_star.tcycle);
     assert!(obs.no_misses(), "analysis promised schedulability");
     println!("no simulated deadline misses at the tuned TTR ✓");
+    Ok(())
 }

@@ -323,12 +323,15 @@ impl CliNetwork {
                     m.stack_capacity = cap.max(1);
                 }
                 if self.masters[k].cl > 0 {
+                    // Background traffic cadence: one low-priority
+                    // exchange per ~10 target rotations.
+                    let cadence = self.ttr.checked_mul(10).ok_or_else(|| {
+                        format!("ttr {} is too large: 10 x TTR overflows", self.ttr)
+                    })?;
                     m.low_priority
                         .push(profirt::profibus::LowPriorityTraffic::new(
                             Time::new(self.masters[k].cl),
-                            // Background traffic cadence: one low-priority
-                            // exchange per ~10 target rotations.
-                            Time::new(self.ttr * 10),
+                            Time::new(cadence),
                         ));
                 }
                 if let Some(a) = self.masters[k].addr {

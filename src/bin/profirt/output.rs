@@ -83,7 +83,7 @@ pub fn analyze(net: &CliNetwork, policy: &str) -> Result<(), String> {
 /// `profirt ttr`.
 pub fn ttr(net: &CliNetwork, model: TcycleModel) -> Result<(), String> {
     let config = net.to_analysis()?;
-    let setting = max_feasible_ttr(&config, model);
+    let setting = max_feasible_ttr(&config, model).map_err(|e| e.to_string())?;
     println!("lateness model: {model:?}");
     println!("effective Tdel (incl. ring overhead): {}", setting.tdel);
     match setting.max_ttr {

@@ -197,7 +197,10 @@ fn fcfs_at_max_feasible_ttr_is_miss_free() {
     let mut tuned = 0;
     for seed in 0..6 {
         let mut g = gen(seed);
-        let Some(ttr) = max_feasible_ttr(&g.config, TcycleModel::Paper).max_ttr else {
+        let Some(ttr) = max_feasible_ttr(&g.config, TcycleModel::Paper)
+            .unwrap()
+            .max_ttr
+        else {
             continue;
         };
         g.config = g.config.with_ttr(ttr).unwrap();

@@ -224,3 +224,17 @@ fn sample_config_in_repo_is_valid() {
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("streams schedulable"));
 }
+
+#[test]
+fn oversized_ttr_is_a_load_error_not_a_panic() {
+    // 10 x TTR, the low-priority cadence, overflows i64 for TTR = 2^62.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/configs/sample_network.json");
+    let sample = std::fs::read_to_string(path).unwrap();
+    let huge = sample.replacen("\"ttr\": 2000", "\"ttr\": 4611686018427387904", 1);
+    assert_ne!(huge, sample, "the sample config's TTR moved");
+    let cfg = write_config("huge_ttr.json", &huge);
+    let (ok, _, stderr) = profirt(&["analyze", cfg.to_str().unwrap()]);
+    assert!(!ok);
+    assert!(stderr.contains("10 x TTR overflows"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}

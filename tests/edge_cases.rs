@@ -28,7 +28,7 @@ fn minimal_network_single_master_single_stream() {
     let edf = EdfAnalysis::paper().analyze(&net).unwrap();
     assert_eq!(edf.masters[0][0].response_time, Time::new(1_100));
     // TTR setting: D/1 - Tdel = 5000 - 100 = 4900.
-    let ttr = max_feasible_ttr(&net, TcycleModel::Paper);
+    let ttr = max_feasible_ttr(&net, TcycleModel::Paper).unwrap();
     assert_eq!(ttr.max_ttr, Some(Time::new(4_900)));
 }
 
@@ -148,7 +148,7 @@ fn stream_deadline_below_tcycle_is_always_unschedulable() {
     assert!(!edf.all_schedulable());
     // eq. (15) reports infeasibility (D - Tdel < 1... D/1 - 100 = 800 >= 1,
     // so a *smaller* TTR would fix this one — check the boundary instead).
-    let setting = max_feasible_ttr(&net, TcycleModel::Paper);
+    let setting = max_feasible_ttr(&net, TcycleModel::Paper).unwrap();
     assert_eq!(setting.max_ttr, Some(Time::new(800)));
     let fixed = FcfsAnalysis::analyze(&net.with_ttr(Time::new(800)).unwrap()).unwrap();
     assert!(fixed.all_schedulable());
