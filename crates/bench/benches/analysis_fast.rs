@@ -32,15 +32,15 @@
 //! `CARGO_TARGET_DIR`, else the workspace `target/`) — the
 //! analysis-side perf baseline artifact CI uploads alongside `BENCH_sim`,
 //! recording per-comparison best-of-N ns for both paths and the fast/reference
-//! speedup, the `edf_rta_scan` block (summed arrival candidates and
-//! fixpoint evaluations of `edf-rta` and `np-edf-rta` over the
-//! `edf_rta_sweep` fixture: deterministic work counts, free of timing
-//! noise), the `edf_message_scan` block (the same two counts for the EDF
-//! message analysis of eqs. (17)–(18) over a fixed set of generated
-//! networks), plus the campaign `units_per_sec` block the advisory
-//! `perf_floor` CI step checks. Before timing, every pair is checked for
-//! verdict equality, so a speedup in the artifact is always a speedup at
-//! equal answers.
+//! speedup, the `edf_rta_scan` block (summed arrival candidates,
+//! fixpoint evaluations and merged deadline-walk points of `edf-rta` and
+//! `np-edf-rta` over the `edf_rta_sweep` fixture: deterministic work
+//! counts, free of timing noise), the `edf_message_scan` block (the same
+//! three counts for the EDF message analysis of eqs. (17)–(18) over a
+//! fixed set of generated networks), plus the campaign `units_per_sec`
+//! block the advisory `perf_floor` CI step checks. Before timing, every
+//! pair is checked for verdict equality, so a speedup in the artifact is
+//! always a speedup at equal answers.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -83,9 +83,9 @@ fn edf_sweep_scratch(sets: &[TaskSet], scratch: &mut AnalysisScratch) {
 
 /// The deterministic work of the EDF response-time scans over `sets`: for
 /// `edf-rta` and `np-edf-rta`, each on its own fresh scratch, the summed
-/// per-task arrival candidates examined and the fixpoint evaluations
-/// (busy periods included). Counts, not times: they move only when the
-/// scan itself changes.
+/// per-task arrival candidates examined, the fixpoint evaluations
+/// (busy periods included) and the deadline-walk points the scans merged.
+/// Counts, not times: they move only when the scan itself changes.
 fn edf_scan_work(sets: &[TaskSet]) -> Value {
     let sum = |analyze: &dyn Fn(&TaskSet, &mut AnalysisScratch) -> Vec<usize>| {
         let mut scratch = AnalysisScratch::new();
@@ -99,6 +99,7 @@ fn edf_scan_work(sets: &[TaskSet]) -> Value {
                 "fixpoint_iters",
                 Value::Int(scratch.take_fixpoint_iters() as i64),
             ),
+            ("walk_points", Value::Int(scratch.walk_points() as i64)),
         ])
     };
     let edf = sum(&|set, scratch| {
@@ -359,8 +360,8 @@ fn best_ns(iters: u32, mut f: impl FnMut()) -> f64 {
 /// The deterministic work of the EDF message analysis, on one fresh
 /// scratch, over a fixed fixture — one pinned-seed network per 2–4
 /// masters × 2–6 streams each, deadlines at 80% of the period: the summed
-/// per-stream arrival candidates examined and the fixpoint evaluations,
-/// busy periods included.
+/// per-stream arrival candidates examined, the fixpoint evaluations,
+/// busy periods included, and the deadline-walk points the scans merged.
 fn edf_message_work() -> Value {
     let nets: Vec<NetworkConfig> = (2..=4)
         .flat_map(|masters| (2..=6).map(move |nh| profirt_bench::network(masters, nh, 0.8)))
@@ -387,6 +388,7 @@ fn edf_message_work() -> Value {
             "fixpoint_iters",
             Value::Int(scratch.take_fixpoint_iters() as i64),
         ),
+        ("walk_points", Value::Int(scratch.walk_points() as i64)),
     ])
 }
 

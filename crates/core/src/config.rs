@@ -142,8 +142,15 @@ impl NetworkConfig {
     }
 
     /// The whole-ring overhead `n_masters · token_pass`.
-    pub fn ring_overhead(&self) -> Time {
-        self.token_pass * self.masters.len() as i64
+    ///
+    /// # Errors
+    /// [`AnalysisError::Overflow`] if the product exceeds the tick range.
+    pub fn ring_overhead(&self) -> AnalysisResult<Time> {
+        self.token_pass
+            .checked_mul(self.masters.len() as i64)
+            .ok_or(AnalysisError::Overflow {
+                context: "ring overhead",
+            })
     }
 
     /// Builds the configuration from full station models and bus

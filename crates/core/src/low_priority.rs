@@ -23,7 +23,7 @@
 //! under PROFIBUS, which is exactly why the paper routes deadline traffic
 //! through the high-priority queue.
 
-use profirt_base::{Frac, Time};
+use profirt_base::{AnalysisError, AnalysisResult, Frac, Time};
 use serde::{Deserialize, Serialize};
 
 use crate::config::NetworkConfig;
@@ -48,7 +48,11 @@ pub struct LowPriorityOutlook {
 }
 
 /// Computes the low-priority outlook.
-pub fn low_priority_outlook(net: &NetworkConfig) -> LowPriorityOutlook {
+///
+/// # Errors
+/// [`AnalysisError::Overflow`] if the burst or the residual exceeds the
+/// tick range.
+pub fn low_priority_outlook(net: &NetworkConfig) -> AnalysisResult<LowPriorityOutlook> {
     // Long-run high-priority utilisation Σ Ch/T (exact).
     let high_utilization: Frac = net
         .masters
@@ -58,31 +62,37 @@ pub fn low_priority_outlook(net: &NetworkConfig) -> LowPriorityOutlook {
         .sum();
     // One synchronous batch: every stream's cycle once + one full round of
     // token passes.
-    let burst: Time = net
+    let overhead = net.ring_overhead()?;
+    let burst = net
         .masters
         .iter()
         .flat_map(|m| m.streams.streams())
-        .map(|s| s.ch)
-        .sum::<Time>()
-        + net.ring_overhead();
+        .try_fold(Time::ZERO, |acc, s| acc.try_add(s.ch))?
+        .try_add(overhead)?;
     let starvation_risk = burst >= net.ttr;
     // Mean residual per target rotation: TTR·(1 − U_high) − overhead,
-    // computed exactly then floored; clamped at zero.
-    let ttr = net.ttr.ticks() as i128;
-    let used = Frac::new(ttr, 1) * high_utilization;
-    let residual_num =
-        ttr * used.den() - used.num() - (net.ring_overhead().ticks() as i128) * used.den();
+    // computed exactly as `(TTR·(den − num) − overhead·den) / den` with
+    // `U_high = num/den`, then floored; clamped at zero.
+    let overflow = || AnalysisError::Overflow {
+        context: "low-priority residual",
+    };
+    let (num, den) = (high_utilization.num(), high_utilization.den());
+    let residual_num = (net.ttr.ticks() as i128)
+        .checked_mul(den - num)
+        .zip((overhead.ticks() as i128).checked_mul(den))
+        .and_then(|(budget, passes)| budget.checked_sub(passes))
+        .ok_or_else(overflow)?;
     let residual = if residual_num <= 0 {
         Time::ZERO
     } else {
-        Time::new((residual_num / used.den()) as i64)
+        Time::new(i64::try_from(residual_num / den).map_err(|_| overflow())?)
     };
-    LowPriorityOutlook {
+    Ok(LowPriorityOutlook {
         high_utilization,
         burst,
         starvation_risk,
         residual_per_rotation: residual,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -106,7 +116,7 @@ mod tests {
     #[test]
     fn light_load_leaves_residual() {
         let n = net(&[(100, 10_000, 10_000)], 2_000);
-        let o = low_priority_outlook(&n);
+        let o = low_priority_outlook(&n).unwrap();
         assert_eq!(o.high_utilization, Frac::new(1, 100));
         assert_eq!(o.burst, t(100));
         assert!(!o.starvation_risk);
@@ -118,7 +128,7 @@ mod tests {
     fn heavy_burst_flags_starvation() {
         // One synchronous batch (900+900=1800) >= TTR (1500).
         let n = net(&[(900, 50_000, 5_000), (900, 50_000, 5_000)], 1_500);
-        let o = low_priority_outlook(&n);
+        let o = low_priority_outlook(&n).unwrap();
         assert!(o.starvation_risk);
         assert_eq!(o.burst, t(1_800));
     }
@@ -128,11 +138,11 @@ mod tests {
         // U_high = 0.9, TTR = 1000, residual = 1000*0.1 = 100; with
         // overhead pushing past it, clamps to zero.
         let n = net(&[(900, 10_000, 1_000)], 1_000);
-        let o = low_priority_outlook(&n);
+        let o = low_priority_outlook(&n).unwrap();
         assert_eq!(o.high_utilization, Frac::new(9, 10));
         assert_eq!(o.residual_per_rotation, t(100));
         let with_ovh = n.with_token_pass(t(150));
-        let o2 = low_priority_outlook(&with_ovh);
+        let o2 = low_priority_outlook(&with_ovh).unwrap();
         assert_eq!(o2.residual_per_rotation, Time::ZERO);
     }
 
@@ -141,9 +151,9 @@ mod tests {
         // The starvation example from the simulator tests: heavy high
         // stream with TTR = 500 -> risk; generous TTR -> no risk.
         let starved = net(&[(900, 50_000, 1_000)], 500);
-        assert!(low_priority_outlook(&starved).starvation_risk);
+        assert!(low_priority_outlook(&starved).unwrap().starvation_risk);
         let healthy = net(&[(200, 8_000, 10_000)], 2_000);
-        assert!(!low_priority_outlook(&healthy).starvation_risk);
+        assert!(!low_priority_outlook(&healthy).unwrap().starvation_risk);
     }
 
     #[test]
@@ -157,7 +167,7 @@ mod tests {
         )
         .unwrap()
         .with_token_pass(t(100));
-        let o = low_priority_outlook(&n);
+        let o = low_priority_outlook(&n).unwrap();
         assert_eq!(o.burst, t(300 + 400 + 200));
     }
 }

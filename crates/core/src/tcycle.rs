@@ -84,7 +84,7 @@ pub fn tcycle(net: &NetworkConfig, model: TcycleModel) -> AnalysisResult<TcycleB
     let tdel = token_lateness(net, model)?;
     Ok(TcycleBound {
         tdel,
-        tcycle: net.ttr.try_add(tdel)?.try_add(net.ring_overhead())?,
+        tcycle: net.ttr.try_add(tdel)?.try_add(net.ring_overhead()?)?,
         model,
     })
 }

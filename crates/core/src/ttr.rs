@@ -39,7 +39,7 @@ pub struct TtrSetting {
 /// [`profirt_base::AnalysisError::Overflow`] if `Tdel` plus the ring
 /// overhead exceeds the tick range.
 pub fn max_feasible_ttr(net: &NetworkConfig, model: TcycleModel) -> AnalysisResult<TtrSetting> {
-    let tdel = token_lateness(net, model)?.try_add(net.ring_overhead())?;
+    let tdel = token_lateness(net, model)?.try_add(net.ring_overhead()?)?;
     let mut best: Option<(Time, (usize, usize))> = None;
     for (k, master) in net.masters.iter().enumerate() {
         let nh = master.nh() as i64;

@@ -20,7 +20,14 @@ use profirt_core::tcycle::tcycle;
 use profirt_core::{EdfAnalysis, MasterConfig, NetworkConfig, TcycleModel};
 use profirt_sched::AnalysisScratch;
 
-const CASES: usize = 256;
+/// Cases per test: `PROPTEST_CASES` when set (CI runs 2048 in release),
+/// else 256.
+fn cases() -> usize {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(256)
+}
 
 /// Random networks. Token cycles run up to about 3400 ticks and periods
 /// from 1500, so a master of up to four streams lands on either side of
@@ -226,11 +233,12 @@ fn message_scan_matches_literal_oracle() {
     let mut rng = TestRng::for_test("message_scan_matches_literal_oracle");
     let mut scratch = AnalysisScratch::new();
     let mut tally = Tally::default();
-    for _ in 0..CASES {
+    let cases = cases();
+    for _ in 0..cases {
         check_case(&strategy.generate(&mut rng), &mut scratch, &mut tally);
     }
-    assert!(tally.skipped < CASES / 4, "too many skipped networks");
-    assert!(tally.analysed >= CASES / 4, "too few analysable networks");
+    assert!(tally.skipped < cases / 4, "too many skipped networks");
+    assert!(tally.analysed >= cases / 4, "too few analysable networks");
     assert!(tally.rejected > 0, "no utilisation rejection exercised");
     assert!(tally.multi_master > 0, "no multi-master network analysed");
     assert!(tally.jittered > 0, "no jittered stream analysed");

@@ -8,7 +8,7 @@
 //! progressions; [`CheckpointIter`] performs the merge lazily with a binary
 //! heap, deduplicating equal values.
 //!
-//! Two hot-path refinements live here as well:
+//! Three hot-path refinements live here as well:
 //!
 //! * [`CheckpointScratch`] owns the heap and side tables so a caller that
 //!   enumerates checkpoints for many tasks (or many task sets) re-seeds the
@@ -17,7 +17,13 @@
 //! * [`Checkpoints::next_with_steppers`] reports *which* progressions have an
 //!   element at each yielded point, which lets the exhaustive demand tests
 //!   maintain `h(t)` incrementally in O(steps) per point instead of
-//!   recomputing the full O(n) sum (see [`crate::edf::demand`](mod@crate::edf::demand)).
+//!   recomputing the full O(n) sum (see [`crate::edf::demand`](mod@crate::edf::demand)),
+//!   and lets the EDF response-time scans advance each task's deadline cap
+//!   only where it steps.
+//! * [`Checkpoints::peek_point`] and [`Checkpoints::skip_to`] let a caller
+//!   that reads the merge lazily stop before a value it does not need and
+//!   jump over a stretch of values no reader needs, without generating
+//!   them.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -140,6 +146,30 @@ impl Checkpoints<'_> {
     /// bound is exhausted.
     pub fn next_point(&mut self) -> Option<Time> {
         self.scratch.pop_next(self.bound, &mut self.last, false)
+    }
+
+    /// The next checkpoint without consuming it.
+    pub fn peek_point(&self) -> Option<Time> {
+        self.scratch.heap.peek().map(|&Reverse((v, _))| v)
+    }
+
+    /// Skips every checkpoint below `from` without yielding it: each
+    /// progression behind `from` jumps to its first element `>= from`.
+    pub fn skip_to(&mut self, from: Time) {
+        let scratch = &mut *self.scratch;
+        while let Some(&Reverse((v, idx))) = scratch.heap.peek() {
+            if v >= from {
+                break;
+            }
+            scratch.heap.pop();
+            let step = scratch.steps[idx];
+            let jump = step.checked_mul((from - v).ceil_div(step));
+            if let Some(next) = jump.and_then(|jump| v.checked_add(jump)) {
+                if next <= self.bound {
+                    scratch.heap.push(Reverse((next, idx)));
+                }
+            }
+        }
     }
 
     /// The next checkpoint together with the indices of the progressions
@@ -316,6 +346,25 @@ mod tests {
             idx.sort_unstable();
             assert_eq!(idx, vec![0, 1]);
         }
+    }
+
+    #[test]
+    fn peek_and_skip_to_keep_the_merge_consistent() {
+        // {2,6,10,14} ∪ {3,6,9,12,15}: skipping to 10 drops 2..9 unseen.
+        let progs = [(t(2), t(4)), (t(3), t(3))];
+        let mut scratch = CheckpointScratch::new();
+        let mut cur = scratch.start(&progs, t(15));
+        assert_eq!(cur.peek_point(), Some(t(2)));
+        assert_eq!(cur.next_point(), Some(t(2)));
+        cur.skip_to(t(10));
+        assert_eq!(cur.peek_point(), Some(t(10)));
+        let rest: Vec<i64> = cur.map(Time::ticks).collect();
+        assert_eq!(rest, vec![10, 12, 14, 15]);
+        // Skipping past the bound empties the merge.
+        let mut cur = scratch.start(&progs, t(15));
+        cur.skip_to(t(16));
+        assert_eq!(cur.peek_point(), None);
+        assert_eq!(cur.next_point(), None);
     }
 
     #[test]

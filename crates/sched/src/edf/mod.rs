@@ -7,7 +7,7 @@ pub mod feasibility_np;
 pub(crate) mod qpa;
 pub mod rta;
 pub mod rta_np;
-mod scan;
+pub(crate) mod scan;
 pub mod utilization;
 
 pub use batch::{edf_feasibility_batch, DemandVariantSpec};

@@ -44,17 +44,21 @@
 //!
 //! ### Allocation discipline
 //!
-//! The per-task candidate progressions, the merge heap, and the
-//! interference terms of the fixpoint closure all live in
-//! [`AnalysisScratch`]; [`edf_response_times_with`] reuses a caller-owned
-//! scratch across calls (campaign sweeps run one scratch per worker), and
-//! the deadline-qualified interference caps are hoisted out of the fixpoint
-//! closure — each iteration only computes the `⌈t/Tj⌉` side of the `min`.
+//! One call merges one deadline walk for the whole set, and every task's
+//! scan reads it from its own offset (see the `scan` module). The merge
+//! heap, the walk's points with the rows stepping at each, the per-set
+//! deadline order and the interference slots of the fixpoint closure all
+//! live in [`AnalysisScratch`]; [`edf_response_times_with`] reuses a
+//! caller-owned scratch across calls (campaign sweeps run one scratch per
+//! worker). The deadline caps `1 + ⌊(a+Di−Dj+Jj)/Tj⌋` are kept per slot
+//! and advanced only for the tasks that step at the current point, outside
+//! the fixpoint closure — each iteration only computes the `⌈t/Tj⌉` side
+//! of the `min`.
 
-use profirt_base::{AnalysisResult, Task, TaskSet, Time};
+use profirt_base::{AnalysisResult, TaskSet, Time};
 
 use crate::edf::busy_period::busy_period_warm;
-use crate::edf::scan::{scan_arrivals, with_verdicts, Caps, ScanSpec};
+use crate::edf::scan::{scan_arrivals, with_verdicts, ScanSpec};
 use crate::fixpoint::FixpointConfig;
 use crate::scratch::AnalysisScratch;
 use crate::SetAnalysis;
@@ -129,32 +133,10 @@ pub fn edf_response_times_with(
         max_candidates: config.max_candidates,
         candidate_bound: (l - Time::ONE).max_zero(),
         fix_bound: l,
-        start_preceding: false,
+        blocking: None,
     };
-    let details = scan_arrivals(&spec, set.tasks(), scratch, arrival_terms)?;
+    let details = scan_arrivals(&spec, set.tasks(), scratch)?;
     Ok(with_verdicts(set, details))
-}
-
-/// Loads `Li(a)`'s terms: returns the own-job term `(1 + ⌊a/Ti⌋)·Ci` with
-/// a constant reseed key, and hoists the deadline-qualified interference
-/// terms, whose job caps do not depend on the iterate, into `caps`.
-fn arrival_terms(
-    rows: &[Task],
-    i: usize,
-    a: Time,
-    caps: &mut Caps,
-) -> AnalysisResult<(Time, Time)> {
-    let own = rows[i].c.try_mul(1 + a.floor_div(rows[i].t))?;
-    let deadline_i = a + rows[i].d;
-    caps.clear();
-    for (j, row) in rows.iter().enumerate() {
-        if j == i || row.d > deadline_i {
-            continue;
-        }
-        let by_deadline = 1 + (deadline_i - row.d + row.j).floor_div(row.t);
-        caps.push((row.t, row.c, row.j, by_deadline));
-    }
-    Ok((own, Time::ZERO))
 }
 
 #[cfg(test)]

@@ -37,21 +37,23 @@
 //! `max_{Dj > a+Di}(Cj − 1)` (`Cj` for messages) only *shrinks* as `a`
 //! grows, so a candidate reuses the previous `Li` as its seed only while
 //! the blocking value is unchanged, and restarts from zero when it changes
-//! (at most `n` times per task). And the stop rule uses the fixpoint bound `B` (the
-//! blocking-extended busy period): `ri(a) ≤ max{Ci, B + Ci − a}`, so the
-//! scan ends once `B − a ≤ best − Ci`. The same divergence is permitted: a
-//! warm seed may converge where the cold chain would hit the iteration cap,
-//! and errors past the stop no longer surface.
+//! (at most `n` times per task). The blocking value is read from a suffix
+//! maximum over the tasks in deadline order, built once per set. And the
+//! stop rule uses the fixpoint bound `B` (the blocking-extended busy
+//! period): `ri(a) ≤ max{Ci, B + Ci − a}`, so the scan ends once
+//! `B − a ≤ best − Ci`. The same divergence is permitted: a warm seed may
+//! converge where the cold chain would hit the iteration cap, and errors
+//! past the stop no longer surface.
 //!
-//! Buffers (candidate progressions, merge heap, hoisted interference terms)
-//! come from [`AnalysisScratch`]; see [`crate::edf::rta`] for the
-//! allocation discipline.
+//! Buffers (the shared deadline walk, merge heap, interference slots) come
+//! from [`AnalysisScratch`]; see [`crate::edf::rta`] for the allocation
+//! discipline.
 
 use profirt_base::{AnalysisResult, Task, TaskSet, Time};
 
 use crate::edf::busy_period::busy_period_warm;
 use crate::edf::rta::EdfWcrt;
-use crate::edf::scan::{scan_arrivals, with_verdicts, Caps, ScanSpec};
+use crate::edf::scan::{scan_arrivals, with_verdicts, ScanSpec};
 use crate::fixed::BlockingRule;
 use crate::fixpoint::FixpointConfig;
 use crate::scratch::AnalysisScratch;
@@ -163,43 +165,9 @@ pub fn np_edf_rows_with(
             )?
         },
         fix_bound: l_blocked,
-        start_preceding: true,
+        blocking: Some(blocking),
     };
-    scan_arrivals(&spec, rows, scratch, |rows, i, a, caps| {
-        start_terms(rows, i, a, blocking, caps)
-    })
-}
-
-/// Loads the terms of the start-preceding busy period `Li(a)` of eq. (9)'s
-/// companion recurrence: returns `(blocking + ⌊a/Ti⌋·Ci, blocking)` and
-/// hoists the deadline-qualified interference terms into `caps`. The
-/// blocking term is the reseed key.
-fn start_terms(
-    rows: &[Task],
-    i: usize,
-    a: Time,
-    rule: BlockingRule,
-    caps: &mut Caps,
-) -> AnalysisResult<(Time, Time)> {
-    let deadline_i = a + rows[i].d;
-    // Blocking by a later-deadline job, and the interference terms with
-    // their arrival-independent job caps.
-    let mut blocking = Time::ZERO;
-    caps.clear();
-    for (j, row) in rows.iter().enumerate() {
-        if j == i {
-            continue;
-        }
-        if row.d > deadline_i {
-            blocking = blocking.max(rule.of(row.c));
-        } else {
-            let by_deadline = 1 + (deadline_i - row.d + row.j).floor_div(row.t);
-            caps.push((row.t, row.c, row.j, by_deadline));
-        }
-    }
-    // Earlier instances of τi itself (asap pattern): ⌊a/Ti⌋ of them.
-    let own_prior = rows[i].c.try_mul(a.floor_div(rows[i].t))?;
-    Ok((blocking.try_add(own_prior)?, blocking))
+    scan_arrivals(&spec, rows, scratch)
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 //!
 //! Every response-time and feasibility routine in this crate needs a handful
 //! of short-lived vectors per call: arrival-candidate progressions, the
-//! checkpoint merge heap, hoisted per-task `(deadline, period, cost)` tables,
+//! checkpoint merge heap, the EDF response-time scans' deadline walk,
+//! hoisted per-task `(deadline, period, cost)` tables,
 //! and interference-term arrays for the fixpoint closures. Campaign sweeps
 //! call these analyses millions of times on small task sets, where the
 //! allocator — not the arithmetic — dominates. [`AnalysisScratch`] owns all
@@ -25,6 +26,7 @@
 use profirt_base::{Task, Time};
 
 use crate::checkpoints::CheckpointScratch;
+use crate::edf::scan::DeadlineWalk;
 
 /// Memoized least fixpoint of one busy-period recurrence, keyed by the exact
 /// inputs the recurrence reads: the blocking seed term and the per-task
@@ -177,10 +179,15 @@ pub struct AnalysisScratch {
     /// Ascending `(deadline, suffix-max blocking)` rows for the incremental
     /// George blocking lookup of the exhaustive non-preemptive scan.
     pub(crate) suffix: Vec<(Time, Time)>,
+    /// The merged deadline walk of the EDF response-time scans.
+    pub(crate) walk: DeadlineWalk,
     /// Warm-start fixpoint memos (exact-match; results never depend on it).
     pub(crate) warm: WarmState,
     /// Running count of fixpoint evaluations through this scratch.
     pub(crate) fixpoint_iters: u64,
+    /// Running count of deadline-walk points generated through this
+    /// scratch.
+    pub(crate) walk_points: u64,
 }
 
 impl AnalysisScratch {
@@ -199,6 +206,13 @@ impl AnalysisScratch {
     /// Returns the fixpoint-evaluation counter and resets it to zero.
     pub fn take_fixpoint_iters(&mut self) -> u64 {
         std::mem::take(&mut self.fixpoint_iters)
+    }
+
+    /// Total points the EDF response-time scans merged into their deadline
+    /// walks through this scratch since creation: one per distinct
+    /// absolute deadline point a walk generated, however many rows read it.
+    pub fn walk_points(&self) -> u64 {
+        self.walk_points
     }
 
     /// Drops the warm-start memos (results never depend on them; this only

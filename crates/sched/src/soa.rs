@@ -1,15 +1,16 @@
-//! Structure-of-arrays kernels for the batch analysis layer.
+//! Structure-of-arrays summation kernels for the analysis fixpoints.
 //!
-//! The per-call analyses walk `&[Task]` rows and guard every addition and
-//! multiplication individually (`try_add`/`try_mul`). That is the right
-//! shape for one-off calls, but the batch entry points in
-//! [`crate::edf::batch`] and [`crate::fixed::batch`] evaluate the *same*
-//! workload under many parameter variants, so their inner loops run hot.
-//! This module hoists the task columns into flat vectors ([`SoaSet`]) and
-//! provides branch-light summation kernels that accumulate in `i128` and
-//! perform a single range check at the end — the sums that dominate the
-//! fixpoint closures (busy-period terms, RTA interference, capped
-//! interference) and the demand scan.
+//! Guarding every addition and multiplication of a fixpoint closure
+//! individually (`try_add`/`try_mul`) is the right shape for one-off
+//! sums, but the busy-period steps, the fixed-priority RTA interference
+//! and the deadline-capped interference of the EDF response-time scan run
+//! in the innermost loops of every analysis, and the batch entry points in
+//! [`crate::edf::batch`] and [`crate::fixed::batch`] run them once per
+//! parameter variant of the same workload. The callers hoist their terms
+//! into flat slices (the task rows, or `(period, cost, jitter[, cap])`
+//! tuples kept in [`crate::AnalysisScratch`]); the kernels here sum those
+//! branch-light, accumulating in `i128` and performing a single range
+//! check at the end.
 //!
 //! Every kernel computes exactly the same value as its scalar counterpart
 //! whenever that counterpart succeeds: all inputs are validated `Time`
@@ -103,41 +104,6 @@ pub fn capped_interference(
     to_time(sum, "edf-rta interference")
 }
 
-/// Hoisted task columns: the structure-of-arrays view the batch evaluators
-/// iterate. Loaded once per workload via [`SoaSet::load`]; the columns are
-/// parallel, indexed by task-set position.
-#[derive(Debug, Clone, Default)]
-pub struct SoaSet {
-    /// Worst-case execution times `C_i` (ticks).
-    pub cost: Vec<i64>,
-    /// Relative deadlines `D_i` (ticks).
-    pub deadline: Vec<i64>,
-    /// Periods `T_i` (ticks).
-    pub period: Vec<i64>,
-}
-
-impl SoaSet {
-    /// Clears and refills the columns from `tasks`.
-    pub fn load(&mut self, tasks: &[Task]) {
-        self.cost.clear();
-        self.deadline.clear();
-        self.period.clear();
-        self.cost.extend(tasks.iter().map(|t| t.c.ticks()));
-        self.deadline.extend(tasks.iter().map(|t| t.d.ticks()));
-        self.period.extend(tasks.iter().map(|t| t.t.ticks()));
-    }
-
-    /// Number of tasks loaded.
-    pub fn len(&self) -> usize {
-        self.cost.len()
-    }
-
-    /// `true` when no tasks are loaded.
-    pub fn is_empty(&self) -> bool {
-        self.cost.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,18 +156,5 @@ mod tests {
         let ts = vec![Task::new(Time::new(i64::MAX / 2), Time::MAX, Time::ONE).unwrap()];
         let err = busy_step(&ts, t(0), Time::new(10)).unwrap_err();
         assert!(matches!(err, AnalysisError::Overflow { .. }));
-    }
-
-    #[test]
-    fn soa_set_loads_columns() {
-        let mut s = SoaSet::default();
-        assert!(s.is_empty());
-        s.load(&tasks());
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.cost, vec![2, 3, 5]);
-        assert_eq!(s.deadline, vec![7, 15, 40]);
-        assert_eq!(s.period, vec![10, 15, 50]);
-        s.load(&tasks()[..1]);
-        assert_eq!(s.len(), 1);
     }
 }

@@ -13,20 +13,38 @@
 //! candidates. Non-vacuity: across the run the stop must
 //! fire on some tasks, and the library's fixpoint evaluations (busy periods
 //! included) must total fewer than the oracle's on the candidates the
-//! library evaluated — the saving of the warm seeds alone. Run under any
+//! library evaluated — the saving of the warm seeds alone.
+//!
+//! A third generator forces the shapes a scan shared by all rows of a set
+//! can get wrong: coinciding deadline points (duplicate `(D, T)` rows, and
+//! a jitter with `Dj − Jj = Dk`), a row whose deadline lies past the busy
+//! period, a row that is the unique largest non-preemptive blocker, and
+//! single-row sets. There the preemptive analysis, both non-preemptive
+//! candidate ranges and the message form (`np_edf_rows_with` with full-cost
+//! blocking) must match the oracle exactly: `wcrt`, `critical_a`, the
+//! candidates up to the stop rule's position in the oracle's scan, and the
+//! error, with and without a tight candidate cap. Run under any
 //! `PROPTEST_SEED`.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
-use profirt_base::{AnalysisError, Task, TaskSet};
+use profirt_base::{AnalysisError, AnalysisResult, Task, TaskSet, Time};
 use profirt_sched::edf::{
     edf_response_times_with, nonpreemptive_busy_period, np_edf_response_times_with,
-    synchronous_busy_period, EdfRtaConfig, NpEdfRtaConfig,
+    np_edf_rows_with, synchronous_busy_period, EdfRtaConfig, EdfWcrt, NpEdfRtaConfig,
 };
+use profirt_sched::fixed::BlockingRule;
 use profirt_sched::{AnalysisScratch, FixpointConfig};
 
-const CASES: usize = 256;
+/// Cases per test: `PROPTEST_CASES` when set (CI runs 2048 in release),
+/// else 256.
+fn cases() -> usize {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(256)
+}
 
 /// Random sets of 1–8 tasks, implicit or constrained deadlines. Without
 /// the optional heavy task (cost up to 400, period 1000: long blocking
@@ -75,6 +93,8 @@ struct OracleWcrt {
     critical_a: i64,
     /// Fixpoint evaluations per candidate, in scan order.
     evals: Vec<u64>,
+    /// `(a, ri(a))` per candidate, in scan order.
+    responses: Vec<(i64, i64)>,
 }
 
 /// The sets of [`arb_task_set`] with a jitter of up to twice its period
@@ -159,6 +179,7 @@ fn oracle_preemptive(rows: &[(i64, i64, i64, i64)], l: i64) -> Vec<OracleWcrt> {
                 wcrt: c_i,
                 critical_a: 0,
                 evals: Vec::with_capacity(cands.len()),
+                responses: Vec::with_capacity(cands.len()),
             };
             for &a in &cands {
                 let li = lfp_from_zero(&mut best.evals, |t| {
@@ -173,6 +194,7 @@ fn oracle_preemptive(rows: &[(i64, i64, i64, i64)], l: i64) -> Vec<OracleWcrt> {
                     w
                 });
                 let r = c_i.max(li - a);
+                best.responses.push((a, r));
                 if r > best.wcrt {
                     best.wcrt = r;
                     best.critical_a = a;
@@ -183,10 +205,15 @@ fn oracle_preemptive(rows: &[(i64, i64, i64, i64)], l: i64) -> Vec<OracleWcrt> {
         .collect()
 }
 
-/// Eqs. (9)–(10): `Li(a) = max_{Dj > a+Di}(Cj − 1) + ⌊a/Ti⌋·Ci +
+/// Eqs. (9)–(10): `Li(a) = max_{Dj > a+Di} block(Cj) + ⌊a/Ti⌋·Ci +
 /// Σ_{j≠i, Dj ≤ a+Di} min{1 + ⌊(t+Jj)/Tj⌋, 1 + ⌊(a+Di−Dj+Jj)/Tj⌋}·Cj`,
-/// `ri(a) = max{Ci, Li(a) + Ci − a}` over `a ∈ [0, last]`.
-fn oracle_np(rows: &[(i64, i64, i64, i64)], last: i64) -> Vec<OracleWcrt> {
+/// `ri(a) = max{Ci, Li(a) + Ci − a}` over `a ∈ [0, last]`; tasks block for
+/// `Cj − 1`, messages for `Cj`.
+fn oracle_np(
+    rows: &[(i64, i64, i64, i64)],
+    last: i64,
+    block: impl Fn(i64) -> i64,
+) -> Vec<OracleWcrt> {
     (0..rows.len())
         .map(|i| {
             let (d_i, t_i, c_i, _) = rows[i];
@@ -195,13 +222,14 @@ fn oracle_np(rows: &[(i64, i64, i64, i64)], last: i64) -> Vec<OracleWcrt> {
                 wcrt: c_i,
                 critical_a: 0,
                 evals: Vec::with_capacity(cands.len()),
+                responses: Vec::with_capacity(cands.len()),
             };
             for &a in &cands {
                 let blocking = rows
                     .iter()
                     .enumerate()
                     .filter(|&(j, &(d_j, _, _, _))| j != i && d_j > a + d_i)
-                    .map(|(_, &(_, _, c_j, _))| c_j - 1)
+                    .map(|(_, &(_, _, c_j, _))| block(c_j))
                     .max()
                     .unwrap_or(0);
                 let li = lfp_from_zero(&mut best.evals, |t| {
@@ -215,6 +243,7 @@ fn oracle_np(rows: &[(i64, i64, i64, i64)], last: i64) -> Vec<OracleWcrt> {
                     w
                 });
                 let r = c_i.max(li + c_i - a);
+                best.responses.push((a, r));
                 if r > best.wcrt {
                     best.wcrt = r;
                     best.critical_a = a;
@@ -271,8 +300,8 @@ fn check_case(set: &TaskSet, scratch: &mut AnalysisScratch, tally: &mut Tally) {
         .ticks();
     let runs = [
         ("edf-rta", pre, oracle_preemptive(&rows, l)),
-        ("np-edf-rta paper", lit, oracle_np(&rows, l)),
-        ("np-edf-rta", ext, oracle_np(&rows, l_blocked)),
+        ("np-edf-rta paper", lit, oracle_np(&rows, l, |c| c - 1)),
+        ("np-edf-rta", ext, oracle_np(&rows, l_blocked, |c| c - 1)),
     ];
     for (name, got, want) in runs {
         let (analysis, details) = got.unwrap_or_else(|e| panic!("{name} failed on {set:?}: {e:?}"));
@@ -318,10 +347,11 @@ fn run_scan_against_oracle(name: &str, strategy: impl Strategy<Value = TaskSet>)
     let mut rng = TestRng::for_test(name);
     let mut scratch = AnalysisScratch::new();
     let mut tally = Tally::default();
-    for _ in 0..CASES {
+    let cases = cases();
+    for _ in 0..cases {
         check_case(&strategy.generate(&mut rng), &mut scratch, &mut tally);
     }
-    assert!(tally.analysed >= CASES / 2, "too few analysable sets");
+    assert!(tally.analysed >= cases / 2, "too few analysable sets");
     assert!(tally.stopped_tasks > 0, "the early stop never fired");
     assert!(
         tally.library_evals < tally.oracle_evals,
@@ -330,4 +360,231 @@ fn run_scan_against_oracle(name: &str, strategy: impl Strategy<Value = TaskSet>)
         tally.oracle_evals
     );
     tally
+}
+
+/// Sets of 1–8 rows with small parameters, so deadline points of
+/// different rows coincide often, each draw forcing some of these shapes:
+/// a duplicated `(D, T)` row; a jitter `Jj = Dj − Dk`, so row `j`'s jittered
+/// points fall on row `k`'s deadline points; a row whose deadline lies far
+/// past the busy period; a row of unique largest cost (the largest
+/// non-preemptive blocker of every row but itself); a single row; and,
+/// one draw in eight, an overloading row.
+fn arb_walk_edge_set() -> impl Strategy<Value = TaskSet> {
+    (
+        proptest::collection::vec((1i64..6, 0i64..30, 0i64..40), 1..=4),
+        (0u8..3, 0u8..3, 0u8..3, 0u8..3, 0u8..4, 0u8..8),
+        (0usize..8, 0usize..8, 0i64..60),
+    )
+        .prop_map(
+            |(raw, (dup, coincide, far, big, single, overload), (p, q, big_slack))| {
+                let n = raw.len() as i64 + 4;
+                let mut tasks: Vec<Task> = raw
+                    .into_iter()
+                    .map(|(c, t_extra, d_slack)| {
+                        Task::new(c, c + d_slack, 2 * n * c + t_extra).unwrap()
+                    })
+                    .collect();
+                if single == 0 {
+                    tasks.truncate(1);
+                } else {
+                    if dup == 0 {
+                        tasks.push(tasks[p % tasks.len()]);
+                    }
+                    if coincide == 0 && tasks.len() > 1 {
+                        let (j, k) = (p % tasks.len(), q % tasks.len());
+                        let (j, k) = if tasks[j].d >= tasks[k].d {
+                            (j, k)
+                        } else {
+                            (k, j)
+                        };
+                        tasks[j].j = tasks[j].d - tasks[k].d;
+                    }
+                    if far == 0 {
+                        tasks.push(Task::new(1, 10_000, 10_000).unwrap());
+                    }
+                    if big == 0 {
+                        tasks.push(Task::new(40, 40 + big_slack, 1_000).unwrap());
+                    }
+                }
+                if overload == 0 {
+                    tasks.push(Task::implicit(1, 1).unwrap());
+                }
+                TaskSet::new(tasks).unwrap()
+            },
+        )
+}
+
+/// The candidates a scan with the early stop examines: up to and including
+/// the first candidate `a` with `bound − a ≤ best − tail`, `best` the
+/// largest response before it.
+fn stopped_candidates(o: &OracleWcrt, c_i: i64, bound: i64, tail: i64) -> usize {
+    let mut best = c_i;
+    for (examined, &(a, r)) in o.responses.iter().enumerate() {
+        if bound - a <= best - tail {
+            return examined + 1;
+        }
+        best = best.max(r);
+    }
+    o.responses.len()
+}
+
+/// Run-wide counts of the forced shapes, for the non-vacuity checks.
+#[derive(Default)]
+struct Shapes {
+    analysed: usize,
+    single: usize,
+    duplicate: usize,
+    coinciding_jitter: usize,
+    past_busy_period: usize,
+    own_largest_blocker: usize,
+    overloaded: usize,
+    capped: usize,
+}
+
+fn check_walk_case(set: &TaskSet, scratch: &mut AnalysisScratch, shapes: &mut Shapes) {
+    let rows = rows(set);
+    let fix = FixpointConfig::default();
+    let max_c = rows.iter().map(|row| row.2).max().unwrap_or(0);
+    if rows.len() == 1 {
+        shapes.single += 1;
+    }
+    if (1..rows.len()).any(|j| (0..j).any(|k| (rows[j].0, rows[j].1) == (rows[k].0, rows[k].1))) {
+        shapes.duplicate += 1;
+    }
+    if rows
+        .iter()
+        .any(|&(d, _, _, j)| j > 0 && rows.iter().any(|row| row.0 == d - j))
+    {
+        shapes.coinciding_jitter += 1;
+    }
+    if rows.iter().filter(|row| row.2 == max_c).count() == 1 && rows.len() > 1 {
+        shapes.own_largest_blocker += 1;
+    }
+    let analyses = |scratch: &mut AnalysisScratch, cap: u64| {
+        let pre = EdfRtaConfig {
+            max_candidates: cap,
+            ..Default::default()
+        };
+        let lit = NpEdfRtaConfig {
+            max_candidates: cap,
+            ..NpEdfRtaConfig::paper()
+        };
+        let ext = NpEdfRtaConfig {
+            max_candidates: cap,
+            ..Default::default()
+        };
+        let details = |got: AnalysisResult<(_, Vec<EdfWcrt>)>| got.map(|(_, d)| d);
+        [
+            details(edf_response_times_with(set, &pre, scratch)),
+            details(np_edf_response_times_with(set, &lit, scratch)),
+            details(np_edf_response_times_with(set, &ext, scratch)),
+            np_edf_rows_with(set.tasks(), BlockingRule::MaxLowerCost, &ext, scratch),
+        ]
+    };
+    if !set.total_utilization().lt_one() {
+        shapes.overloaded += 1;
+        for got in analyses(scratch, 2_000_000) {
+            assert_eq!(got, Err(AnalysisError::UtilizationAtLeastOne), "{set:?}");
+        }
+        return;
+    }
+    shapes.analysed += 1;
+    let l = synchronous_busy_period(set, fix).unwrap().ticks();
+    let blocked = |b: i64| {
+        nonpreemptive_busy_period(set, Time::new(b), fix)
+            .unwrap()
+            .ticks()
+    };
+    let (l_minus_one, l_full) = (blocked(max_c - 1), blocked(max_c));
+    if rows
+        .iter()
+        .any(|row| row.0 > l_full + rows.iter().map(|r| r.0).min().unwrap_or(0))
+    {
+        shapes.past_busy_period += 1;
+    }
+    // (name, oracle, fixpoint bound, non-preemptive tail, candidate label)
+    let want = [
+        (
+            "edf-rta",
+            oracle_preemptive(&rows, l),
+            l,
+            false,
+            "edf-rta candidates",
+        ),
+        (
+            "np-edf-rta paper",
+            oracle_np(&rows, l, |c| c - 1),
+            l_minus_one,
+            true,
+            "np-edf-rta candidates",
+        ),
+        (
+            "np-edf-rta",
+            oracle_np(&rows, l_minus_one, |c| c - 1),
+            l_minus_one,
+            true,
+            "np-edf-rta candidates",
+        ),
+        (
+            "message rows",
+            oracle_np(&rows, l_full, |c| c),
+            l_full,
+            true,
+            "np-edf-rta candidates",
+        ),
+    ];
+    for cap in [2_000_000, 3] {
+        for (got, (name, oracle, bound, np, what)) in analyses(scratch, cap).into_iter().zip(&want)
+        {
+            let stops: Vec<usize> = oracle
+                .iter()
+                .zip(&rows)
+                .map(|(o, row)| stopped_candidates(o, row.2, *bound, if *np { row.2 } else { 0 }))
+                .collect();
+            let ctx = format!("{name}, cap {cap}, {set:?}");
+            if stops.iter().any(|&s| s as u64 > cap) {
+                shapes.capped += 1;
+                assert_eq!(
+                    got,
+                    Err(AnalysisError::IterationLimit { what, limit: cap }),
+                    "{ctx}"
+                );
+                continue;
+            }
+            let got = got.unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
+            for (i, (w, o)) in got.iter().zip(oracle).enumerate() {
+                assert_eq!(w.wcrt.ticks(), o.wcrt, "wcrt, row {i}, {ctx}");
+                assert_eq!(
+                    w.critical_a.ticks(),
+                    o.critical_a,
+                    "critical_a, row {i}, {ctx}"
+                );
+                assert_eq!(w.candidates, stops[i], "candidates, row {i}, {ctx}");
+            }
+        }
+    }
+}
+
+#[test]
+fn walk_edge_cases_match_literal_oracle() {
+    let strategy = arb_walk_edge_set();
+    let mut rng = TestRng::for_test("walk_edge_cases_match_literal_oracle");
+    let mut scratch = AnalysisScratch::new();
+    let mut shapes = Shapes::default();
+    let cases = cases();
+    for _ in 0..cases {
+        check_walk_case(&strategy.generate(&mut rng), &mut scratch, &mut shapes);
+    }
+    assert!(shapes.analysed >= cases / 2, "too few analysable sets");
+    for (shape, count) in [
+        ("single-row set", shapes.single),
+        ("duplicate (D, T) rows", shapes.duplicate),
+        ("jitter onto another deadline", shapes.coinciding_jitter),
+        ("deadline past the busy period", shapes.past_busy_period),
+        ("unique largest blocker", shapes.own_largest_blocker),
+        ("overloaded set", shapes.overloaded),
+        ("candidate cap crossed", shapes.capped),
+    ] {
+        assert!(count > 0, "no {shape} drawn");
+    }
 }

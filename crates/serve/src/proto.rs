@@ -1058,6 +1058,23 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_ring_overhead_is_a_model_error() {
+        // n_masters x token_pass wraps past i64::MAX; this line used to be
+        // answered `feasible:true` with a negative Tcycle.
+        let line = r#"{"op":"feasibility","policy":"dm","net":{"ttr":1000,"token_pass":4611686018427387904,"masters":[{"cl":10,"streams":[{"ch":10,"d":30000,"t":30000}]},{"cl":10,"streams":[{"ch":10,"d":30000,"t":30000}]}]}}"#;
+        let doc = json::parse(&answer_line(line)).unwrap();
+        assert_eq!(doc.get("ok").unwrap().as_bool(), Some(false));
+        let error = doc.get("error").unwrap();
+        assert_eq!(error.get("kind").unwrap().as_str(), Some("model"));
+        assert!(error
+            .get("detail")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("overflow"));
+    }
+
+    #[test]
     fn memo_key_ignores_id_but_not_payload() {
         let a = parse_request(&format!(
             r#"{{"op":"feasibility","id":1,"policy":"dm",{NET}}}"#

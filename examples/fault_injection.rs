@@ -6,14 +6,14 @@
 //! cargo run --example fault_injection
 //! ```
 
-use profirt::base::{StreamSet, Time};
+use profirt::base::{AnalysisError, StreamSet, Time};
 use profirt::core::{low_priority_outlook, DmAnalysis, MasterConfig, NetworkConfig};
 use profirt::profibus::QueuePolicy;
 use profirt::sim::{
     simulate_network, simulate_network_traced, NetworkSimConfig, SimMaster, SimNetwork,
 };
 
-fn main() {
+fn main() -> Result<(), AnalysisError> {
     let streams = StreamSet::from_cdt(&[(700, 25_000, 30_000), (500, 60_000, 80_000)]).unwrap();
     let net = SimNetwork {
         masters: vec![
@@ -138,7 +138,7 @@ fn main() {
     println!("\nall undershoot observations within the DM bounds ✓");
 
     // --- 5. Low-priority outlook ------------------------------------------
-    let outlook = low_priority_outlook(&analysis_net);
+    let outlook = low_priority_outlook(&analysis_net)?;
     println!(
         "\nlow-priority outlook: U_high = {} ({:.1}%), burst = {}, \
          starvation risk = {}, residual/rotation = {}",
@@ -148,4 +148,5 @@ fn main() {
         outlook.starvation_risk,
         outlook.residual_per_rotation
     );
+    Ok(())
 }

@@ -54,7 +54,7 @@ fn master_with_no_streams_participates_in_lateness_only() {
     assert!(DmAnalysis::conservative().analyze(&net).is_ok());
     assert!(EdfAnalysis::paper().analyze(&net).is_ok());
     // The outlook sees zero high utilisation from the empty master.
-    let o = low_priority_outlook(&net);
+    let o = low_priority_outlook(&net).unwrap();
     assert!(o.high_utilization.to_f64() < 0.02);
 }
 
