@@ -7,9 +7,8 @@ use profirt_base::{AnalysisResult, Prng, Time};
 use profirt_core::{ModeAnalysis, NetworkAnalysis};
 use profirt_profibus::{BusParams, QueuePolicy};
 use profirt_sim::{
-    network::run_network, JitterInjection, MembershipPlan, ModeSimConfig, ModeStats, ModeSummary,
-    NetworkSimConfig, OffsetMode, ResponseStats, ResultObserver, RingStats, RingSummary, SimMaster,
-    SimNetwork, StableResponseObserver, TrrStats,
+    network::run_network, JitterInjection, MembershipPlan, ModeSimConfig, ModeSummary, NetStats,
+    NetworkSimConfig, OffsetMode, RingSummary, SimMaster, SimNetwork, StableResponseObserver,
 };
 use profirt_workload::{generate_network, GeneratedNetwork, NetGenParams};
 
@@ -167,25 +166,15 @@ pub(super) fn sim_observed_with(
     let initial = net.masters.len() - cfg.membership.initially_off().len();
     // Two target rotations of calm before a release counts as stable.
     let mut stable = StableResponseObserver::new(&net, initial, net.ttr * 2);
-    let mut result = ResultObserver::new(&net);
-    let mut response = ResponseStats::new();
-    let mut trr = TrrStats::with_ring_size(initial);
-    let mut ring = RingStats::new(initial);
-    let mut mode = ModeStats::new(&net);
-    let mem = run_network(
-        &net,
-        &cfg,
-        &mut [
-            &mut result,
-            &mut response,
-            &mut trr,
-            &mut ring,
-            &mut stable,
-            &mut mode,
-        ],
-    );
-    let obs = result.into_result();
-    let (response, trr, ring) = (response.hist.summary(), trr.hist.summary(), ring.summary());
+    let mut stats = NetStats::new(&net, &cfg);
+    let mem = run_network(&net, &cfg, &mut [&mut stats, &mut stable]);
+    let matchup_waits = stats
+        .matchup_waits()
+        .iter()
+        .map(|w| w.ticks() as f64)
+        .collect();
+    let lo_shed_ratio = stats.lo_shed_ratio();
+    let (obs, summary) = stats.finish(mem);
     SimObservation {
         max_responses: obs
             .streams
@@ -193,21 +182,17 @@ pub(super) fn sim_observed_with(
             .map(|m| m.iter().map(|o| o.max_response).collect())
             .collect(),
         max_trr: obs.max_trr_overall(),
-        response_p95: response.p95.ticks() as f64,
-        response_p99: response.p99.ticks() as f64,
-        trr_p99: trr.p99.ticks() as f64,
-        ring,
+        response_p95: summary.response.p95.ticks() as f64,
+        response_p99: summary.response.p99.ticks() as f64,
+        trr_p99: summary.trr.p99.ticks() as f64,
+        ring: summary.ring,
         stable_max_responses: stable.max_responses,
-        mode: mode.summary(),
-        matchup_waits: mode
-            .matchup_waits()
-            .iter()
-            .map(|w| w.ticks() as f64)
-            .collect(),
-        lo_shed_ratio: mode.lo_shed_ratio(),
+        mode: summary.mode,
+        matchup_waits,
+        lo_shed_ratio,
         hi_stable_max_responses: stable.hi_max_responses,
-        visits_simulated: mem.visits_simulated,
-        rotations_fast_forwarded: mem.rotations_fast_forwarded,
+        visits_simulated: summary.mem.visits_simulated,
+        rotations_fast_forwarded: summary.mem.rotations_fast_forwarded,
     }
 }
 

@@ -171,6 +171,19 @@ impl TickHistogram {
         self.max = self.max.max(v);
     }
 
+    /// Adds every sample of `other` to `self` — exactly equivalent to
+    /// recording them one by one (bucket counts, count and sum add; the
+    /// extremes combine). Merging an empty histogram is a no-op.
+    pub fn merge(&mut self, other: &TickHistogram) {
+        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -367,6 +380,39 @@ mod tests {
         for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
             assert_eq!(one_by_one.quantile(q), batched.quantile(q));
         }
+    }
+
+    #[test]
+    fn merge_equals_recording_every_sample_of_both() {
+        let (left, right): (&[i64], &[i64]) = (&[0, 5, 127, 1_000, -3], &[128, 5, 1 << 40, 999]);
+        let mut merged = TickHistogram::new();
+        let mut other = TickHistogram::new();
+        let mut all = TickHistogram::new();
+        for &v in left {
+            merged.record(t(v));
+            all.record(t(v));
+        }
+        for &v in right {
+            other.record(t(v));
+            all.record(t(v));
+        }
+        merged.merge(&other);
+        assert_eq!(merged.summary(), all.summary());
+        assert_eq!(merged.counts[..], all.counts[..]);
+        assert_eq!(merged.sum, all.sum);
+
+        // An empty histogram is the identity on both sides.
+        let before = merged.summary();
+        merged.merge(&TickHistogram::new());
+        assert_eq!(merged.summary(), before);
+        let mut empty = TickHistogram::new();
+        empty.merge(&all);
+        assert_eq!(empty.summary(), all.summary());
+        assert_eq!(empty.counts[..], all.counts[..]);
+        let mut nothing = TickHistogram::new();
+        nothing.merge(&TickHistogram::new());
+        assert_eq!(nothing.summary(), TickHistogram::new().summary());
+        assert_eq!((nothing.min, nothing.max), (i64::MAX, 0));
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use network::{
     simulate_network, simulate_network_materialized, simulate_network_observed,
     simulate_network_stats, simulate_network_traced, JitterInjection, KernelMemStats,
     MembershipAction, MembershipEvent, MembershipPlan, ModeController, ModeSimConfig, ModeStats,
-    ModeSummary, ModeTransition, NetEvent, NetworkSimConfig, NetworkSimResult, NetworkSimStats,
-    OffsetMode, ResponseStats, ResultObserver, RingStats, RingSummary, SimMaster, SimNetwork,
-    SimNetworkError, StableResponseObserver, Trace, TraceEvent, TrrStats,
+    ModeSummary, ModeTransition, NetEvent, NetStats, NetworkSimConfig, NetworkSimResult,
+    NetworkSimStats, OffsetMode, ResponseStats, ResultObserver, RingStats, RingSummary, SimMaster,
+    SimNetwork, SimNetworkError, StableResponseObserver, Trace, TraceEvent, TrrStats,
 };

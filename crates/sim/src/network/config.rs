@@ -1,7 +1,7 @@
 //! Simulation inputs.
 
 use profirt_base::{MasterAddr, StreamSet, Time};
-use profirt_profibus::{LowPriorityTraffic, QueuePolicy};
+use profirt_profibus::{gap, BusParams, LowPriorityTraffic, QueuePolicy};
 use serde::{Deserialize, Serialize};
 
 // The placement/jitter modes are defined next to the lazy release
@@ -130,6 +130,12 @@ pub enum SimNetworkError {
         /// Ring index of the second holder.
         second: usize,
     },
+    /// A clock sum of the run does not fit `i64` ticks (see
+    /// [`NetworkSimConfig::check_tick_range`]).
+    TickOverflow {
+        /// The sum that overflows.
+        what: &'static str,
+    },
 }
 
 impl std::fmt::Display for SimNetworkError {
@@ -149,6 +155,7 @@ impl std::fmt::Display for SimNetworkError {
                 first,
                 second,
             } => write!(f, "masters {first} and {second} alias FDL address {addr}"),
+            SimNetworkError::TickOverflow { what } => write!(f, "{what} overflows i64 ticks"),
         }
     }
 }
@@ -283,6 +290,57 @@ impl NetworkSimConfig {
     pub fn is_static_ring(&self) -> bool {
         self.gap_factor == 0 && self.membership.is_empty() && !self.mode.enabled
     }
+
+    /// Checks that the kernel clock cannot wrap when `net` (already
+    /// [validated](SimNetwork::validate)) runs under this config: the ring
+    /// cost `token_pass × masters` must fit `i64`, and so must `horizon`
+    /// plus the worst step one loop iteration can take from below the
+    /// horizon. That step is bounded by TTR plus the longest message cycle
+    /// (a visit with TTH overrun), one GAP poll, a pass sequence over the
+    /// whole ring with every attempt failing (`token_pass + TSL` each,
+    /// `1 + max_retry` attempts per successor) and the longest claim
+    /// timeout `(6 + 2·126)·TSL`.
+    pub fn check_tick_range(&self, net: &SimNetwork) -> Result<(), SimNetworkError> {
+        let n = net.masters.len() as i64;
+        net.token_pass
+            .checked_mul(n)
+            .ok_or(SimNetworkError::TickOverflow {
+                what: "the ring cost token_pass x masters",
+            })?;
+        let longest_cycle = net
+            .masters
+            .iter()
+            .flat_map(|m| {
+                let high = m.streams.max_cycle_time();
+                high.into_iter()
+                    .chain(m.low_priority.iter().map(|l| l.cycle_time))
+            })
+            .max()
+            .unwrap_or(Time::ZERO);
+        let bus = BusParams::profile_500k();
+        let slot = self.slot_time.max_zero();
+        let attempts = 1 + bus.max_retry as i64;
+        let step = (|| {
+            let passes = net
+                .token_pass
+                .checked_add(slot)?
+                .checked_mul(attempts * n)?;
+            let claim = slot.checked_mul(6 + 2 * MasterAddr::MAX_ADDRESS as i64)?;
+            let poll = gap::poll_time(&bus, true).checked_add(slot)?;
+            net.ttr
+                .max_zero()
+                .checked_add(longest_cycle)?
+                .checked_add(poll)?
+                .checked_add(passes)?
+                .checked_add(claim)
+        })();
+        match step.and_then(|step| self.horizon.checked_add(step)) {
+            Some(_) => Ok(()),
+            None => Err(SimNetworkError::TickOverflow {
+                what: "the horizon plus one token visit's worst step",
+            }),
+        }
+    }
 }
 
 impl Default for NetworkSimConfig {
@@ -414,6 +472,52 @@ mod tests {
             ..Default::default()
         };
         assert!(!moded.is_static_ring());
+    }
+
+    #[test]
+    fn tick_range_rejects_a_wrapping_clock() {
+        let master = || {
+            SimMaster::stock(StreamSet::new(vec![]).unwrap())
+                .with_low_priority(LowPriorityTraffic::new(t(700), t(5_000)))
+        };
+        let net = SimNetwork {
+            masters: vec![master()],
+            ttr: t(1_000),
+            token_pass: t(100),
+        };
+        // TTR + longest cycle + answered poll and TSL + (pass + TSL) x
+        // 2 attempts x 1 master + (6 + 2·126)·TSL.
+        let step = 1_000 + 700 + (302 + 200) + (100 + 200) * 2 + 200 * 258;
+        let at = |horizon: i64| NetworkSimConfig {
+            horizon: t(horizon),
+            ..Default::default()
+        };
+        assert_eq!(at(i64::MAX - step).check_tick_range(&net), Ok(()));
+        assert_eq!(
+            at(i64::MAX - step + 1).check_tick_range(&net),
+            Err(SimNetworkError::TickOverflow {
+                what: "the horizon plus one token visit's worst step"
+            })
+        );
+        // A huge slot time overflows the claim timeout on its own.
+        let slow = NetworkSimConfig {
+            slot_time: t(i64::MAX / 100),
+            ..Default::default()
+        };
+        assert!(slow.check_tick_range(&net).is_err());
+        // Two masters at token_pass 2^62: the ring cost itself overflows.
+        let huge = SimNetwork {
+            masters: vec![master(), master()],
+            ttr: t(1_000),
+            token_pass: t(1 << 62),
+        };
+        let err = NetworkSimConfig::default()
+            .check_tick_range(&huge)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "the ring cost token_pass x masters overflows i64 ticks"
+        );
     }
 
     #[test]

@@ -399,14 +399,15 @@ fn visit(
 ///
 /// # Panics
 /// Panics if the network fails [`SimNetwork::validate`] (no masters,
-/// non-positive token pass, invalid or aliased FDL addresses) or the
+/// non-positive token pass, invalid or aliased FDL addresses), the run's
+/// clock could wrap ([`NetworkSimConfig::check_tick_range`]) or the
 /// membership plan references masters the network does not have.
 pub fn run_network(
     net: &SimNetwork,
     config: &NetworkSimConfig,
     observers: &mut [&mut dyn Observer<NetEvent>],
 ) -> KernelMemStats {
-    if let Err(e) = net.validate() {
+    if let Err(e) = net.validate().and_then(|()| config.check_tick_range(net)) {
         panic!("{e}");
     }
     if let Err(e) = config.membership.validate(net.masters.len()) {

@@ -9,14 +9,15 @@
 //! Structure: [`kernel`] is the streaming execution engine (lazy release
 //! generators → deterministic merge → token loop → event stream);
 //! [`observe`] holds the event type and the built-in observers (results,
-//! traces, percentile statistics, ring-membership timelines);
+//! the fused run statistics of [`NetStats`], stable-phase maxima, traces);
 //! [`membership`] scripts ring churn (a [`MembershipPlan`] of power-on /
 //! power-off / crash events driving the DIN 19245 FDL machinery through
 //! [`profirt_profibus::RingController`]); [`mode`] runs the
 //! mixed-criticality overload/match-up state machine over the dynamic
 //! loop; [`mod@reference`] retains the pre-materialized baseline for
 //! differential tests and benchmarks — it models the static §3.1 ring
-//! only.
+//! only — and [`reference_stats`] the split one-statistic observers that
+//! [`NetStats`] fuses, as its differential-test oracle.
 
 mod config;
 pub mod kernel;
@@ -24,6 +25,7 @@ pub mod membership;
 pub mod mode;
 pub mod observe;
 pub mod reference;
+pub mod reference_stats;
 mod sim;
 pub mod trace;
 
@@ -34,10 +36,11 @@ pub use kernel::{run_network, KernelMemStats};
 pub use membership::{MembershipAction, MembershipEvent, MembershipPlan};
 pub use mode::{ModeController, ModeSimConfig, ModeTransition};
 pub use observe::{
-    ModeStats, ModeSummary, NetEvent, ResponseStats, ResultObserver, RingStats, RingSummary,
-    StableResponseObserver, TraceObserver, TrrStats,
+    ModeSummary, NetEvent, NetStats, ResultObserver, RingSummary, StableResponseObserver,
+    TraceObserver,
 };
 pub use reference::simulate_network_materialized;
+pub use reference_stats::{ModeStats, ResponseStats, RingStats, TrrStats};
 pub use sim::{
     simulate_network, simulate_network_observed, simulate_network_stats, simulate_network_traced,
     NetworkSimResult, NetworkSimStats, StreamObservation,

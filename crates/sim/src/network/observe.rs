@@ -7,25 +7,33 @@
 //! compose freely with the built-ins via
 //! [`crate::network::simulate_network_observed`].
 //!
+//! * [`ResultObserver`] assembles the [`NetworkSimResult`] of a plain run.
+//! * [`NetStats`] is the one statistics observer of
+//!   [`crate::network::simulate_network_stats`] and the campaign
+//!   simulator: the run result, the response histogram, the TRR
+//!   histograms per live ring size, the ring-membership summary
+//!   ([`RingSummary`]) and the mixed-criticality mode counters
+//!   ([`ModeSummary`]), all updated by one `match` per event.
+//! * [`StableResponseObserver`] keeps the stable-phase maxima the
+//!   `observed ≤ analytical` contract is checked on under ring churn and
+//!   mode switches.
+//! * [`TraceObserver`] records a bounded event trace.
+//!
 //! Under dynamic membership the kernel additionally emits ring-lifecycle
 //! events — [`NetEvent::GapPoll`], [`NetEvent::MasterJoin`],
-//! [`NetEvent::MasterLeave`], [`NetEvent::Claim`] — consumed by
-//! [`RingStats`] (ring-size timeline), the per-ring-size rotation
-//! histograms of [`TrrStats`], and [`StableResponseObserver`]
-//! (stable-phase `observed ≤ analytical` contract checking).
-//!
-//! With the mixed-criticality mode controller enabled the kernel also
-//! emits [`NetEvent::ModeSwitch`], [`NetEvent::Shed`] and
-//! [`NetEvent::Matchup`], consumed by [`ModeStats`] (switch/shed/match-up
-//! accounting) and by [`StableResponseObserver`] (which then checks HI
-//! responses in degraded phases against the HI-projection bound).
+//! [`NetEvent::MasterLeave`], [`NetEvent::Claim`] — and with the
+//! mixed-criticality mode controller enabled also
+//! [`NetEvent::ModeSwitch`], [`NetEvent::Shed`] and [`NetEvent::Matchup`].
+//! The split one-statistic observers that `NetStats` replaced stay in
+//! [`crate::network::reference_stats`] as its differential-test oracle.
 
 use profirt_base::{Criticality, MasterAddr, StreamId, Time};
 use profirt_profibus::Request;
 
-use crate::engine::observer::{replay_span, HistSummary, IdleSpan, Observer, TickHistogram};
-use crate::network::config::SimNetwork;
-use crate::network::sim::{NetworkSimResult, StreamObservation};
+use crate::engine::observer::{replay_span, IdleSpan, Observer, TickHistogram};
+use crate::network::config::{NetworkSimConfig, SimNetwork};
+use crate::network::kernel::KernelMemStats;
+use crate::network::sim::{NetworkSimResult, NetworkSimStats, StreamObservation};
 use crate::network::trace::{Trace, TraceEvent};
 
 /// One bus-level event of the network kernel.
@@ -170,206 +178,248 @@ impl ResultObserver {
             token_recoveries: self.recoveries,
         }
     }
+
+    /// Ingests `n` repetitions of `event` (`n = 1` for a live event):
+    /// every counter the event bumps is bumped `n` times at once; maxima
+    /// are idempotent under repetition.
+    fn ingest(&mut self, event: &NetEvent, n: u64) {
+        match *event {
+            NetEvent::TokenArrival { master, trr, .. } => self.arrival(master, trr, n),
+            NetEvent::HighCycle {
+                master,
+                ref request,
+                end,
+                ..
+            } => self.high_cycle(master, request, end - request.release, end, n),
+            NetEvent::LowCycle { master, .. } => self.low_completed[master] += n,
+            NetEvent::Recovery { .. } => self.recoveries += n,
+            _ => {}
+        }
+    }
+
+    fn arrival(&mut self, master: usize, trr: Option<Time>, n: u64) {
+        self.visits[master] += n;
+        if let Some(trr) = trr {
+            self.max_trr[master] = self.max_trr[master].max(trr);
+        }
+    }
+
+    /// One completed high-priority cycle whose `response` (`end −
+    /// release`) the caller computed.
+    fn high_cycle(&mut self, master: usize, request: &Request, response: Time, end: Time, n: u64) {
+        let obs = &mut self.streams[master][request.stream.0];
+        obs.max_response = obs.max_response.max(response);
+        obs.completed += n;
+        if end > request.abs_deadline {
+            obs.misses += n;
+        }
+    }
 }
 
 impl Observer<NetEvent> for ResultObserver {
     fn observe(&mut self, _at: Time, event: &NetEvent) {
+        self.ingest(event, 1);
+    }
+
+    /// O(pattern) batched ingestion: one pass over the pattern with each
+    /// event counted `rotations` times is exact.
+    fn on_idle_span(&mut self, span: &IdleSpan<'_, NetEvent>) {
+        for (_, ev) in span.pattern {
+            self.ingest(ev, span.rotations);
+        }
+    }
+}
+
+/// The statistics of one run, gathered by one observer: the
+/// [`NetworkSimResult`] record, the pooled high-priority response
+/// histogram, the TRR histograms per live ring size, the ring-membership
+/// summary and the mixed-criticality mode counters.
+///
+/// Each event is handled once: a high-priority completion computes its
+/// response once for the per-stream maximum and the histogram, and each
+/// TRR sample lands in exactly one ring-size histogram, whose index is
+/// cached until the next join or leave. The pooled TRR distribution is
+/// the merge of the per-size histograms, which is exact because the
+/// sizes partition the samples.
+#[derive(Clone, Debug)]
+pub struct NetStats {
+    result: ResultObserver,
+    response: TickHistogram,
+    /// `(ring size, histogram)` per size a rotation completed at,
+    /// ascending by size.
+    trr_by_size: Vec<(usize, TickHistogram)>,
+    /// Live ring size (tracked from join/leave events).
+    size: usize,
+    /// Index of `size`'s histogram in `trr_by_size`; `None` until the
+    /// first rotation after a join or leave.
+    size_slot: Option<usize>,
+    ring: RingSummary,
+    mode: ModeSummary,
+    waits: Vec<Time>,
+    /// Per master, per stream: `true` for a sub-HI stream. Empty for a
+    /// master whose streams are all HI, which skips the lookup.
+    sub_hi: Vec<Vec<bool>>,
+    sub_hi_completed: u64,
+}
+
+impl NetStats {
+    /// An observer shaped for `net`, starting from the ring `config`
+    /// powers at time zero.
+    pub fn new(net: &SimNetwork, config: &NetworkSimConfig) -> NetStats {
+        let initial = net.masters.len() - config.membership.initially_off().len();
+        NetStats {
+            result: ResultObserver::new(net),
+            response: TickHistogram::new(),
+            trr_by_size: Vec::new(),
+            size: initial,
+            size_slot: None,
+            ring: RingSummary {
+                min_size: initial,
+                max_size: initial,
+                final_size: initial,
+                ..RingSummary::default()
+            },
+            mode: ModeSummary::default(),
+            waits: Vec::new(),
+            sub_hi: net
+                .masters
+                .iter()
+                .map(|m| {
+                    if m.criticality.iter().all(|&c| c == Criticality::Hi) {
+                        Vec::new()
+                    } else {
+                        m.criticality
+                            .iter()
+                            .map(|&c| c != Criticality::Hi)
+                            .collect()
+                    }
+                })
+                .collect(),
+            sub_hi_completed: 0,
+        }
+    }
+
+    /// Every completed match-up's degradation-to-recovery span, in
+    /// completion order (for pooled percentiles across runs).
+    pub fn matchup_waits(&self) -> &[Time] {
+        &self.waits
+    }
+
+    /// Fraction of sub-HI demand shed at admission:
+    /// `sheds / (sheds + completed sub-HI cycles)`, `0.0` when the run
+    /// carried no sub-HI traffic at all.
+    pub fn lo_shed_ratio(&self) -> f64 {
+        let total = self.mode.sheds + self.sub_hi_completed;
+        if total == 0 {
+            0.0
+        } else {
+            self.mode.sheds as f64 / total as f64
+        }
+    }
+
+    /// Finalises into the run result and its statistics; `mem` is what
+    /// [`crate::network::run_network`] returned.
+    pub fn finish(self, mem: KernelMemStats) -> (NetworkSimResult, NetworkSimStats) {
+        let mut trr = TickHistogram::new();
+        for (_, hist) in &self.trr_by_size {
+            trr.merge(hist);
+        }
+        let stats = NetworkSimStats {
+            response: self.response.summary(),
+            trr: trr.summary(),
+            trr_by_ring_size: self
+                .trr_by_size
+                .iter()
+                .map(|(size, hist)| (*size, hist.summary()))
+                .collect(),
+            ring: RingSummary {
+                final_size: self.size,
+                ..self.ring
+            },
+            mode: self.mode,
+            mem,
+        };
+        (self.result.into_result(), stats)
+    }
+
+    /// `n` token arrivals at `master` that measured `trr`.
+    fn arrival(&mut self, master: usize, trr: Option<Time>, n: u64) {
+        self.result.arrival(master, trr, n);
+        let Some(trr) = trr else { return };
+        let (sizes, size) = (&mut self.trr_by_size, self.size);
+        let slot = *self.size_slot.get_or_insert_with(|| {
+            sizes
+                .binary_search_by_key(&size, |e| e.0)
+                .unwrap_or_else(|i| {
+                    sizes.insert(i, (size, TickHistogram::new()));
+                    i
+                })
+        });
+        self.trr_by_size[slot].1.record_n(trr, n);
+    }
+}
+
+impl Observer<NetEvent> for NetStats {
+    fn observe(&mut self, _at: Time, event: &NetEvent) {
         match *event {
-            NetEvent::TokenArrival { master, trr, .. } => {
-                self.visits[master] += 1;
-                if let Some(trr) = trr {
-                    self.max_trr[master] = self.max_trr[master].max(trr);
-                }
-            }
+            NetEvent::TokenArrival { master, trr, .. } => self.arrival(master, trr, 1),
+            NetEvent::TokenPass { .. } => {}
             NetEvent::HighCycle {
                 master,
                 ref request,
                 end,
                 ..
             } => {
-                let obs = &mut self.streams[master][request.stream.0];
-                obs.max_response = obs.max_response.max(end - request.release);
-                obs.completed += 1;
-                if end > request.abs_deadline {
-                    obs.misses += 1;
+                let response = end - request.release;
+                self.result.high_cycle(master, request, response, end, 1);
+                self.response.record(response);
+                if self.sub_hi[master].get(request.stream.0) == Some(&true) {
+                    self.sub_hi_completed += 1;
                 }
             }
-            NetEvent::LowCycle { master, .. } => self.low_completed[master] += 1,
-            NetEvent::Recovery { .. } => self.recoveries += 1,
-            NetEvent::TokenPass { .. }
-            | NetEvent::GapPoll { .. }
-            | NetEvent::MasterJoin { .. }
-            | NetEvent::MasterLeave { .. }
-            | NetEvent::Claim { .. }
-            | NetEvent::ModeSwitch { .. }
-            | NetEvent::Shed { .. }
-            | NetEvent::Matchup { .. } => {}
-        }
-    }
-
-    /// O(pattern) batched ingestion: every counter a rotation bumps is
-    /// bumped `rotations` times at once; maxima are idempotent under
-    /// repetition, so one pass over the pattern is exact.
-    fn on_idle_span(&mut self, span: &IdleSpan<'_, NetEvent>) {
-        for (_, ev) in span.pattern {
-            match *ev {
-                NetEvent::TokenArrival { master, trr, .. } => {
-                    self.visits[master] += span.rotations;
-                    if let Some(trr) = trr {
-                        self.max_trr[master] = self.max_trr[master].max(trr);
-                    }
-                }
-                NetEvent::HighCycle {
-                    master,
-                    ref request,
-                    end,
-                    ..
-                } => {
-                    let obs = &mut self.streams[master][request.stream.0];
-                    obs.max_response = obs.max_response.max(end - request.release);
-                    obs.completed += span.rotations;
-                    if end > request.abs_deadline {
-                        obs.misses += span.rotations;
-                    }
-                }
-                NetEvent::LowCycle { master, .. } => self.low_completed[master] += span.rotations,
-                NetEvent::Recovery { .. } => self.recoveries += span.rotations,
-                _ => {}
-            }
-        }
-    }
-}
-
-/// Histogram of high-priority response times, pooled over all masters and
-/// streams (constant memory at any horizon).
-#[derive(Clone, Debug, Default)]
-pub struct ResponseStats {
-    /// The underlying histogram.
-    pub hist: TickHistogram,
-}
-
-impl ResponseStats {
-    /// An empty observer.
-    pub fn new() -> ResponseStats {
-        ResponseStats::default()
-    }
-}
-
-impl Observer<NetEvent> for ResponseStats {
-    fn observe(&mut self, _at: Time, event: &NetEvent) {
-        if let NetEvent::HighCycle { request, end, .. } = event {
-            self.hist.record(*end - request.release);
-        }
-    }
-
-    /// O(pattern): each rotation would record the identical response
-    /// value, so the histogram ingests it as one run-length increment.
-    fn on_idle_span(&mut self, span: &IdleSpan<'_, NetEvent>) {
-        for (_, ev) in span.pattern {
-            if let NetEvent::HighCycle { request, end, .. } = ev {
-                self.hist.record_n(*end - request.release, span.rotations);
-            }
-        }
-    }
-}
-
-/// Histogram of measured token rotation times, pooled over all masters —
-/// optionally segmented by the live ring size, so the rotation cost of
-/// GAP polls, claims and shrunken rings is measurable per phase.
-#[derive(Clone, Debug, Default)]
-pub struct TrrStats {
-    /// The pooled histogram (all rotations, any ring size).
-    pub hist: TickHistogram,
-    /// Current ring size (tracked from join/leave events); `None` when
-    /// size segmentation is disabled.
-    size: Option<usize>,
-    /// `(ring size, histogram)` per observed size, ascending.
-    by_size: Vec<(usize, TickHistogram)>,
-}
-
-impl TrrStats {
-    /// A pooled-only observer (no per-ring-size segmentation).
-    pub fn new() -> TrrStats {
-        TrrStats::default()
-    }
-
-    /// An observer that additionally buckets rotations by the ring size
-    /// at the moment the rotation completed. `initial` is the ring size
-    /// at time zero (masters powered on and in the ring).
-    pub fn with_ring_size(initial: usize) -> TrrStats {
-        TrrStats {
-            size: Some(initial),
-            ..TrrStats::default()
-        }
-    }
-
-    /// Per-ring-size rotation summaries, ascending by size. Empty when
-    /// segmentation is disabled or no rotation completed.
-    pub fn per_size(&self) -> Vec<(usize, HistSummary)> {
-        self.by_size
-            .iter()
-            .map(|(size, hist)| (*size, hist.summary()))
-            .collect()
-    }
-}
-
-impl Observer<NetEvent> for TrrStats {
-    fn observe(&mut self, _at: Time, event: &NetEvent) {
-        match *event {
-            NetEvent::TokenArrival { trr: Some(trr), .. } => {
-                self.hist.record(trr);
-                if let Some(size) = self.size {
-                    let hist = match self.by_size.binary_search_by_key(&size, |e| e.0) {
-                        Ok(i) => &mut self.by_size[i].1,
-                        Err(i) => {
-                            self.by_size.insert(i, (size, TickHistogram::default()));
-                            &mut self.by_size[i].1
-                        }
-                    };
-                    hist.record(trr);
-                }
-            }
+            NetEvent::LowCycle { .. } | NetEvent::Recovery { .. } => self.result.ingest(event, 1),
+            NetEvent::GapPoll { .. } => self.ring.gap_polls += 1,
             NetEvent::MasterJoin { .. } => {
-                if let Some(size) = &mut self.size {
-                    *size += 1;
-                }
+                self.size += 1;
+                self.size_slot = None;
+                self.ring.events += 1;
+                self.ring.max_size = self.ring.max_size.max(self.size);
             }
             NetEvent::MasterLeave { .. } => {
-                if let Some(size) = &mut self.size {
-                    *size = size.saturating_sub(1);
-                }
+                self.size = self.size.saturating_sub(1);
+                self.size_slot = None;
+                self.ring.events += 1;
+                self.ring.min_size = self.ring.min_size.min(self.size);
             }
-            _ => {}
+            NetEvent::Claim { .. } => self.ring.claims += 1,
+            NetEvent::ModeSwitch { .. } => self.mode.switches += 1,
+            NetEvent::Shed { .. } => self.mode.sheds += 1,
+            NetEvent::Matchup { waited } => {
+                self.mode.matchups += 1;
+                self.mode.max_time_to_matchup = self.mode.max_time_to_matchup.max(waited);
+                self.waits.push(waited);
+            }
         }
     }
 
-    /// O(pattern) run-length ingestion of the span's rotation samples.
-    /// A pattern carrying membership events would change the ring size
-    /// mid-span, so that (never kernel-emitted) case replays instead.
+    /// O(pattern) for the spans the kernel emits, which hold only token
+    /// arrivals and passes: each arrival counts `rotations` visits and
+    /// `rotations` TRR samples at the (unchanging) ring size. Any other
+    /// event in the pattern replays.
     fn on_idle_span(&mut self, span: &IdleSpan<'_, NetEvent>) {
-        let churns = span.pattern.iter().any(|(_, ev)| {
+        let idle = span.pattern.iter().all(|(_, ev)| {
             matches!(
                 ev,
-                NetEvent::MasterJoin { .. } | NetEvent::MasterLeave { .. }
+                NetEvent::TokenArrival { .. } | NetEvent::TokenPass { .. }
             )
         });
-        if churns {
+        if !idle {
             replay_span(self, span);
             return;
         }
         for (_, ev) in span.pattern {
-            if let NetEvent::TokenArrival { trr: Some(trr), .. } = *ev {
-                self.hist.record_n(trr, span.rotations);
-                if let Some(size) = self.size {
-                    let hist = match self.by_size.binary_search_by_key(&size, |e| e.0) {
-                        Ok(i) => &mut self.by_size[i].1,
-                        Err(i) => {
-                            self.by_size.insert(i, (size, TickHistogram::default()));
-                            &mut self.by_size[i].1
-                        }
-                    };
-                    hist.record_n(trr, span.rotations);
-                }
+            if let NetEvent::TokenArrival { master, trr, .. } = *ev {
+                self.arrival(master, trr, span.rotations);
             }
         }
     }
@@ -392,83 +442,6 @@ pub struct RingSummary {
     /// counted separately in
     /// [`NetworkSimResult::token_recoveries`](crate::network::NetworkSimResult::token_recoveries)).
     pub claims: u64,
-}
-
-/// Tracks the ring-size timeline: min/max/final size plus membership
-/// event counts. On a static run it reports the configured size and zero
-/// events.
-#[derive(Clone, Debug)]
-pub struct RingStats {
-    size: usize,
-    summary: RingSummary,
-}
-
-impl RingStats {
-    /// An observer starting from `initial` ring members.
-    pub fn new(initial: usize) -> RingStats {
-        RingStats {
-            size: initial,
-            summary: RingSummary {
-                min_size: initial,
-                max_size: initial,
-                final_size: initial,
-                events: 0,
-                gap_polls: 0,
-                claims: 0,
-            },
-        }
-    }
-
-    /// The run summary.
-    pub fn summary(&self) -> RingSummary {
-        RingSummary {
-            final_size: self.size,
-            ..self.summary
-        }
-    }
-}
-
-impl Observer<NetEvent> for RingStats {
-    fn observe(&mut self, _at: Time, event: &NetEvent) {
-        match *event {
-            NetEvent::MasterJoin { .. } => {
-                self.size += 1;
-                self.summary.events += 1;
-                self.summary.max_size = self.summary.max_size.max(self.size);
-            }
-            NetEvent::MasterLeave { .. } => {
-                self.size = self.size.saturating_sub(1);
-                self.summary.events += 1;
-                self.summary.min_size = self.summary.min_size.min(self.size);
-            }
-            NetEvent::GapPoll { .. } => self.summary.gap_polls += 1,
-            NetEvent::Claim { .. } => self.summary.claims += 1,
-            _ => {}
-        }
-    }
-
-    /// O(pattern): pure counter bumps multiply by the rotation count.
-    /// Membership events would move the size timeline mid-span, so that
-    /// (never kernel-emitted) case replays instead.
-    fn on_idle_span(&mut self, span: &IdleSpan<'_, NetEvent>) {
-        let churns = span.pattern.iter().any(|(_, ev)| {
-            matches!(
-                ev,
-                NetEvent::MasterJoin { .. } | NetEvent::MasterLeave { .. }
-            )
-        });
-        if churns {
-            replay_span(self, span);
-            return;
-        }
-        for (_, ev) in span.pattern {
-            match ev {
-                NetEvent::GapPoll { .. } => self.summary.gap_polls += span.rotations,
-                NetEvent::Claim { .. } => self.summary.claims += span.rotations,
-                _ => {}
-            }
-        }
-    }
 }
 
 /// Per-master/per-stream maximum responses restricted to **stable
@@ -614,119 +587,6 @@ pub struct ModeSummary {
     pub max_time_to_matchup: Time,
 }
 
-/// Counts mode switches, sheds and match-ups, and tracks how much sub-HI
-/// traffic still completed — the denominators and numerators of the
-/// campaign's `lo_shed_ratio` and `time_to_matchup` columns.
-#[derive(Clone, Debug)]
-pub struct ModeStats {
-    /// Per-master criticality maps (empty inner vec = all HI).
-    criticality: Vec<Vec<Criticality>>,
-    summary: ModeSummary,
-    waits: Vec<Time>,
-    sub_hi_completed: u64,
-}
-
-impl ModeStats {
-    /// An observer shaped for `net` (copies its criticality maps).
-    pub fn new(net: &SimNetwork) -> ModeStats {
-        ModeStats {
-            criticality: net.masters.iter().map(|m| m.criticality.clone()).collect(),
-            summary: ModeSummary::default(),
-            waits: Vec::new(),
-            sub_hi_completed: 0,
-        }
-    }
-
-    /// The run summary.
-    pub fn summary(&self) -> ModeSummary {
-        self.summary
-    }
-
-    /// Every completed match-up's degradation-to-recovery span, in
-    /// completion order (for pooled percentiles across runs).
-    pub fn matchup_waits(&self) -> &[Time] {
-        &self.waits
-    }
-
-    /// Sub-HI high-priority cycles that executed to completion.
-    pub fn sub_hi_completed(&self) -> u64 {
-        self.sub_hi_completed
-    }
-
-    /// Fraction of sub-HI demand shed at admission:
-    /// `sheds / (sheds + completed sub-HI cycles)`, `0.0` when the run
-    /// carried no sub-HI traffic at all.
-    pub fn lo_shed_ratio(&self) -> f64 {
-        let total = self.summary.sheds + self.sub_hi_completed;
-        if total == 0 {
-            0.0
-        } else {
-            self.summary.sheds as f64 / total as f64
-        }
-    }
-}
-
-impl Observer<NetEvent> for ModeStats {
-    fn observe(&mut self, _at: Time, event: &NetEvent) {
-        match *event {
-            NetEvent::ModeSwitch { .. } => self.summary.switches += 1,
-            NetEvent::Shed { .. } => self.summary.sheds += 1,
-            NetEvent::Matchup { waited } => {
-                self.summary.matchups += 1;
-                self.summary.max_time_to_matchup = self.summary.max_time_to_matchup.max(waited);
-                self.waits.push(waited);
-            }
-            NetEvent::HighCycle {
-                master,
-                ref request,
-                ..
-            } => {
-                let crit = self.criticality[master]
-                    .get(request.stream.0)
-                    .copied()
-                    .unwrap_or(Criticality::Hi);
-                if crit != Criticality::Hi {
-                    self.sub_hi_completed += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// O(pattern) counter multiplication. Match-ups append to the wait
-    /// list per occurrence, so that (never kernel-emitted) case replays.
-    fn on_idle_span(&mut self, span: &IdleSpan<'_, NetEvent>) {
-        if span
-            .pattern
-            .iter()
-            .any(|(_, ev)| matches!(ev, NetEvent::Matchup { .. }))
-        {
-            replay_span(self, span);
-            return;
-        }
-        for (_, ev) in span.pattern {
-            match *ev {
-                NetEvent::ModeSwitch { .. } => self.summary.switches += span.rotations,
-                NetEvent::Shed { .. } => self.summary.sheds += span.rotations,
-                NetEvent::HighCycle {
-                    master,
-                    ref request,
-                    ..
-                } => {
-                    let crit = self.criticality[master]
-                        .get(request.stream.0)
-                        .copied()
-                        .unwrap_or(Criticality::Hi);
-                    if crit != Criticality::Hi {
-                        self.sub_hi_completed += span.rotations;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
 /// Bounded event tracing as an observer: the former hand-threaded
 /// `Option<&mut Trace>` plumbing, now just another pipeline stage.
 #[derive(Clone, Debug)]
@@ -780,13 +640,13 @@ impl Observer<NetEvent> for TraceObserver {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::network::config::SimMaster;
     use profirt_base::time::t;
     use profirt_base::{Priority, StreamSet};
 
-    fn two_master_net() -> SimNetwork {
+    pub(crate) fn two_master_net() -> SimNetwork {
         SimNetwork {
             masters: vec![
                 SimMaster::stock(StreamSet::from_cdt(&[(100, 5_000, 10_000)]).unwrap())
@@ -808,10 +668,10 @@ mod tests {
         }
     }
 
-    /// A kitchen-sink pattern exercising every batched ingestion arm (no
-    /// membership events or match-ups — those take the replay fallback,
-    /// covered below).
-    fn batched_pattern() -> Vec<(Time, NetEvent)> {
+    /// A kitchen-sink pattern exercising every batched ingestion arm of
+    /// the counting observers (no membership events or match-ups — those
+    /// take the replay fallback, covered below).
+    pub(crate) fn batched_pattern() -> Vec<(Time, NetEvent)> {
         vec![
             (
                 t(0),
@@ -872,7 +732,7 @@ mod tests {
 
     /// Spans whose replay crosses observer state (membership churn, a
     /// match-up) — the overrides must detect them and fall back.
-    fn fallback_pattern() -> Vec<(Time, NetEvent)> {
+    pub(crate) fn fallback_pattern() -> Vec<(Time, NetEvent)> {
         vec![
             (t(0), NetEvent::MasterLeave { master: 1 }),
             (t(10), NetEvent::Matchup { waited: t(900) }),
@@ -891,7 +751,17 @@ mod tests {
     #[test]
     fn batched_idle_span_ingestion_equals_replay() {
         let net = two_master_net();
-        for pattern in [batched_pattern(), fallback_pattern()] {
+        // The kernel's own spans: arrivals and passes only.
+        let idle: Vec<(Time, NetEvent)> = batched_pattern()
+            .into_iter()
+            .filter(|(_, ev)| {
+                matches!(
+                    ev,
+                    NetEvent::TokenArrival { .. } | NetEvent::TokenPass { .. }
+                )
+            })
+            .collect();
+        for pattern in [idle, batched_pattern(), fallback_pattern()] {
             let span = IdleSpan {
                 start: t(1_000),
                 period: t(200),
@@ -905,24 +775,16 @@ mod tests {
             replay_span(&mut replayed, &span);
             assert_eq!(batched.into_result(), replayed.into_result());
 
-            let mut batched = ResponseStats::new();
+            let mut batched = NetStats::new(&net, &NetworkSimConfig::default());
             let mut replayed = batched.clone();
             batched.on_idle_span(&span);
             replay_span(&mut replayed, &span);
-            assert_eq!(batched.hist.summary(), replayed.hist.summary());
-
-            let mut batched = TrrStats::with_ring_size(2);
-            let mut replayed = batched.clone();
-            batched.on_idle_span(&span);
-            replay_span(&mut replayed, &span);
-            assert_eq!(batched.hist.summary(), replayed.hist.summary());
-            assert_eq!(batched.per_size(), replayed.per_size());
-
-            let mut batched = RingStats::new(2);
-            let mut replayed = batched.clone();
-            batched.on_idle_span(&span);
-            replay_span(&mut replayed, &span);
-            assert_eq!(batched.summary(), replayed.summary());
+            assert_eq!(batched.matchup_waits(), replayed.matchup_waits());
+            assert_eq!(batched.lo_shed_ratio(), replayed.lo_shed_ratio());
+            assert_eq!(
+                batched.finish(KernelMemStats::default()),
+                replayed.finish(KernelMemStats::default())
+            );
 
             let mut batched = StableResponseObserver::new(&net, 2, t(0));
             let mut replayed = batched.clone();
@@ -932,14 +794,6 @@ mod tests {
             assert_eq!(batched.samples, replayed.samples);
             assert_eq!(batched.hi_max_responses, replayed.hi_max_responses);
             assert_eq!(batched.hi_samples, replayed.hi_samples);
-
-            let mut batched = ModeStats::new(&net);
-            let mut replayed = batched.clone();
-            batched.on_idle_span(&span);
-            replay_span(&mut replayed, &span);
-            assert_eq!(batched.summary(), replayed.summary());
-            assert_eq!(batched.matchup_waits(), replayed.matchup_waits());
-            assert_eq!(batched.sub_hi_completed(), replayed.sub_hi_completed());
         }
     }
 }

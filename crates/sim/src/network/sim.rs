@@ -33,8 +33,10 @@
 //! merged on demand (O(streams) memory at any horizon) feeding the token
 //! loop, which emits a [`NetEvent`] stream. The functions here are thin
 //! observer assemblies over that kernel — results, traces, and percentile
-//! statistics are all [`Observer`]s. The pre-streaming implementation is
-//! retained as [`crate::network::reference`] for differential testing and
+//! statistics are all [`Observer`]s: [`simulate_network`] attaches a
+//! [`ResultObserver`], [`simulate_network_stats`] the single fused
+//! [`NetStats`] observer. The pre-streaming implementation is retained as
+//! [`crate::network::reference`] for differential testing and
 //! benchmarking.
 
 use profirt_base::Time;
@@ -44,8 +46,7 @@ use crate::engine::observer::{HistSummary, Observer};
 use crate::network::config::{NetworkSimConfig, SimNetwork};
 use crate::network::kernel::{run_network, KernelMemStats};
 use crate::network::observe::{
-    ModeStats, ModeSummary, NetEvent, ResponseStats, ResultObserver, RingStats, RingSummary,
-    TraceObserver, TrrStats,
+    ModeSummary, NetEvent, NetStats, ResultObserver, RingSummary, TraceObserver,
 };
 
 /// Observations for one stream.
@@ -154,35 +155,16 @@ pub fn simulate_network_traced(
     (result, tracer.trace)
 }
 
-/// Runs the simulation with the statistics observers attached, returning
-/// the run result plus response/TRR distribution summaries and the
-/// kernel's peak-memory indicators.
+/// Runs the simulation with the [`NetStats`] observer attached, returning
+/// the run result plus response/TRR distribution summaries, the ring and
+/// mode summaries and the kernel's peak-memory indicators.
 pub fn simulate_network_stats(
     net: &SimNetwork,
     config: &NetworkSimConfig,
 ) -> (NetworkSimResult, NetworkSimStats) {
-    let initial_ring = net.masters.len() - config.membership.initially_off().len();
-    let mut result = ResultObserver::new(net);
-    let mut response = ResponseStats::new();
-    let mut trr = TrrStats::with_ring_size(initial_ring);
-    let mut ring = RingStats::new(initial_ring);
-    let mut mode = ModeStats::new(net);
-    let mem = run_network(
-        net,
-        config,
-        &mut [&mut result, &mut response, &mut trr, &mut ring, &mut mode],
-    );
-    (
-        result.into_result(),
-        NetworkSimStats {
-            response: response.hist.summary(),
-            trr: trr.hist.summary(),
-            trr_by_ring_size: trr.per_size(),
-            ring: ring.summary(),
-            mode: mode.summary(),
-            mem,
-        },
-    )
+    let mut stats = NetStats::new(net, config);
+    let mem = run_network(net, config, &mut [&mut stats]);
+    stats.finish(mem)
 }
 
 #[cfg(test)]

@@ -185,6 +185,9 @@ pub fn simulate(
         mode,
         ..Default::default()
     };
+    sim_config
+        .check_tick_range(&sim_net)
+        .map_err(|e| format!("cannot simulate: {e}"))?;
     let dynamic_ring = !sim_config.is_static_ring();
     let started = std::time::Instant::now();
     let (obs, stats) = simulate_network_stats(&sim_net, &sim_config);

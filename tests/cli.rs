@@ -238,3 +238,38 @@ fn oversized_ttr_is_a_load_error_not_a_panic() {
     assert!(stderr.contains("10 x TTR overflows"), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
+
+#[test]
+fn overflowing_simulation_clock_is_an_error_not_a_hang() {
+    // The ring cost token_pass x masters (2 x 2^62) overflows i64: the
+    // kernel's clock would wrap and the run would never reach its horizon.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/configs/sample_network.json");
+    let sample = std::fs::read_to_string(path).unwrap();
+    let huge = sample.replacen(
+        "\"token_pass\": 166",
+        "\"token_pass\": 4611686018427387904",
+        1,
+    );
+    assert_ne!(huge, sample, "the sample config's token_pass moved");
+    let cfg = write_config("huge_token_pass.json", &huge);
+    let (ok, _, stderr) = profirt(&[
+        "simulate",
+        cfg.to_str().unwrap(),
+        "--horizon",
+        "9000000000000000000",
+    ]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("ring cost token_pass x masters overflows"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+
+    // A horizon within one visit of i64::MAX overflows the step past it.
+    let (ok, _, stderr) = profirt(&["simulate", path, "--horizon", "9223372036854775800"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("horizon plus one token visit's worst step overflows"),
+        "stderr: {stderr}"
+    );
+}
