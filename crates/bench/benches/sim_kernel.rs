@@ -12,11 +12,11 @@
 //!   horizon, so the baseline's linear-scan + `Vec::remove` low-priority
 //!   selection goes quadratic while the kernel's heap stays logarithmic.
 //! * `churn_ring` — the dense fixture under membership churn + GAP
-//!   polling (kernel-only: the reference models static rings). Static
-//!   fixtures keep running through the static fast path, whose per-visit
-//!   cost is unchanged by the churn machinery — the baseline JSON records
-//!   both so CI can watch the fast path staying within noise of the
-//!   pre-churn numbers.
+//!   polling (kernel-only: the reference models static rings). The
+//!   kernel runs both through one loop; the static fixtures take its
+//!   fixed-ring step, which skips the churn machinery's per-visit
+//!   bookkeeping — the baseline JSON records both so CI can watch the
+//!   fixed ring staying within noise of the pre-churn numbers.
 //! * `mc_churn` — the churn fixture with mixed-criticality labels and
 //!   the mode controller armed: records the mode machinery's overhead
 //!   against the churn-only loop (and asserts the armed controller is a
@@ -274,8 +274,8 @@ fn write_baseline(full: bool) {
         ]));
     }
     // Churn fixture: kernel-only (the reference is static-ring-gated);
-    // the record pairs the dynamic loop against the static fast path on
-    // the identical traffic so fast-path regressions stand out.
+    // the record pairs the loop under churn against the fixed-ring step
+    // on the identical traffic so fixed-ring regressions stand out.
     let (churn_net, churn_cfg) = churn_ring();
     assert_eq!(
         simulate_network(&churn_net, &churn_cfg),
@@ -293,7 +293,7 @@ fn write_baseline(full: bool) {
         ("fixture", Value::Str("churn_ring".to_string())),
         ("horizon_ticks", Value::Int(churn_cfg.horizon.ticks())),
         ("streaming_ns", Value::Float(churn_ns)),
-        ("static_fast_path_ns", Value::Float(static_ns)),
+        ("fixed_ring_ns", Value::Float(static_ns)),
         ("churn_overhead", Value::Float(churn_ns / static_ns)),
     ]));
     // Mode-controller fixture: on all-HI traffic the armed controller

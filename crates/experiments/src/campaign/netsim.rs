@@ -78,8 +78,8 @@ pub(super) struct RingScenario {
     pub(super) gap_factor: u32,
     /// Scripted membership churn.
     pub(super) plan: MembershipPlan,
-    /// Mixed-criticality mode controller (disabled by default; enabling it
-    /// routes the run through the dynamic loop).
+    /// Mixed-criticality mode controller (disabled by default; it runs on
+    /// fixed and churning rings alike).
     pub(super) mode: ModeSimConfig,
 }
 

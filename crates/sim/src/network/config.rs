@@ -27,7 +27,7 @@ pub struct SimMaster {
     /// Low-priority background traffic sources.
     pub low_priority: Vec<LowPriorityTraffic>,
     /// FDL station address, used for the address-staggered token-recovery
-    /// timeout and the logical-ring order under dynamic membership.
+    /// timeout and the token order (next-higher address) on every ring.
     /// `None` (the default) means "ring index", which preserves the
     /// convention that the first master in the ring claims lost tokens.
     pub addr: Option<MasterAddr>,
@@ -165,7 +165,9 @@ impl std::error::Error for SimNetworkError {}
 /// The simulated network.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SimNetwork {
-    /// Masters in logical-ring order.
+    /// The masters, indexed by ring index. The token visits them in FDL
+    /// address order (next-higher address, wrapping), which is the vector
+    /// order under the default ring-index addresses.
     pub masters: Vec<SimMaster>,
     /// Target token rotation time `TTR`.
     pub ttr: Time,
@@ -282,11 +284,11 @@ pub struct NetworkSimConfig {
 }
 
 impl NetworkSimConfig {
-    /// `true` when this run uses the static logical ring of the paper's
-    /// §3.1 — no scripted churn, no GAP polling, and no mode controller
-    /// (overload detection needs the dynamic loop's live TRR feed). Static
-    /// runs take the fast path whose event stream is byte-identical to the
-    /// materialized reference simulator.
+    /// `true` when this run is the paper's §3.1 static logical ring: no
+    /// scripted churn, no GAP polling and no mode controller. This is the
+    /// precondition of the materialized reference simulator
+    /// ([`crate::network::reference`]); the kernel runs every config
+    /// through one loop (see [`crate::network::kernel`]).
     pub fn is_static_ring(&self) -> bool {
         self.gap_factor == 0 && self.membership.is_empty() && !self.mode.enabled
     }
@@ -299,7 +301,9 @@ impl NetworkSimConfig {
     /// (a visit with TTH overrun), one GAP poll, a pass sequence over the
     /// whole ring with every attempt failing (`token_pass + TSL` each,
     /// `1 + max_retry` attempts per successor) and the longest claim
-    /// timeout `(6 + 2·126)·TSL`.
+    /// timeout `(6 + 2·126)·TSL`. With the mode controller enabled, its
+    /// thresholds `degrade_factor × TTR` and `matchup_factor × TTR` must
+    /// fit too.
     pub fn check_tick_range(&self, net: &SimNetwork) -> Result<(), SimNetworkError> {
         let n = net.masters.len() as i64;
         net.token_pass
@@ -307,6 +311,22 @@ impl NetworkSimConfig {
             .ok_or(SimNetworkError::TickOverflow {
                 what: "the ring cost token_pass x masters",
             })?;
+        if self.mode.enabled {
+            for (factor, what) in [
+                (
+                    self.mode.degrade_factor,
+                    "the mode threshold degrade_factor x TTR",
+                ),
+                (
+                    self.mode.matchup_factor,
+                    "the mode threshold matchup_factor x TTR",
+                ),
+            ] {
+                net.ttr
+                    .checked_mul(i64::from(factor))
+                    .ok_or(SimNetworkError::TickOverflow { what })?;
+            }
+        }
         let longest_cycle = net
             .masters
             .iter()
@@ -453,7 +473,7 @@ mod tests {
         assert_eq!(c.offsets, OffsetMode::Synchronous);
         assert_eq!(c.jitter, JitterInjection::None);
         assert!(c.horizon.is_positive());
-        // The defaults select the static-ring fast path.
+        // The defaults are the static §3.1 ring the reference models.
         assert_eq!(c.gap_factor, 0);
         assert!(c.membership.is_empty());
         assert!(c.is_static_ring());
@@ -518,6 +538,46 @@ mod tests {
             err.to_string(),
             "the ring cost token_pass x masters overflows i64 ticks"
         );
+    }
+
+    #[test]
+    fn tick_range_rejects_wrapping_mode_thresholds() {
+        let net = SimNetwork {
+            masters: vec![SimMaster::stock(StreamSet::new(vec![]).unwrap())],
+            ttr: t(10_000_000_000),
+            token_pass: t(100),
+        };
+        let moded = |degrade_factor: u32, matchup_factor: u32| NetworkSimConfig {
+            mode: ModeSimConfig {
+                degrade_factor,
+                matchup_factor,
+                ..ModeSimConfig::enabled()
+            },
+            ..Default::default()
+        };
+        assert_eq!(moded(2, 2).check_tick_range(&net), Ok(()));
+        // 1e10 x u32::MAX > i64::MAX: either product is a typed error.
+        assert_eq!(
+            moded(u32::MAX, 2).check_tick_range(&net),
+            Err(SimNetworkError::TickOverflow {
+                what: "the mode threshold degrade_factor x TTR"
+            })
+        );
+        assert_eq!(
+            moded(2, u32::MAX).check_tick_range(&net),
+            Err(SimNetworkError::TickOverflow {
+                what: "the mode threshold matchup_factor x TTR"
+            })
+        );
+        // A disabled controller never computes its thresholds.
+        let off = NetworkSimConfig {
+            mode: ModeSimConfig {
+                enabled: false,
+                ..moded(u32::MAX, u32::MAX).mode
+            },
+            ..Default::default()
+        };
+        assert_eq!(off.check_tick_range(&net), Ok(()));
     }
 
     #[test]

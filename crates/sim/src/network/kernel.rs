@@ -13,32 +13,38 @@
 //! observer pipeline. Results, traces, and percentile statistics are all
 //! observers (see [`crate::network::observe`]).
 //!
-//! ## Static and dynamic rings
+//! ## One loop, fixed-ring step
 //!
-//! With an empty [`MembershipPlan`](crate::network::MembershipPlan) and
-//! GAP polling disabled (`gap_factor == 0`, the config defaults) the run
-//! takes the **static-ring fast path**: the fixed master vector *is* the
-//! ring, token order is ring-index order, and the event stream is
-//! byte-identical to the materialized reference simulator
-//! ([`crate::network::reference`]) — the differential property tests pin
-//! this exactly.
-//!
-//! Otherwise membership is simulated state (`run_dynamic` below): every
+//! Every run executes one token loop over a simulated membership: every
 //! master runs the DIN 19245 FDL state machine, the token travels over a
-//! live [`profirt_profibus::LogicalRing`] keyed by FDL address, the
-//! holder's GAP polls (one `Request FDL Status` every `G` visits,
-//! consuming real token-holding time) admit listening masters after two
-//! observed rotations, departures are detected through failed token
-//! passes (each costing `(1 + max_retry) · (token_pass + TSL)` before the
-//! successor is skipped), and a vanished token is re-originated by the
-//! lowest-address powered station after its staggered claim timeout. All
-//! of that protocol state lives in [`profirt_profibus::RingController`];
-//! the kernel owns time and traffic. Scripted membership events apply at
+//! live [`profirt_profibus::LogicalRing`] keyed by FDL address (the
+//! "next station" is the next-higher address, wrapping), the holder's GAP
+//! polls (one `Request FDL Status` every `G` visits, consuming real
+//! token-holding time) admit listening masters after two observed
+//! rotations, departures are detected through failed token passes (each
+//! costing `(1 + max_retry) · (token_pass + TSL)` before the successor is
+//! skipped), and a vanished token is re-originated by the lowest-address
+//! powered station after its staggered claim timeout. All of that
+//! protocol state lives in [`profirt_profibus::RingController`]; the
+//! kernel owns time and traffic. Scripted membership events apply at
 //! token-visit boundaries.
 //!
-//! Determinism contract (both paths): for identical inputs — seed, plan,
-//! and config — the kernel produces the exact same event stream, whatever
-//! the observer set.
+//! A ring with an empty [`MembershipPlan`](crate::network::MembershipPlan)
+//! and GAP polling disabled (`gap_factor == 0`, the config defaults)
+//! cannot change, with or without the mode controller. There the loop
+//! takes its **fixed-ring step**: it skips the per-visit
+//! `RingController` calls (all no-ops on such a ring), passes the token
+//! along a successor table built once in the same address order
+//! (`ring_successors`), and recovers a lost token by `recovery_rule`
+//! (the lowest-address master's claim). Without the mode controller its
+//! event stream is byte-identical to the materialized reference
+//! simulator ([`crate::network::reference`]); the differential property
+//! tests pin that, and pin the fixed-ring step against the full protocol
+//! path on the same ring.
+//!
+//! Determinism contract: for identical inputs — seed, plan, and config —
+//! the kernel produces the exact same event stream, whatever the observer
+//! set.
 
 use profirt_base::release::MergedReleases;
 use profirt_base::{Criticality, Time};
@@ -80,18 +86,33 @@ pub struct KernelMemStats {
     pub rotations_fast_forwarded: u64,
 }
 
-/// The token-loss recovery rule of the static ring: the lowest-address
-/// master claims the token after the FDL claim timeout
+/// The token order of a ring that cannot change: `next[k]` is the ring
+/// index of the master with the next-higher FDL address after master `k`
+/// (wrapping to the lowest), the LAS "next station" rule of
+/// [`profirt_profibus::RingController::successor`] on a full ring.
+pub(crate) fn ring_successors(net: &SimNetwork) -> Vec<usize> {
+    let addrs = net.addresses();
+    let mut order: Vec<usize> = (0..addrs.len()).collect();
+    order.sort_unstable_by_key(|&k| addrs[k]);
+    let mut next = vec![0; addrs.len()];
+    for (i, &k) in order.iter().enumerate() {
+        next[k] = order[(i + 1) % order.len()];
+    }
+    next
+}
+
+/// The token-loss recovery rule of a ring that cannot change: the
+/// lowest-address master claims the token after the FDL claim timeout
 /// `TTO = (6 + 2·addr)·TSL` (DIN 19245, see
-/// [`profirt_profibus::fdl::token_recovery_timeout`]). Returns the
-/// claimant's ring index and the bus-silence span before its claim.
+/// [`profirt_profibus::fdl::token_recovery_timeout`]), as
+/// [`profirt_profibus::RingController::claimant`] picks on a full ring.
+/// Returns the claimant's ring index and the bus-silence span before its
+/// claim.
 pub(crate) fn recovery_rule(net: &SimNetwork, config: &NetworkSimConfig) -> (usize, Time) {
-    let claimant = (0..net.masters.len())
-        .min_by_key(|&k| net.masters[k].addr_or_ring(k))
-        .expect("network needs at least one master");
+    let addrs = net.addresses();
+    let claimant = (0..addrs.len()).min_by_key(|&k| addrs[k]).unwrap_or(0);
     let bus = BusParams::profile_500k().with_slot_time(config.slot_time);
-    let timeout = token_recovery_timeout(&bus, net.masters[claimant].addr_or_ring(claimant));
-    (claimant, timeout)
+    (claimant, token_recovery_timeout(&bus, addrs[claimant]))
 }
 
 /// Per-master streaming state.
@@ -211,8 +232,9 @@ impl MasterKernel {
 
 /// Message-cycle duration sampling under the `cycle_undershoot` fault
 /// model: uniform in `[⌈(1-v)·Ch⌉, Ch]` when enabled, always `Ch`
-/// otherwise. One instance per run so both loop flavours consume the
-/// fault RNG identically.
+/// otherwise. Forked off the run RNG right after the masters' release
+/// generators, where the materialized reference forks its own, so both
+/// simulators consume the fault stream identically.
 struct DurationSampler {
     undershoot: f64,
     rng: SimRng,
@@ -276,11 +298,9 @@ fn emit_transition(
 
 /// One token visit at `holder`: TRR bookkeeping and arrival emission,
 /// release sync + peak tracking, then the §3.1 serve steps 2–4. Returns
-/// the instant serving finished. Shared verbatim by the static and
-/// dynamic loops, so the serve semantics (and RNG consumption order)
-/// cannot drift apart. `shed_lo` is the run's mode-controller state for
-/// this visit (always `false` on the static path): sub-HI releases synced
-/// during the visit are shed at admission and emitted as
+/// the instant serving finished. `shed_lo` is the run's mode-controller
+/// state for this visit (always `false` without the controller): sub-HI
+/// releases synced during the visit are shed at admission and emitted as
 /// [`NetEvent::Shed`].
 #[allow(clippy::too_many_arguments)]
 fn visit(
@@ -391,7 +411,8 @@ fn visit(
     now
 }
 
-/// Runs the streaming kernel, emitting every bus event into `observers`.
+/// Runs the streaming kernel, emitting every bus event into `observers`:
+/// the one token loop of the module docs.
 ///
 /// Observers are passive; the event stream (and thus any result derived
 /// from it) is identical for every observer set, including the empty one.
@@ -429,26 +450,313 @@ pub fn run_network(
     let mut loss_rng = SimRng::seed_from_u64(config.seed ^ 0x70CE_55E5);
     let mut mem = KernelMemStats::default();
 
-    if config.is_static_ring() {
-        run_static(
-            net,
-            config,
-            observers,
-            &mut masters,
+    let bus = BusParams::profile_500k().with_slot_time(config.slot_time);
+    let mut ctrl = RingController::new(net.addresses(), config.gap_factor)
+        .expect("SimNetwork::validate checked the address plan");
+    let plan = &config.membership;
+    for k in 0..net.masters.len() {
+        if !plan.is_initially_off(k) {
+            ctrl.boot_in_ring(k);
+        }
+    }
+    let events = plan.events();
+    let mut next_event = 0usize;
+    // Without scripted churn or GAP polling nobody joins or leaves: the
+    // fixed-ring step skips the controller's per-visit bookkeeping and
+    // passes along the address-order table (the order `ctrl.successor`
+    // follows on a full ring, so the idle pattern below uses it too).
+    let fixed = plan.is_empty() && config.gap_factor == 0;
+    let next_of = ring_successors(net);
+    let (fixed_claimant, fixed_recovery) = recovery_rule(net, config);
+    // Failed-pass detection budget: the initial attempt plus the bus
+    // profile's retries, each waiting a full slot time for successor
+    // activity.
+    let attempts = 1 + bus.max_retry as i64;
+    // The mixed-criticality mode controller (when enabled): fed from the
+    // same TRR measurements and join/leave events the observers see.
+    let mut mode_ctrl = config.mode.enabled.then(|| {
+        let initial = (0..net.masters.len())
+            .filter(|&k| !plan.is_initially_off(k))
+            .count();
+        ModeController::new(net.ttr, net.masters.len(), initial, config.mode)
+    });
+
+    let n_masters = masters.len();
+    let rotation = net.token_pass * n_masters as i64;
+    // The idle fast-forward needs determinism over the skipped span: with
+    // token loss armed every pass draws from the loss RNG, so skipping
+    // would desynchronise the fault stream. Loss-free runs (the default)
+    // draw nothing on idle visits and can skip freely.
+    let fast_forward = config.fast_forward && config.token_loss_prob <= 0.0;
+    // Consecutive executed visits that were pure token hops: no serving,
+    // no GAP poll, no retries — each exactly one `token_pass` apart. Any
+    // membership disturbance resets it. Once every master went idle in
+    // turn (`idle_streak >= n_masters`) on a full ring, all token timers
+    // are rotation-aligned, so the next rotations emit the constant
+    // pattern `TokenArrival { tth: TTR − R, trr: Some(R) }` / `TokenPass`
+    // until a release comes due.
+    let mut idle_streak = 0usize;
+    let mut pattern: Vec<(Time, NetEvent)> = Vec::new();
+
+    let mut now = Time::ZERO;
+    // The first holder is the first initially-on master in ring-vector
+    // order (ring index 0 when it is powered).
+    let mut holder: Option<usize> = (0..net.masters.len()).find(|&k| ctrl.in_ring(k));
+
+    while now < config.horizon {
+        // Scripted membership events apply at token-visit boundaries.
+        while events.get(next_event).is_some_and(|e| e.at <= now) {
+            let e = events[next_event];
+            next_event += 1;
+            idle_streak = 0;
+            match e.action {
+                MembershipAction::PowerOn => {
+                    if ctrl.power_on(e.master) {
+                        masters[e.master].reboot(now);
+                    }
+                }
+                MembershipAction::PowerOff | MembershipAction::Crash => {
+                    if ctrl.power_off(e.master) && holder == Some(e.master) {
+                        // The token died with its holder.
+                        holder = None;
+                    }
+                }
+            }
+        }
+
+        // No token on the bus: silence until a claim timeout fires.
+        let Some(h) = holder else {
+            idle_streak = 0;
+            match ctrl.claimant() {
+                Some(c) => {
+                    now += token_recovery_timeout(&bus, ctrl.addr_of(c));
+                    if now >= config.horizon {
+                        break;
+                    }
+                    let joined = ctrl.claim(c);
+                    emit(observers, now, NetEvent::Claim { master: c });
+                    if joined {
+                        emit(observers, now, NetEvent::MasterJoin { master: c });
+                        if let Some(mc) = &mut mode_ctrl {
+                            emit_transition(mc.on_membership(now, true), now, observers);
+                        }
+                    }
+                    holder = Some(c);
+                }
+                None => {
+                    // Every station is dead: jump to the next scripted
+                    // power-on, or end the run.
+                    match events.get(next_event) {
+                        Some(e) => now = now.max(e.at),
+                        None => break,
+                    }
+                }
+            }
+            continue;
+        };
+
+        // Idle fast-forward: inside a clean full-ring phase — every
+        // station powered and a LAS member (so no listeners exist and
+        // `observe_wrap` is a no-op), the last `n` visits pure token
+        // hops — the next rotations are a fixed periodic pattern whose
+        // per-visit FDL transitions cycle every station back to
+        // `ActiveIdle`. Skip k of them in O(1), capped by the release
+        // backlog/horizon bound, strictly before the next scripted
+        // membership event (loop tops are one `token_pass` apart during
+        // idle spans, so requiring `now + k·R ≤ event.at` preserves the
+        // application instant), and strictly before every armed GAP
+        // poll boundary.
+        if fast_forward
+            && idle_streak >= n_masters
+            && (fixed
+                || ctrl.ring_size() == n_masters && (0..n_masters).all(|s| !ctrl.is_offline(s)))
+        {
+            let mut k = idle_rotation_cap(&masters, now, rotation, config.horizon, net.token_pass);
+            if let Some(e) = events.get(next_event) {
+                k = k.min((e.at - now).ticks() / rotation.ticks());
+            }
+            if !fixed {
+                for s in 0..n_masters {
+                    if let Some(due) = ctrl.gap_visits_until_due(s) {
+                        k = k.min(due as i64 - 1);
+                    }
+                }
+            }
+            if k >= 1 {
+                // Idle rotations measure TRR = R ≤ TTR exactly, so they
+                // can never trip the TRR-overload degrade trigger;
+                // `on_idle_span` batches the k·n arrivals and refuses
+                // the span only when a transition (a match-up deadline)
+                // would fire inside it — then we fall back to per-visit
+                // simulation, which fires it at the right arrival.
+                let mode_ok = match &mut mode_ctrl {
+                    Some(mc) => mc.on_idle_span(now, now + rotation * k - net.token_pass, rotation),
+                    None => true,
+                };
+                if mode_ok {
+                    pattern.clear();
+                    let tth = net.ttr - rotation;
+                    let mut cur = h;
+                    for j in 0..n_masters {
+                        let next = next_of[cur];
+                        pattern.push((
+                            net.token_pass * j as i64,
+                            NetEvent::TokenArrival {
+                                master: cur,
+                                tth,
+                                trr: Some(rotation),
+                            },
+                        ));
+                        pattern.push((
+                            net.token_pass * (j + 1) as i64,
+                            NetEvent::TokenPass {
+                                from: cur,
+                                to: next,
+                            },
+                        ));
+                        cur = next;
+                    }
+                    apply_idle_span(
+                        &mut masters,
+                        observers,
+                        &pattern,
+                        now,
+                        rotation,
+                        k,
+                        &mut mem,
+                    );
+                    if !fixed {
+                        for s in 0..n_masters {
+                            // Capped above at `due − 1`, so this never
+                            // crosses a poll boundary; a no-op when GAP
+                            // polling is disabled.
+                            ctrl.gap_advance_visits(s, k as u32);
+                        }
+                    }
+                    // After k whole rotations the token is back at `h`,
+                    // and the streak (still idle) carries over.
+                    now += rotation * k;
+                    continue;
+                }
+            }
+        }
+
+        // Token visit at `h`.
+        if !fixed {
+            ctrl.deliver_token(h);
+            if ctrl.is_wrap_point(h) {
+                // The token reached the lowest LAS address: one full
+                // rotation for every listening station.
+                ctrl.observe_wrap();
+            }
+        }
+        // Feed the holder's TRR measurement (the same span `visit` will
+        // report on its TokenArrival) to the mode controller before the
+        // visit, so this visit already sheds/admits under the new mode.
+        let shed_lo = match &mut mode_ctrl {
+            Some(mc) => {
+                let m = &masters[h];
+                let trr = m.first_arrival_seen.then(|| now - m.timer.trr_started_at());
+                emit_transition(mc.on_token_arrival(now, trr), now, observers);
+                mc.degraded()
+            }
+            None => false,
+        };
+        let served_until = visit(
+            &mut masters[h],
+            h,
+            now,
             &mut durations,
-            &mut loss_rng,
             &mut mem,
-        );
-    } else {
-        run_dynamic(
-            net,
-            config,
             observers,
-            &mut masters,
-            &mut durations,
-            &mut loss_rng,
-            &mut mem,
+            shed_lo,
         );
+        let mut clean_hop = served_until == now;
+        now = served_until;
+
+        // GAP maintenance: one Request FDL Status every G visits,
+        // consuming real token-holding time.
+        if let Some(target) = if fixed { None } else { ctrl.gap_poll_due(h) } {
+            clean_hop = false;
+            let target_slot = ctrl.slot_of(target).filter(|&s| !ctrl.is_offline(s));
+            let admitted = target_slot.filter(|&s| ctrl.ready_to_join(s));
+            let start = now;
+            now += gap::poll_time(&bus, target_slot.is_some());
+            emit(
+                observers,
+                start,
+                NetEvent::GapPoll {
+                    master: h,
+                    target,
+                    admitted,
+                },
+            );
+            if let Some(s) = admitted {
+                ctrl.admit(s);
+                emit(observers, now, NetEvent::MasterJoin { master: s });
+                if let Some(mc) = &mut mode_ctrl {
+                    emit_transition(mc.on_membership(now, true), now, observers);
+                }
+            }
+        }
+
+        // Step 5: pass the token over the ring (possibly losing it),
+        // detecting dead successors.
+        if !fixed {
+            ctrl.holding_done(h);
+        }
+        loop {
+            now += net.token_pass;
+            if config.token_loss_prob > 0.0 && loss_rng.unit() < config.token_loss_prob {
+                // The pass frame was lost on the wire: bus silence until
+                // the recovery claimant's timeout fires; it then
+                // re-originates the token.
+                let c = if fixed {
+                    now += fixed_recovery;
+                    fixed_claimant
+                } else {
+                    ctrl.pass_failed(h);
+                    let c = ctrl
+                        .claimant()
+                        .expect("the holder itself is powered and claim-eligible");
+                    now += token_recovery_timeout(&bus, ctrl.addr_of(c));
+                    ctrl.claim(c);
+                    c
+                };
+                emit(observers, now, NetEvent::Recovery { claimant: c });
+                holder = Some(c);
+                clean_hop = false;
+                break;
+            }
+            let succ = if fixed {
+                next_of[h]
+            } else {
+                ctrl.successor(h).expect("holder is a ring member")
+            };
+            if fixed || succ == h || ctrl.accepts_token(succ) {
+                // A sole member passes to itself (`succ == h`); either
+                // way the next visit's `deliver_token` moves the receiver
+                // from ActiveIdle to UseToken.
+                if !fixed {
+                    ctrl.pass_confirmed(h);
+                }
+                emit(observers, now, NetEvent::TokenPass { from: h, to: succ });
+                holder = Some(succ);
+                break;
+            }
+            // Dead successor: retries exhaust, then it is dropped from
+            // the LAS and the next member is tried. Each attempt is one
+            // pass frame plus a slot time of silence; the first pass
+            // frame was already spent above.
+            now += bus.slot_time + (net.token_pass + bus.slot_time) * (attempts - 1);
+            ctrl.drop_member(succ);
+            clean_hop = false;
+            emit(observers, now, NetEvent::MasterLeave { master: succ });
+            if let Some(mc) = &mut mode_ctrl {
+                emit_transition(mc.on_membership(now, false), now, observers);
+            }
+        }
+        idle_streak = if clean_hop { idle_streak + 1 } else { 0 };
     }
     mem
 }
@@ -518,379 +826,4 @@ fn apply_idle_span(
         }
     }
     mem.rotations_fast_forwarded += k as u64;
-}
-
-/// The static-ring fast path: the pre-churn token loop, event-stream
-/// byte-identical to the materialized reference.
-#[allow(clippy::too_many_arguments)]
-fn run_static(
-    net: &SimNetwork,
-    config: &NetworkSimConfig,
-    observers: &mut [&mut dyn Observer<NetEvent>],
-    masters: &mut [MasterKernel],
-    durations: &mut DurationSampler,
-    loss_rng: &mut SimRng,
-    mem: &mut KernelMemStats,
-) {
-    let (claimant, recovery_timeout) = recovery_rule(net, config);
-    let n_masters = masters.len();
-    let rotation = net.token_pass * n_masters as i64;
-    // The idle fast-forward needs determinism over the skipped span: with
-    // token loss armed every pass draws from the loss RNG, so skipping
-    // would desynchronise the fault stream. Loss-free runs (the default)
-    // draw nothing on idle visits and can skip freely.
-    let fast_forward = config.fast_forward && config.token_loss_prob <= 0.0;
-    // Consecutive executed visits that served nothing and advanced no
-    // simulation time over a clean token hop. Once every master went
-    // idle in turn (`idle_streak >= n_masters`), all token timers are
-    // rotation-aligned: each master's last arrival sits exactly one ring
-    // cost back, so the next rotations emit the constant pattern
-    // `TokenArrival { tth: TTR − R, trr: Some(R) }` / `TokenPass` until
-    // a release comes due.
-    let mut idle_streak = 0usize;
-    let mut pattern: Vec<(Time, NetEvent)> = Vec::new();
-    let mut now = Time::ZERO;
-    let mut holder = 0usize;
-    while now < config.horizon {
-        if fast_forward && idle_streak >= n_masters {
-            let k = idle_rotation_cap(masters, now, rotation, config.horizon, net.token_pass);
-            if k >= 1 {
-                pattern.clear();
-                let tth = net.ttr - rotation;
-                for j in 0..n_masters {
-                    let m = (holder + j) % n_masters;
-                    pattern.push((
-                        net.token_pass * j as i64,
-                        NetEvent::TokenArrival {
-                            master: m,
-                            tth,
-                            trr: Some(rotation),
-                        },
-                    ));
-                    pattern.push((
-                        net.token_pass * (j + 1) as i64,
-                        NetEvent::TokenPass {
-                            from: m,
-                            to: (m + 1) % n_masters,
-                        },
-                    ));
-                }
-                apply_idle_span(masters, observers, &pattern, now, rotation, k, mem);
-                now += rotation * k;
-                // After k whole rotations the token is back at `holder`,
-                // and the streak (still idle) carries over.
-                continue;
-            }
-        }
-
-        let served_until = visit(
-            &mut masters[holder],
-            holder,
-            now,
-            durations,
-            mem,
-            observers,
-            false,
-        );
-        idle_streak = if served_until == now {
-            idle_streak + 1
-        } else {
-            0
-        };
-        now = served_until;
-
-        // Step 5: pass the token (possibly losing it).
-        now += net.token_pass;
-        if config.token_loss_prob > 0.0 && loss_rng.unit() < config.token_loss_prob {
-            // Lost token: the bus goes silent until the lowest-address
-            // master's claim timeout fires; it then re-originates the
-            // token.
-            now += recovery_timeout;
-            emit(observers, now, NetEvent::Recovery { claimant });
-            holder = claimant;
-            idle_streak = 0;
-        } else {
-            let next = (holder + 1) % n_masters;
-            emit(
-                observers,
-                now,
-                NetEvent::TokenPass {
-                    from: holder,
-                    to: next,
-                },
-            );
-            holder = next;
-        }
-    }
-}
-
-/// The dynamic-membership loop: FDL state machines, live logical ring,
-/// GAP polling, scripted churn (see the module docs for the protocol
-/// summary).
-#[allow(clippy::too_many_arguments)]
-fn run_dynamic(
-    net: &SimNetwork,
-    config: &NetworkSimConfig,
-    observers: &mut [&mut dyn Observer<NetEvent>],
-    masters: &mut [MasterKernel],
-    durations: &mut DurationSampler,
-    loss_rng: &mut SimRng,
-    mem: &mut KernelMemStats,
-) {
-    let bus = BusParams::profile_500k().with_slot_time(config.slot_time);
-    let mut ctrl = RingController::new(net.addresses(), config.gap_factor)
-        .expect("SimNetwork::validate checked the address plan");
-    let plan = &config.membership;
-    for k in 0..net.masters.len() {
-        if !plan.is_initially_off(k) {
-            ctrl.boot_in_ring(k);
-        }
-    }
-    let events = plan.events();
-    let mut next_event = 0usize;
-    // Failed-pass detection budget: the initial attempt plus the bus
-    // profile's retries, each waiting a full slot time for successor
-    // activity.
-    let attempts = 1 + bus.max_retry as i64;
-    // The mixed-criticality mode controller (when enabled): fed from the
-    // same TRR measurements and join/leave events the observers see.
-    let mut mode_ctrl = config.mode.enabled.then(|| {
-        let initial = (0..net.masters.len())
-            .filter(|&k| !plan.is_initially_off(k))
-            .count();
-        ModeController::new(net.ttr, net.masters.len(), initial, config.mode)
-    });
-
-    let n_masters = masters.len();
-    let rotation = net.token_pass * n_masters as i64;
-    // See `run_static`: skipping is only sound when idle passes draw no
-    // loss RNG, i.e. in loss-free runs.
-    let fast_forward = config.fast_forward && config.token_loss_prob <= 0.0;
-    // Consecutive executed visits that were pure token hops: no serving,
-    // no GAP poll, no retries — each exactly one `token_pass` apart. Any
-    // membership disturbance resets it.
-    let mut idle_streak = 0usize;
-    let mut pattern: Vec<(Time, NetEvent)> = Vec::new();
-
-    let mut now = Time::ZERO;
-    // The first holder is the first initially-on master in ring-vector
-    // order (ring index 0 when it is powered — matching the static loop).
-    let mut holder: Option<usize> = (0..net.masters.len()).find(|&k| ctrl.in_ring(k));
-
-    while now < config.horizon {
-        // Scripted membership events apply at token-visit boundaries.
-        while events.get(next_event).is_some_and(|e| e.at <= now) {
-            let e = events[next_event];
-            next_event += 1;
-            idle_streak = 0;
-            match e.action {
-                MembershipAction::PowerOn => {
-                    if ctrl.power_on(e.master) {
-                        masters[e.master].reboot(now);
-                    }
-                }
-                MembershipAction::PowerOff | MembershipAction::Crash => {
-                    if ctrl.power_off(e.master) && holder == Some(e.master) {
-                        // The token died with its holder.
-                        holder = None;
-                    }
-                }
-            }
-        }
-
-        // No token on the bus: silence until a claim timeout fires.
-        let Some(h) = holder else {
-            idle_streak = 0;
-            match ctrl.claimant() {
-                Some(c) => {
-                    now += token_recovery_timeout(&bus, ctrl.addr_of(c));
-                    if now >= config.horizon {
-                        break;
-                    }
-                    let joined = ctrl.claim(c);
-                    emit(observers, now, NetEvent::Claim { master: c });
-                    if joined {
-                        emit(observers, now, NetEvent::MasterJoin { master: c });
-                        if let Some(mc) = &mut mode_ctrl {
-                            emit_transition(mc.on_membership(now, true), now, observers);
-                        }
-                    }
-                    holder = Some(c);
-                }
-                None => {
-                    // Every station is dead: jump to the next scripted
-                    // power-on, or end the run.
-                    match events.get(next_event) {
-                        Some(e) => now = now.max(e.at),
-                        None => break,
-                    }
-                }
-            }
-            continue;
-        };
-
-        // Idle fast-forward: inside a clean full-ring phase — every
-        // station powered and a LAS member (so no listeners exist and
-        // `observe_wrap` is a no-op), the last `n` visits pure token
-        // hops — the next rotations are a fixed periodic pattern whose
-        // per-visit FDL transitions cycle every station back to
-        // `ActiveIdle`. Skip k of them in O(1), capped by the release
-        // backlog/horizon bound, strictly before the next scripted
-        // membership event (loop tops are one `token_pass` apart during
-        // idle spans, so requiring `now + k·R ≤ event.at` preserves the
-        // application instant), and strictly before every armed GAP
-        // poll boundary.
-        if fast_forward
-            && idle_streak >= n_masters
-            && ctrl.ring_size() == n_masters
-            && (0..n_masters).all(|s| !ctrl.is_offline(s))
-        {
-            let mut k = idle_rotation_cap(masters, now, rotation, config.horizon, net.token_pass);
-            if let Some(e) = events.get(next_event) {
-                k = k.min((e.at - now).ticks() / rotation.ticks());
-            }
-            for s in 0..n_masters {
-                if let Some(due) = ctrl.gap_visits_until_due(s) {
-                    k = k.min(due as i64 - 1);
-                }
-            }
-            if k >= 1 {
-                // Idle rotations measure TRR = R ≤ TTR exactly, so they
-                // can never trip the TRR-overload degrade trigger;
-                // `on_idle_span` batches the k·n arrivals and refuses
-                // the span only when a transition (a match-up deadline)
-                // would fire inside it — then we fall back to per-visit
-                // simulation, which fires it at the right arrival.
-                let mode_ok = match &mut mode_ctrl {
-                    Some(mc) => mc.on_idle_span(now, now + rotation * k - net.token_pass, rotation),
-                    None => true,
-                };
-                if mode_ok {
-                    pattern.clear();
-                    let tth = net.ttr - rotation;
-                    let mut cur = h;
-                    for j in 0..n_masters {
-                        let next = ctrl.successor(cur).expect("full ring");
-                        pattern.push((
-                            net.token_pass * j as i64,
-                            NetEvent::TokenArrival {
-                                master: cur,
-                                tth,
-                                trr: Some(rotation),
-                            },
-                        ));
-                        pattern.push((
-                            net.token_pass * (j + 1) as i64,
-                            NetEvent::TokenPass {
-                                from: cur,
-                                to: next,
-                            },
-                        ));
-                        cur = next;
-                    }
-                    debug_assert_eq!(cur, h, "whole rotations return the token to its holder");
-                    apply_idle_span(masters, observers, &pattern, now, rotation, k, mem);
-                    for s in 0..n_masters {
-                        // Capped above at `due − 1`, so this never
-                        // crosses a poll boundary; a no-op when GAP
-                        // polling is disabled.
-                        ctrl.gap_advance_visits(s, k as u32);
-                    }
-                    now += rotation * k;
-                    continue;
-                }
-            }
-        }
-
-        // Token visit at `h`.
-        ctrl.deliver_token(h);
-        if ctrl.is_wrap_point(h) {
-            // The token reached the lowest LAS address: one full rotation
-            // for every listening station.
-            ctrl.observe_wrap();
-        }
-        // Feed the holder's TRR measurement (the same span `visit` will
-        // report on its TokenArrival) to the mode controller before the
-        // visit, so this visit already sheds/admits under the new mode.
-        let shed_lo = match &mut mode_ctrl {
-            Some(mc) => {
-                let m = &masters[h];
-                let trr = m.first_arrival_seen.then(|| now - m.timer.trr_started_at());
-                emit_transition(mc.on_token_arrival(now, trr), now, observers);
-                mc.degraded()
-            }
-            None => false,
-        };
-        let served_until = visit(&mut masters[h], h, now, durations, mem, observers, shed_lo);
-        let mut clean_hop = served_until == now;
-        now = served_until;
-
-        // GAP maintenance: one Request FDL Status every G visits,
-        // consuming real token-holding time.
-        if let Some(target) = ctrl.gap_poll_due(h) {
-            clean_hop = false;
-            let target_slot = ctrl.slot_of(target).filter(|&s| !ctrl.is_offline(s));
-            let admitted = target_slot.filter(|&s| ctrl.ready_to_join(s));
-            let start = now;
-            now += gap::poll_time(&bus, target_slot.is_some());
-            emit(
-                observers,
-                start,
-                NetEvent::GapPoll {
-                    master: h,
-                    target,
-                    admitted,
-                },
-            );
-            if let Some(s) = admitted {
-                ctrl.admit(s);
-                emit(observers, now, NetEvent::MasterJoin { master: s });
-                if let Some(mc) = &mut mode_ctrl {
-                    emit_transition(mc.on_membership(now, true), now, observers);
-                }
-            }
-        }
-
-        // Pass the token over the live ring, detecting dead successors.
-        ctrl.holding_done(h);
-        loop {
-            let succ = ctrl.successor(h).expect("holder is a ring member");
-            now += net.token_pass;
-            if config.token_loss_prob > 0.0 && loss_rng.unit() < config.token_loss_prob {
-                // The pass frame was lost on the wire: bus silence until
-                // the recovery claimant's timeout fires.
-                ctrl.pass_failed(h);
-                let c = ctrl
-                    .claimant()
-                    .expect("the holder itself is powered and claim-eligible");
-                now += token_recovery_timeout(&bus, ctrl.addr_of(c));
-                ctrl.claim(c);
-                emit(observers, now, NetEvent::Recovery { claimant: c });
-                holder = Some(c);
-                clean_hop = false;
-                break;
-            }
-            if succ == h || ctrl.accepts_token(succ) {
-                // A sole member passes to itself (`succ == h`); either
-                // way the next visit's `deliver_token` moves the receiver
-                // from ActiveIdle to UseToken.
-                ctrl.pass_confirmed(h);
-                emit(observers, now, NetEvent::TokenPass { from: h, to: succ });
-                holder = Some(succ);
-                break;
-            }
-            // Dead successor: retries exhaust, then it is dropped from
-            // the LAS and the next member is tried. Each attempt is one
-            // pass frame plus a slot time of silence; the first pass
-            // frame was already spent above.
-            now += bus.slot_time + (net.token_pass + bus.slot_time) * (attempts - 1);
-            ctrl.drop_member(succ);
-            clean_hop = false;
-            emit(observers, now, NetEvent::MasterLeave { master: succ });
-            if let Some(mc) = &mut mode_ctrl {
-                emit_transition(mc.on_membership(now, false), now, observers);
-            }
-        }
-        idle_streak = if clean_hop { idle_streak + 1 } else { 0 };
-    }
 }

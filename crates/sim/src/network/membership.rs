@@ -7,8 +7,9 @@
 //! preemption, so a finer grain would model nothing real.
 //!
 //! An empty plan (the default) combined with a GAP update factor of `0`
-//! selects the **static-ring fast path**: the kernel runs the exact
-//! pre-churn token loop and its event stream stays byte-identical to the
+//! keeps the ring fixed: the kernel's one token loop takes its
+//! **fixed-ring step** (see [`crate::network::kernel`]), and without the
+//! mode controller its event stream stays byte-identical to the
 //! materialized reference simulator.
 
 use profirt_base::{Prng, Time};

@@ -2,7 +2,7 @@
 //!
 //! [`ModeController`] is the single owner of the run's criticality-mode
 //! state (the `profirt-lint` `mode` rule bans mutating it anywhere else).
-//! It implements a two-state machine over the dynamic token loop:
+//! It implements a two-state machine over the kernel's token loop:
 //!
 //! ```text
 //!            ring shrinks (MasterLeave), or
@@ -39,9 +39,9 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 pub struct ModeSimConfig {
     /// Enables the controller. Disabled (the default) the simulator is
-    /// criticality-blind and every pre-existing run is byte-identical;
-    /// enabling it routes the run through the dynamic loop even without
-    /// churn or GAP polling (overload detection needs live TRR).
+    /// criticality-blind and every pre-existing run is byte-identical.
+    /// Enabled, it is fed the live TRR of every token arrival on any
+    /// ring, fixed or churning.
     pub enabled: bool,
     /// Overload threshold: a measured rotation counts as overloaded when
     /// `TRR > degrade_factor · TTR`.

@@ -22,7 +22,7 @@ use profirt_workload::{low_priority_release_gens, stream_release_gens};
 
 use crate::engine::SimRng;
 use crate::network::config::{NetworkSimConfig, SimMaster, SimNetwork};
-use crate::network::kernel::recovery_rule;
+use crate::network::kernel::{recovery_rule, ring_successors};
 use crate::network::sim::{NetworkSimResult, StreamObservation};
 
 struct MasterState {
@@ -157,6 +157,7 @@ pub fn simulate_network_materialized(
     };
     let mut loss_rng = SimRng::seed_from_u64(config.seed ^ 0x70CE_55E5);
     let (claimant, recovery_timeout) = recovery_rule(net, config);
+    let next_of = ring_successors(net);
     let mut recoveries: u64 = 0;
 
     let mut now = Time::ZERO;
@@ -208,14 +209,15 @@ pub fn simulate_network_materialized(
             m.sync(now);
         }
 
-        // Step 5: pass the token (possibly losing it).
+        // Step 5: pass the token to the next-higher FDL address
+        // (possibly losing it).
         now += net.token_pass;
         if config.token_loss_prob > 0.0 && loss_rng.unit() < config.token_loss_prob {
             now += recovery_timeout;
             recoveries += 1;
             holder = claimant;
         } else {
-            holder = (holder + 1) % masters.len();
+            holder = next_of[holder];
         }
     }
 

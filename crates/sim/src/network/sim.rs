@@ -12,7 +12,8 @@
 //!    TTH overrun).
 //! 4. While `TTH > 0` at cycle start and low-priority requests pend,
 //!    execute low-priority cycles (same overrun rule).
-//! 5. Pass the token to the next master (`token_pass` ticks).
+//! 5. Pass the token to the next master (`token_pass` ticks): the one
+//!    with the next-higher FDL address, wrapping to the lowest.
 //!
 //! ## Queue semantics (paper §4)
 //!

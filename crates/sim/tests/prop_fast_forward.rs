@@ -233,8 +233,8 @@ fn sparse_static_run_skips_most_rotations() {
     assert!(skipped > 90_000, "only {skipped} rotations were skipped");
 }
 
-/// Same for the dynamic loop: a calm full ring with GAP polling skips
-/// between poll boundaries.
+/// Same on a ring that can change: a calm full ring with GAP polling
+/// skips between poll boundaries.
 #[test]
 fn sparse_dynamic_run_skips_between_poll_boundaries() {
     let masters = vec![

@@ -1,23 +1,60 @@
 //! Differential property tests: the streaming kernels must reproduce the
 //! pre-materialized reference simulators **exactly** — same
 //! `NetworkSimResult` / `CpuSimResult`, field for field — across random
-//! networks, seeds, offset/jitter modes, queue policies, and fault
-//! injection. Plus the long-horizon memory contract: the kernel's release
-//! state stays O(streams) no matter the horizon.
+//! networks, FDL address orders, seeds, offset/jitter modes, queue
+//! policies, and fault injection; and the network kernel's fixed-ring
+//! step must emit the same event stream as its full `RingController`
+//! path on the same ring. Plus the long-horizon memory contract: the
+//! kernel's release state stays O(streams) no matter the horizon.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
-use profirt_base::{MessageStream, StreamSet, Task, TaskSet, Time};
+use profirt_base::{Criticality, MasterAddr, MessageStream, StreamSet, Task, TaskSet, Time};
 use profirt_profibus::{LowPriorityTraffic, QueuePolicy};
 use profirt_sched::fixed::PriorityMap;
+use profirt_sim::network::run_network;
 use profirt_sim::{
     simulate_cpu, simulate_cpu_materialized, simulate_network, simulate_network_materialized,
-    simulate_network_stats, CpuPolicy, CpuSimConfig, JitterInjection, NetworkSimConfig, OffsetMode,
-    SimMaster, SimNetwork,
+    simulate_network_stats, CpuPolicy, CpuSimConfig, JitterInjection, MembershipAction,
+    MembershipPlan, ModeSimConfig, NetEvent, NetworkSimConfig, Observer, OffsetMode, SimMaster,
+    SimNetwork,
 };
 
 fn t(v: i64) -> Time {
     Time::new(v)
+}
+
+/// Cases of the network differentials: `PROPTEST_CASES` when set (CI
+/// runs 2048 in release), else `default`.
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// How the masters are addressed: `None` keeps the ring-index default;
+/// `Some((base, stride, keys))` assigns explicit addresses `base +
+/// stride·rank`, the ranks a random permutation (the order of `keys`), so
+/// the address order is usually not the ring-vector order.
+type Addressing = Option<(u8, u8, [u64; 4])>;
+
+fn arb_addressing() -> impl Strategy<Value = Addressing> {
+    (0u8..3, 0u8..20, 1u8..30, any::<[u64; 4]>())
+        .prop_map(|(mode, base, stride, keys)| (mode > 0).then_some((base, stride, keys)))
+}
+
+/// Applies `addressing` to at most four masters.
+fn address(masters: &mut [SimMaster], addressing: Addressing) {
+    let Some((base, stride, keys)) = addressing else {
+        return;
+    };
+    let mut order: Vec<usize> = (0..masters.len()).collect();
+    order.sort_by_key(|&k| keys[k]);
+    for (rank, &k) in order.iter().enumerate() {
+        masters[k].addr = Some(MasterAddr(base + stride * rank as u8));
+    }
 }
 
 /// Streams with deliberately wild jitter (J can exceed T, so the lazy
@@ -105,27 +142,33 @@ fn arb_task_set() -> impl Strategy<Value = TaskSet> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
+    #![proptest_config(ProptestConfig::with_cases(cases(20)))]
 
     #[test]
     fn network_streaming_equals_materialized(
         masters in proptest::collection::vec(arb_master(), 1..=3),
         ttr in 500i64..6_000,
         cfg in arb_net_config(),
+        addressing in arb_addressing(),
     ) {
+        let mut masters = masters;
+        address(&mut masters, addressing);
         let net = SimNetwork {
             masters,
             ttr: t(ttr),
             token_pass: t(166),
         };
-        // The membership defaults (empty plan, GAP polling off) must
-        // select the static-ring fast path — that is the mode in which
-        // the byte-identical guarantee below is claimed.
+        // The membership defaults (empty plan, GAP polling off, no mode
+        // controller) are the static §3.1 ring the reference models.
         prop_assert!(cfg.is_static_ring());
         let streaming = simulate_network(&net, &cfg);
         let materialized = simulate_network_materialized(&net, &cfg);
         prop_assert_eq!(streaming, materialized);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20))]
 
     #[test]
     fn cpu_streaming_equals_materialized(
@@ -160,6 +203,95 @@ proptest! {
         let streaming = simulate_cpu(&set, prio, &cfg);
         let materialized = simulate_cpu_materialized(&set, prio, &cfg);
         prop_assert_eq!(streaming, materialized);
+    }
+}
+
+/// Collects the raw event stream.
+#[derive(Default)]
+struct EventLog(Vec<(Time, NetEvent)>);
+
+impl Observer<NetEvent> for EventLog {
+    fn observe(&mut self, at: Time, event: &NetEvent) {
+        self.0.push((at, *event));
+    }
+}
+
+/// The fixed-ring step against the full protocol path: a fixed ring (no
+/// churn, no GAP polling) must emit the same event stream as the same
+/// config plus a membership plan whose only event — a crash of master 0
+/// — lies at or after the horizon. That plan never fires, but it makes
+/// the ring live, so every visit runs the `RingController` bookkeeping,
+/// `RingController::successor` passes and `RingController::claimant`
+/// recoveries. Covers shuffled FDL addresses, jitter, cycle undershoot,
+/// token loss, the mode controller (with HI/MID/LO labels) and the idle
+/// fast-forward, each on and off.
+#[test]
+fn fixed_ring_step_equals_protocol_path() {
+    let mut rng = TestRng::for_test("fixed_ring_step_equals_protocol_path");
+    let labels = [Criticality::Hi, Criticality::Mid, Criticality::Lo];
+    let (mut out_of_vector_order, mut recoveries, mut switches, mut sheds, mut skipped) =
+        (0, 0, 0, 0, 0);
+    for _ in 0..cases(128) {
+        let mut masters = proptest::collection::vec(arb_master(), 1..=4).generate(&mut rng);
+        address(&mut masters, arb_addressing().generate(&mut rng));
+        let (mode_on, fast_forward) = (any::<bool>(), any::<bool>()).generate(&mut rng);
+        for m in &mut masters {
+            m.criticality = (0..m.streams.len())
+                .map(|_| labels[(0usize..3).generate(&mut rng)])
+                .collect();
+        }
+        let net = SimNetwork {
+            masters,
+            ttr: t((500i64..6_000).generate(&mut rng)),
+            token_pass: t(166),
+        };
+        let fixed = NetworkSimConfig {
+            mode: if mode_on {
+                ModeSimConfig::enabled()
+            } else {
+                ModeSimConfig::default()
+            },
+            fast_forward,
+            ..arb_net_config().generate(&mut rng)
+        };
+        let late = (0i64..50_000).generate(&mut rng);
+        let live = NetworkSimConfig {
+            membership: MembershipPlan::new().at(
+                fixed.horizon + t(late),
+                0,
+                MembershipAction::Crash,
+            ),
+            ..fixed.clone()
+        };
+
+        let mut fixed_log = EventLog::default();
+        let mem = run_network(&net, &fixed, &mut [&mut fixed_log]);
+        let mut live_log = EventLog::default();
+        run_network(&net, &live, &mut [&mut live_log]);
+        assert!(
+            fixed_log.0 == live_log.0,
+            "fixed-ring step diverges from the protocol path: net {net:?}, config {fixed:?}"
+        );
+
+        let n = net.masters.len();
+        let count = |pred: fn(&NetEvent, usize) -> bool| {
+            usize::from(fixed_log.0.iter().any(|(_, e)| pred(e, n)))
+        };
+        out_of_vector_order +=
+            count(|e, n| matches!(*e, NetEvent::TokenPass { from, to } if to != (from + 1) % n));
+        recoveries += count(|e, _| matches!(e, NetEvent::Recovery { .. }));
+        switches += count(|e, _| matches!(e, NetEvent::ModeSwitch { .. }));
+        sheds += count(|e, _| matches!(e, NetEvent::Shed { .. }));
+        skipped += usize::from(mem.rotations_fast_forwarded > 0);
+    }
+    for (shape, drawn) in [
+        ("token pass out of ring-vector order", out_of_vector_order),
+        ("token recovery", recoveries),
+        ("mode switch", switches),
+        ("shed request", sheds),
+        ("fast-forwarded span", skipped),
+    ] {
+        assert!(drawn > 0, "no {shape} drawn");
     }
 }
 

@@ -11,8 +11,8 @@ use profirt_base::{MasterAddr, StreamSet, Time};
 use profirt_profibus::QueuePolicy;
 use profirt_sim::network::run_network;
 use profirt_sim::{
-    simulate_network, simulate_network_stats, MembershipAction, MembershipPlan, NetEvent,
-    NetworkSimConfig, Observer, SimMaster, SimNetwork,
+    simulate_network, simulate_network_stats, MembershipAction, MembershipPlan, ModeSimConfig,
+    NetEvent, NetworkSimConfig, Observer, SimMaster, SimNetwork,
 };
 
 fn t(v: i64) -> Time {
@@ -226,10 +226,10 @@ fn ring_stats_track_churn() {
     );
 }
 
-/// A static-ring run through the dynamic machinery still honours the
-/// defaults: `NetworkSimConfig::default()` takes the fast path.
+/// `NetworkSimConfig::default()` is the fixed §3.1 ring; GAP polling on
+/// the same network makes the ring live and costs rotation time.
 #[test]
-fn defaults_select_the_static_fast_path() {
+fn defaults_select_the_fixed_ring() {
     assert!(NetworkSimConfig::default().is_static_ring());
     // GAP polling alone (no churn) leaves the ring full but costs
     // rotation time: the poll overhead must show up in max TRR.
@@ -268,6 +268,46 @@ fn defaults_select_the_static_fast_path() {
             .sum::<u64>(),
         0
     );
+}
+
+/// The token follows FDL address order on every ring, not ring-vector
+/// order: masters at addresses [5, 2, 9] pass 0→2→1→0 (5 → 9 → 2 → 5) on
+/// the static ring, with the mode controller armed, and on the live
+/// `RingController` path (forced by a membership event at the horizon,
+/// which never fires).
+#[test]
+fn token_order_is_address_order_on_every_ring() {
+    let net = SimNetwork::new(
+        vec![quiet_master(5), quiet_master(2), quiet_master(9)],
+        t(10_000),
+        t(100),
+    )
+    .unwrap();
+    let fixed = NetworkSimConfig {
+        horizon: t(1_000),
+        ..Default::default()
+    };
+    let moded = NetworkSimConfig {
+        mode: ModeSimConfig::enabled(),
+        ..fixed.clone()
+    };
+    let passes = |cfg: &NetworkSimConfig| -> Vec<(usize, usize)> {
+        run_logged(&net, cfg)
+            .into_iter()
+            .filter_map(|(_, e)| match e {
+                NetEvent::TokenPass { from, to } => Some((from, to)),
+                _ => None,
+            })
+            .collect()
+    };
+    let live_ring = NetworkSimConfig {
+        membership: MembershipPlan::new().at(t(1_000), 0, MembershipAction::Crash),
+        ..fixed.clone()
+    };
+    let static_passes = passes(&fixed);
+    assert_eq!(static_passes[..3], [(0, 2), (2, 1), (1, 0)]);
+    assert_eq!(static_passes, passes(&moded));
+    assert_eq!(static_passes, passes(&live_ring));
 }
 
 fn arb_plan() -> impl Strategy<Value = MembershipPlan> {

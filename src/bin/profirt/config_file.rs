@@ -21,8 +21,8 @@
 //!
 //! `addr` is the optional FDL station address (0..=126, unique across
 //! masters); it defaults to the master's ring index and drives the
-//! address-staggered token-recovery timeout and the logical-ring order
-//! under `simulate --gap-factor/--power-cycle`.
+//! address-staggered token-recovery timeout and the token order
+//! (next-higher address, wrapping) of every `simulate` run.
 //!
 //! Each stream may carry an optional `"criticality"` field
 //! (`"lo"` / `"mid"` / `"hi"`). Absent means HI, and the field is only
