@@ -22,6 +22,8 @@
 //! * [`json`] — a dependency-free JSON parser / pretty printer shared by
 //!   the CLI config files and the campaign engine (this build environment
 //!   has no crates.io access, so serde_json is not an option).
+//! * [`hash`] — FNV-1a 64, a stable hash whose values may be stored and
+//!   compared across runs (std's `DefaultHasher` is keyed per process).
 //! * [`artifact`] — where the perf-baseline `BENCH_*.json` files are
 //!   written and read (override variable, then `CARGO_TARGET_DIR`, then
 //!   the workspace `target/`).
@@ -35,6 +37,7 @@ pub mod artifact;
 pub mod bignat;
 pub mod criticality;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod json;
 pub mod num;

@@ -99,7 +99,7 @@ impl DmAnalysis {
                     }
                     DmVariant::Conservative => {
                         if has_lp {
-                            tc + tc
+                            tc.try_add(tc)?
                         } else {
                             tc
                         }
@@ -116,7 +116,7 @@ impl DmAnalysis {
                     let mut next = constant;
                     for &j in &hp {
                         let sj = master.streams.streams()[j];
-                        let n_msgs = (r + sj.j).ceil_div(sj.t);
+                        let n_msgs = r.try_add(sj.j)?.ceil_div(sj.t);
                         next = next.try_add(tc.try_mul(n_msgs)?)?;
                     }
                     Ok(next)
@@ -150,7 +150,7 @@ mod tests {
     use crate::config::MasterConfig;
     use crate::fcfs::FcfsAnalysis;
     use profirt_base::time::t;
-    use profirt_base::StreamSet;
+    use profirt_base::{AnalysisError, MessageStream, StreamSet};
 
     /// One master, three streams with distinct deadlines; Tcycle = 1000 via
     /// TTR = 900 and Tdel = 100.
@@ -292,5 +292,33 @@ mod tests {
         // Index 0 wins the tie: its R (2 Tcycle: blocking+own) is below
         // index 1's (own + interference + no blocking).
         assert!(an.masters[0][0].response_time <= an.masters[0][1].response_time);
+    }
+
+    #[test]
+    fn sums_past_i64_are_overflow_errors() {
+        // Tcycle ≈ 4.7e18: the conservative blocking term 2·Tcycle and,
+        // in the paper variant, the window R + J of the jittered
+        // higher-priority stream both exceed i64::MAX.
+        let huge: i64 = 9_200_000_000_000_000_000;
+        let net = NetworkConfig::new(
+            vec![MasterConfig::new(
+                StreamSet::new(vec![
+                    MessageStream::with_jitter(10, huge, huge, 9_000_000_000_000_000_000_i64)
+                        .unwrap(),
+                    MessageStream::new(10, huge, huge).unwrap(),
+                ])
+                .unwrap(),
+                t(0),
+            )],
+            t(4_700_000_000_000_000_000),
+        )
+        .unwrap();
+        for dm in [DmAnalysis::conservative(), DmAnalysis::paper()] {
+            assert!(
+                matches!(dm.analyze(&net), Err(AnalysisError::Overflow { .. })),
+                "{:?}",
+                dm.variant
+            );
+        }
     }
 }

@@ -12,9 +12,10 @@
 //!
 //! Each worker thread owns its shard state: a [`proto::EvalScratch`]
 //! (reused allocations across analyses; never affects results) and a
-//! [`Memo`] keyed by canonicalized request shape. A memo hit re-wraps the
-//! cached result value in a fresh envelope with the request's own `id`,
-//! so responses are byte-identical with the cache on or off.
+//! [`Memo`] keyed by the decoded question ([`proto::Request::key`]). A memo
+//! hit re-wraps the cached result value in a fresh envelope with the
+//! request's own `id`, so responses are byte-identical with the cache on
+//! or off.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;

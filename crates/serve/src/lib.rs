@@ -18,9 +18,8 @@
 //!    saturation surfaces as explicit backpressure
 //!    ([`profirt_conc::exec::Reject::Full`] → an `"overloaded"` error)
 //!    rather than an unbounded buffer. Each shard owns reusable analysis
-//!    scratch and a bounded LRU memo keyed by canonicalized request
-//!    shape, so near-duplicate queries (the campaign-matrix access
-//!    pattern) hit cache.
+//!    scratch and a bounded LRU memo keyed by the decoded question, so
+//!    repeated queries (the campaign-matrix access pattern) hit cache.
 //! 3. [`proto`] — the pure request/response layer: parsing, evaluation
 //!    through [`profirt_core::PolicyKind`] dispatch and the
 //!    `profirt_sched` task-set tests, and canonical rendering. The

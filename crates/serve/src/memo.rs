@@ -3,11 +3,13 @@
 //! Each engine shard owns one: near-duplicate queries — the campaign
 //! matrix asking the same ring under four policies, an admission
 //! controller re-probing after every reject — hit cache instead of
-//! re-running the fixpoints. Keys are the canonicalized request shape
-//! ([`crate::proto::Request::key`]: the request object minus its `"id"`,
-//! compact-rendered), values are the cached `"result"` [`Value`]; the
-//! response envelope is rebuilt per request, so a cache hit is
-//! byte-identical to a fresh evaluation.
+//! re-running the fixpoints. Keys are [`QuestionKey`]s: an integer
+//! encoding of the decoded question ([`crate::proto::Request::key`]), so
+//! requests that decode to the same operation share an entry whatever
+//! their `id`, field order, explicit defaults or unknown extra fields.
+//! Values are the cached `"result"` [`Value`]; the response envelope is
+//! rebuilt per request, so a cache hit is byte-identical to a fresh
+//! evaluation.
 //!
 //! Recency is stamp-based: a monotone tick per access, eviction removes
 //! the minimum stamp. Eviction is `O(n)` over the map — deliberate: caps
@@ -15,16 +17,48 @@
 //! an exact LRU would need for shapes this size.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
+use profirt_base::hash::Fnv1a64;
 use profirt_base::json::Value;
 
-/// A bounded least-recently-used map from canonical request keys to
-/// cached result values. Capacity 0 disables caching entirely.
+/// A memo key: the words of a decoded question plus their FNV-1a 64 hash,
+/// computed once. A map lookup hashes the 8-byte hash, not the words;
+/// equality still compares every word, so a hash collision costs a miss,
+/// never a wrong answer.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct QuestionKey {
+    hash: u64,
+    words: Box<[i64]>,
+}
+
+impl QuestionKey {
+    /// Keys `words`, hashing their little-endian bytes.
+    pub fn new(words: Vec<i64>) -> QuestionKey {
+        let mut h = Fnv1a64::new();
+        for w in &words {
+            h.write(&w.to_le_bytes());
+        }
+        QuestionKey {
+            hash: h.finish(),
+            words: words.into_boxed_slice(),
+        }
+    }
+}
+
+impl Hash for QuestionKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// A bounded least-recently-used map from question keys to cached result
+/// values. Capacity 0 disables caching entirely.
 #[derive(Debug, Default)]
 pub struct Memo {
     cap: usize,
     tick: u64,
-    map: HashMap<String, (Value, u64)>,
+    map: HashMap<QuestionKey, (Value, u64)>,
 }
 
 impl Memo {
@@ -48,7 +82,7 @@ impl Memo {
     }
 
     /// Looks up `key`, refreshing its recency on hit.
-    pub fn get(&mut self, key: &str) -> Option<Value> {
+    pub fn get(&mut self, key: &QuestionKey) -> Option<Value> {
         self.tick += 1;
         let tick = self.tick;
         self.map.get_mut(key).map(|(value, stamp)| {
@@ -59,7 +93,7 @@ impl Memo {
 
     /// Inserts (or refreshes) `key`, evicting the least-recently-used
     /// entry when at capacity.
-    pub fn put(&mut self, key: &str, value: Value) {
+    pub fn put(&mut self, key: &QuestionKey, value: Value) {
         if self.cap == 0 {
             return;
         }
@@ -74,7 +108,7 @@ impl Memo {
                 self.map.remove(&oldest);
             }
         }
-        self.map.insert(key.to_string(), (value, self.tick));
+        self.map.insert(key.clone(), (value, self.tick));
     }
 }
 
@@ -86,43 +120,47 @@ mod tests {
         Value::Int(n)
     }
 
+    fn k(name: &str) -> QuestionKey {
+        QuestionKey::new(name.bytes().map(i64::from).collect())
+    }
+
     #[test]
     fn hit_and_miss() {
         let mut m = Memo::new(4);
-        assert_eq!(m.get("a"), None);
-        m.put("a", v(1));
-        assert_eq!(m.get("a"), Some(v(1)));
+        assert_eq!(m.get(&k("a")), None);
+        m.put(&k("a"), v(1));
+        assert_eq!(m.get(&k("a")), Some(v(1)));
         assert_eq!(m.len(), 1);
     }
 
     #[test]
     fn evicts_least_recently_used() {
         let mut m = Memo::new(2);
-        m.put("a", v(1));
-        m.put("b", v(2));
+        m.put(&k("a"), v(1));
+        m.put(&k("b"), v(2));
         // Touch "a" so "b" is the LRU entry.
-        assert_eq!(m.get("a"), Some(v(1)));
-        m.put("c", v(3));
+        assert_eq!(m.get(&k("a")), Some(v(1)));
+        m.put(&k("c"), v(3));
         assert_eq!(m.len(), 2);
-        assert_eq!(m.get("b"), None, "LRU entry must have been evicted");
-        assert_eq!(m.get("a"), Some(v(1)));
-        assert_eq!(m.get("c"), Some(v(3)));
+        assert_eq!(m.get(&k("b")), None, "LRU entry must have been evicted");
+        assert_eq!(m.get(&k("a")), Some(v(1)));
+        assert_eq!(m.get(&k("c")), Some(v(3)));
     }
 
     #[test]
     fn refresh_does_not_grow() {
         let mut m = Memo::new(2);
-        m.put("a", v(1));
-        m.put("a", v(2));
+        m.put(&k("a"), v(1));
+        m.put(&k("a"), v(2));
         assert_eq!(m.len(), 1);
-        assert_eq!(m.get("a"), Some(v(2)));
+        assert_eq!(m.get(&k("a")), Some(v(2)));
     }
 
     #[test]
     fn cap_zero_disables() {
         let mut m = Memo::new(0);
-        m.put("a", v(1));
+        m.put(&k("a"), v(1));
         assert!(m.is_empty());
-        assert_eq!(m.get("a"), None);
+        assert_eq!(m.get(&k("a")), None);
     }
 }

@@ -45,6 +45,8 @@ use profirt_sched::fixed::{
 };
 use profirt_sched::AnalysisScratch;
 
+use crate::memo::QuestionKey;
+
 /// Default cap on one request line, in bytes. Generous for any realistic
 /// ring spec (a 32-master, 32-stream network renders well under 8 KiB)
 /// while bounding per-connection memory — the line-length analogue of the
@@ -107,10 +109,13 @@ pub struct RequestError {
 pub struct Request {
     /// Echo token (`Value::Null` when absent).
     pub id: Value,
-    /// Canonical memo key: the request object minus `"id"`, compact-
-    /// rendered. Two requests asking the same question have equal keys
-    /// regardless of field order or correlation ids.
-    pub key: String,
+    /// Memo key: an integer encoding of the decoded `op` (its tag,
+    /// policy, ring and candidate or task rows). Requests that decode to
+    /// the same operation have equal keys whatever their `id`, field
+    /// order, number spelling (`300` or `300.0`), explicit defaults or
+    /// unknown extra fields. [`eval`] reads nothing but `op`, so equal
+    /// keys mean equal answers.
+    pub key: QuestionKey,
     /// The validated operation.
     pub op: Op,
 }
@@ -261,21 +266,16 @@ fn parse_tasks(obj: &Value) -> Result<TaskSet, WireError> {
 /// (if any) rides along so the error response still correlates.
 pub fn parse_request(line: &str) -> Result<Request, RequestError> {
     let fail = |id: Value, err: WireError| Err(RequestError { id, err });
-    let doc = match json::parse(line) {
+    let mut doc = match json::parse(line) {
         Ok(doc) => doc,
         Err(e) => return fail(Value::Null, wire("parse", e.to_string())),
     };
-    let Some(obj) = doc.as_object() else {
+    let Value::Object(obj) = &mut doc else {
         return fail(Value::Null, wire("schema", "request must be a JSON object"));
     };
-    let id = obj.get("id").cloned().unwrap_or(Value::Null);
-    // Canonical memo key: the request minus its correlation id.
-    let key = {
-        let mut canonical = obj.clone();
-        canonical.remove("id");
-        Value::Object(canonical).compact()
-    };
-    let op_name = match obj.get("op").map(|v| v.as_str()) {
+    // The question is the request minus its correlation id.
+    let id = obj.remove("id").unwrap_or(Value::Null);
+    let op_name = match doc.get("op").map(|v| v.as_str()) {
         Some(Some(name)) => name,
         Some(None) => return fail(id, wire("schema", "field \"op\" must be a string")),
         None => return fail(id, wire("schema", "missing field \"op\"")),
@@ -354,9 +354,80 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
         other => return fail(id, wire("unknown_op", format!("unknown op {other:?}"))),
     };
     match parsed {
-        Ok(op) => Ok(Request { id, key, op }),
+        Ok(op) => Ok(Request {
+            id,
+            key: question_key(&op),
+            op,
+        }),
         Err(err) => fail(id, err),
     }
+}
+
+/// The memo key of `op`: its op tag, then each field it carries, every
+/// list prefixed by its length, so distinct operations never encode to
+/// equal words.
+///
+/// Layout: the op tag (`ping` 0 … `task_feasibility` 5). The network ops
+/// add the policy, `ttr`, `token_pass`, the master count and, per master,
+/// `cl`, its criticality labels and its streams' `(ch, d, t, j)`. `admit`
+/// then adds the master index, the candidate's `(ch, d, t, j)` and its
+/// criticality (`-1` when absent, so `None` differs from `Some(Hi)`).
+/// `task_feasibility` adds the test's index in [`TASK_TESTS`] and the
+/// tasks' `(c, d, t, j)`.
+fn question_key(op: &Op) -> QuestionKey {
+    let mut w = Vec::with_capacity(64);
+    let push_net = |w: &mut Vec<i64>, policy: PolicyKind, net: &NetworkConfig| {
+        w.extend([
+            policy as i64,
+            net.ttr.ticks(),
+            net.token_pass.ticks(),
+            net.masters.len() as i64,
+        ]);
+        for m in &net.masters {
+            w.extend([m.cl.ticks(), m.criticality.len() as i64]);
+            w.extend(m.criticality.iter().map(|&c| c as i64));
+            w.push(m.streams.len() as i64);
+            for s in m.streams.streams() {
+                w.extend([s.ch, s.d, s.t, s.j].map(Time::ticks));
+            }
+        }
+    };
+    match op {
+        Op::Ping => w.push(0),
+        Op::Stats => w.push(1),
+        Op::Feasibility { policy, net } => {
+            w.push(2);
+            push_net(&mut w, *policy, net);
+        }
+        Op::ResponseTimes { policy, net } => {
+            w.push(3);
+            push_net(&mut w, *policy, net);
+        }
+        Op::Admit {
+            policy,
+            net,
+            master,
+            stream,
+            criticality,
+        } => {
+            w.push(4);
+            push_net(&mut w, *policy, net);
+            w.push(*master as i64);
+            w.extend([stream.ch, stream.d, stream.t, stream.j].map(Time::ticks));
+            w.push(criticality.map_or(-1, |c| c as i64));
+        }
+        Op::TaskFeasibility { test, tasks } => {
+            // parse_request admits only TASK_TESTS names, and eval answers
+            // any other name like the last of them: -1 merges no two
+            // questions with different answers.
+            let test = TASK_TESTS.iter().position(|t| t == test);
+            w.extend([5, test.map_or(-1, |i| i as i64), tasks.len() as i64]);
+            for t in tasks.tasks() {
+                w.extend([t.c, t.d, t.t, t.j].map(Time::ticks));
+            }
+        }
+    }
+    QuestionKey::new(w)
 }
 
 /// Reusable per-shard working memory: the policy-dispatch scratch for
@@ -1062,6 +1133,24 @@ mod tests {
         // n_masters x token_pass wraps past i64::MAX; this line used to be
         // answered `feasible:true` with a negative Tcycle.
         let line = r#"{"op":"feasibility","policy":"dm","net":{"ttr":1000,"token_pass":4611686018427387904,"masters":[{"cl":10,"streams":[{"ch":10,"d":30000,"t":30000}]},{"cl":10,"streams":[{"ch":10,"d":30000,"t":30000}]}]}}"#;
+        let doc = json::parse(&answer_line(line)).unwrap();
+        assert_eq!(doc.get("ok").unwrap().as_bool(), Some(false));
+        let error = doc.get("error").unwrap();
+        assert_eq!(error.get("kind").unwrap().as_str(), Some("model"));
+        assert!(error
+            .get("detail")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("overflow"));
+    }
+
+    #[test]
+    fn overflowing_dm_blocking_term_is_a_model_error() {
+        // Tcycle ≈ 4.7e18, so DM's blocking-plus-own-cycle term 2·Tcycle
+        // exceeds i64::MAX; this line used to panic in a debug build and
+        // answer from wrapped arithmetic in release.
+        let line = r#"{"op":"response_times","policy":"dm","net":{"ttr":4700000000000000000,"masters":[{"cl":0,"streams":[{"ch":10,"d":9200000000000000000,"t":9200000000000000000},{"ch":10,"d":9200000000000000000,"t":9200000000000000000,"j":9000000000000000000}]}]}}"#;
         let doc = json::parse(&answer_line(line)).unwrap();
         assert_eq!(doc.get("ok").unwrap().as_bool(), Some(false));
         let error = doc.get("error").unwrap();

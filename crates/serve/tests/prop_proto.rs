@@ -18,6 +18,15 @@ use proptest::prelude::*;
 use profirt_base::json::{self, Value};
 use profirt_serve::{answer_line, Engine, EngineConfig, DEFAULT_MAX_REQUEST_BYTES};
 
+/// Cases per property: `PROPTEST_CASES` when set (CI runs 2048 in
+/// release), else `default`.
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 /// Every `error.kind` the protocol is allowed to emit.
 const ERROR_KINDS: &[&str] = &[
     "oversized",
@@ -106,6 +115,8 @@ fn build_request(op_policy: usize, id: i64, streams: &[(i64, i64)]) -> Value {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(64)))]
+
     #[test]
     fn valid_requests_round_trip_and_get_canonical_answers(
         op_policy in 0usize..8,

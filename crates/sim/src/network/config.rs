@@ -312,20 +312,7 @@ impl NetworkSimConfig {
                 what: "the ring cost token_pass x masters",
             })?;
         if self.mode.enabled {
-            for (factor, what) in [
-                (
-                    self.mode.degrade_factor,
-                    "the mode threshold degrade_factor x TTR",
-                ),
-                (
-                    self.mode.matchup_factor,
-                    "the mode threshold matchup_factor x TTR",
-                ),
-            ] {
-                net.ttr
-                    .checked_mul(i64::from(factor))
-                    .ok_or(SimNetworkError::TickOverflow { what })?;
-            }
+            self.mode.thresholds(net.ttr)?;
         }
         let longest_cycle = net
             .masters

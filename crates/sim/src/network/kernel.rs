@@ -57,7 +57,9 @@ use profirt_workload::{
 };
 
 use crate::engine::{EventQueue, IdleSpan, Observer, SimRng};
-use crate::network::config::{MembershipAction, NetworkSimConfig, SimMaster, SimNetwork};
+use crate::network::config::{
+    MembershipAction, NetworkSimConfig, SimMaster, SimNetwork, SimNetworkError,
+};
 use crate::network::mode::{ModeController, ModeTransition};
 use crate::network::observe::NetEvent;
 
@@ -411,6 +413,24 @@ fn visit(
     now
 }
 
+/// Validates `net` and its clock range under `config`, then builds the
+/// run's mode controller when `config` enables one; its thresholds must
+/// fit i64 ticks as well.
+fn validated_mode_controller(
+    net: &SimNetwork,
+    config: &NetworkSimConfig,
+) -> Result<Option<ModeController>, SimNetworkError> {
+    net.validate()?;
+    config.check_tick_range(net)?;
+    if !config.mode.enabled {
+        return Ok(None);
+    }
+    let initial = (0..net.masters.len())
+        .filter(|&k| !config.membership.is_initially_off(k))
+        .count();
+    ModeController::new(net.ttr, net.masters.len(), initial, config.mode).map(Some)
+}
+
 /// Runs the streaming kernel, emitting every bus event into `observers`:
 /// the one token loop of the module docs.
 ///
@@ -428,9 +448,12 @@ pub fn run_network(
     config: &NetworkSimConfig,
     observers: &mut [&mut dyn Observer<NetEvent>],
 ) -> KernelMemStats {
-    if let Err(e) = net.validate().and_then(|()| config.check_tick_range(net)) {
-        panic!("{e}");
-    }
+    // The mixed-criticality mode controller (when enabled): fed from the
+    // same TRR measurements and join/leave events the observers see.
+    let mut mode_ctrl = match validated_mode_controller(net, config) {
+        Ok(ctrl) => ctrl,
+        Err(e) => panic!("{e}"),
+    };
     if let Err(e) = config.membership.validate(net.masters.len()) {
         panic!("{e}");
     }
@@ -472,14 +495,6 @@ pub fn run_network(
     // profile's retries, each waiting a full slot time for successor
     // activity.
     let attempts = 1 + bus.max_retry as i64;
-    // The mixed-criticality mode controller (when enabled): fed from the
-    // same TRR measurements and join/leave events the observers see.
-    let mut mode_ctrl = config.mode.enabled.then(|| {
-        let initial = (0..net.masters.len())
-            .filter(|&k| !plan.is_initially_off(k))
-            .count();
-        ModeController::new(net.ttr, net.masters.len(), initial, config.mode)
-    });
 
     let n_masters = masters.len();
     let rotation = net.token_pass * n_masters as i64;

@@ -34,6 +34,8 @@
 use profirt_base::Time;
 use serde::{Deserialize, Serialize};
 
+use crate::network::config::SimNetworkError;
+
 /// Mode-controller parameters (a field of
 /// [`NetworkSimConfig`](crate::network::NetworkSimConfig)).
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
@@ -61,6 +63,27 @@ impl ModeSimConfig {
             enabled: true,
             ..ModeSimConfig::default()
         }
+    }
+
+    /// The controller's two thresholds on a ring with target rotation
+    /// `ttr`: the overload bound `degrade_factor · TTR` and the match-up
+    /// span `matchup_factor · TTR`, or the typed error naming the product
+    /// that overflows i64 ticks.
+    pub fn thresholds(&self, ttr: Time) -> Result<(Time, Time), SimNetworkError> {
+        let times = |factor: u32, what: &'static str| {
+            ttr.checked_mul(i64::from(factor))
+                .ok_or(SimNetworkError::TickOverflow { what })
+        };
+        Ok((
+            times(
+                self.degrade_factor,
+                "the mode threshold degrade_factor x TTR",
+            )?,
+            times(
+                self.matchup_factor,
+                "the mode threshold matchup_factor x TTR",
+            )?,
+        ))
     }
 }
 
@@ -94,6 +117,10 @@ pub enum ModeTransition {
 pub struct ModeController {
     cfg: ModeSimConfig,
     ttr: Time,
+    /// `degrade_factor · TTR`: a longer rotation is overloaded.
+    overload_above: Time,
+    /// `matchup_factor · TTR`: the clean span a match-up needs.
+    matchup_span: Time,
     full_size: usize,
     size: usize,
     degraded: bool,
@@ -110,22 +137,28 @@ impl ModeController {
     /// the run degraded (LO traffic is only admitted once the ring has
     /// formed and matched up); this initial degradation is a starting
     /// state, not a transition — no event is emitted for it.
+    ///
+    /// Fails with [`SimNetworkError::TickOverflow`] when a threshold
+    /// ([`ModeSimConfig::thresholds`]) does not fit i64 ticks.
     pub fn new(
         ttr: Time,
         full_size: usize,
         initial_size: usize,
         cfg: ModeSimConfig,
-    ) -> ModeController {
-        ModeController {
+    ) -> Result<ModeController, SimNetworkError> {
+        let (overload_above, matchup_span) = cfg.thresholds(ttr)?;
+        Ok(ModeController {
             cfg,
             ttr,
+            overload_above,
+            matchup_span,
             full_size,
             size: initial_size,
             degraded: initial_size < full_size,
             degraded_at: Time::ZERO,
             over_streak: 0,
             clean_since: None,
-        }
+        })
     }
 
     /// `true` while sub-HI releases must be shed (HI mode).
@@ -169,7 +202,7 @@ impl ModeController {
     pub fn on_token_arrival(&mut self, now: Time, trr: Option<Time>) -> Option<ModeTransition> {
         let trr = trr?;
         if !self.degraded {
-            if trr > self.ttr * self.cfg.degrade_factor as i64 {
+            if trr > self.overload_above {
                 self.over_streak += 1;
                 if self.over_streak >= self.cfg.degrade_arrivals {
                     return self.degrade(now);
@@ -185,7 +218,7 @@ impl ModeController {
             return None;
         }
         let since = *self.clean_since.get_or_insert(now);
-        if now - since >= self.ttr * self.cfg.matchup_factor as i64 {
+        if now - since >= self.matchup_span {
             self.degraded = false;
             self.clean_since = None;
             self.over_streak = 0;
@@ -220,7 +253,7 @@ impl ModeController {
             // LO mode: a clean rotation resets the overload streak at
             // every arrival. An overloaded idle rotation (TTR below the
             // ring cost) could degrade mid-span — refuse the batch.
-            if trr > self.ttr * self.cfg.degrade_factor as i64 {
+            if trr > self.overload_above {
                 return false;
             }
             self.over_streak = 0;
@@ -234,7 +267,7 @@ impl ModeController {
             return true;
         }
         let since = self.clean_since.unwrap_or(first);
-        if last - since >= self.ttr * self.cfg.matchup_factor as i64 {
+        if last - since >= self.matchup_span {
             return false;
         }
         self.clean_since = Some(since);
@@ -248,7 +281,7 @@ mod tests {
     use profirt_base::time::t;
 
     fn ctrl() -> ModeController {
-        ModeController::new(t(1_000), 3, 3, ModeSimConfig::enabled())
+        ModeController::new(t(1_000), 3, 3, ModeSimConfig::enabled()).unwrap()
     }
 
     #[test]
@@ -318,7 +351,7 @@ mod tests {
 
         // LO, overloaded idle rotations (TTR below the ring cost): the
         // batch refuses rather than arming the overload trigger.
-        let mut c = ModeController::new(t(100), 3, 3, ModeSimConfig::enabled());
+        let mut c = ModeController::new(t(100), 3, 3, ModeSimConfig::enabled()).unwrap();
         assert!(!c.on_idle_span(t(0), t(10_000), t(600)));
         assert!(!c.degraded(), "a refused span mutates nothing");
 
@@ -338,15 +371,36 @@ mod tests {
 
         // HI, dirty idle rotations (TTR below ring cost) reset the clean
         // streak, exactly like per-arrival feeding.
-        let mut c = ModeController::new(t(100), 3, 2, ModeSimConfig::enabled());
+        let mut c = ModeController::new(t(100), 3, 2, ModeSimConfig::enabled()).unwrap();
         c.on_membership(t(10), true);
         assert!(c.on_idle_span(t(20), t(5_000), t(600)));
         assert!(c.degraded(), "dirty rotations never match up");
     }
 
     #[test]
+    fn wrapping_thresholds_are_typed_errors() {
+        let cfg = |degrade_factor: u32, matchup_factor: u32| ModeSimConfig {
+            degrade_factor,
+            matchup_factor,
+            ..ModeSimConfig::enabled()
+        };
+        // 1e10 x u32::MAX > i64::MAX.
+        let ttr = t(10_000_000_000);
+        assert!(ModeController::new(ttr, 3, 3, cfg(2, 2)).is_ok());
+        for (c, what) in [
+            (cfg(u32::MAX, 2), "the mode threshold degrade_factor x TTR"),
+            (cfg(2, u32::MAX), "the mode threshold matchup_factor x TTR"),
+        ] {
+            assert_eq!(
+                ModeController::new(ttr, 3, 3, c).err(),
+                Some(SimNetworkError::TickOverflow { what })
+            );
+        }
+    }
+
+    #[test]
     fn starting_below_full_membership_starts_degraded() {
-        let mut c = ModeController::new(t(1_000), 3, 2, ModeSimConfig::enabled());
+        let mut c = ModeController::new(t(1_000), 3, 2, ModeSimConfig::enabled()).unwrap();
         assert!(c.degraded());
         // The missing master joins; match-up measures from time zero.
         c.on_membership(t(500), true);
