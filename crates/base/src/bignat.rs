@@ -1,10 +1,12 @@
 //! A minimal arbitrary-precision natural number.
 //!
 //! Only what exact schedulability boundary tests need: construction from
-//! `u128`, multiplication, exponentiation and comparison. Used to decide the
-//! Liu & Layland bound `U ≤ n(2^{1/n} − 1)` exactly via the equivalent
-//! integer comparison `(n·q + p)^n ≤ 2·(n·q)^n` for `U = p/q`, where `f64`
-//! would misclassify sets sitting exactly on the bound.
+//! `u128`, addition, multiplication, exponentiation and comparison. Used to
+//! decide the Liu & Layland bound `U ≤ n(2^{1/n} − 1)` exactly via the
+//! equivalent integer comparison `(n·q + p)^n ≤ 2·(n·q)^n` for `U = p/q`,
+//! where `f64` would misclassify sets sitting exactly on the bound, and
+//! `Σ Ci/Ti ⋚ 1` where its integer filter cannot decide
+//! ([`crate::utilization`]).
 //!
 //! Representation: little-endian base-2³² limbs stored in `u32`s (products
 //! fit `u64` during schoolbook multiplication), no sign, normalised (no
@@ -44,6 +46,26 @@ impl BigNat {
         while self.limbs.last() == Some(&0) {
             self.limbs.pop();
         }
+    }
+
+    /// Sum.
+    pub fn add(&self, other: &BigNat) -> BigNat {
+        let (long, short) = if self.limbs.len() >= other.limbs.len() {
+            (&self.limbs, &other.limbs)
+        } else {
+            (&other.limbs, &self.limbs)
+        };
+        let mut out = Vec::with_capacity(long.len() + 1);
+        let mut carry: u64 = 0;
+        for (i, &a) in long.iter().enumerate() {
+            let cur = a as u64 + short.get(i).copied().unwrap_or(0) as u64 + carry;
+            out.push((cur & 0xFFFF_FFFF) as u32);
+            carry = cur >> 32;
+        }
+        if carry != 0 {
+            out.push(carry as u32);
+        }
+        BigNat { limbs: out }
     }
 
     /// Schoolbook multiplication.
@@ -163,6 +185,29 @@ mod tests {
         assert_eq!(sq.limbs.len(), 7);
         assert_eq!(sq.limbs[6], 1 << (200 - 6 * 32));
         assert!(sq.limbs[..6].iter().all(|&l| l == 0));
+    }
+
+    #[test]
+    fn addition_matches_u128_and_carries_past_it() {
+        let cases: [(u128, u128); 5] = [
+            (0, 0),
+            (0, 7),
+            (u32::MAX as u128, 1),
+            (u64::MAX as u128, u64::MAX as u128),
+            (123_456_789_012_345, 987),
+        ];
+        for (a, b) in cases {
+            let sum = BigNat::from_u128(a).add(&BigNat::from_u128(b));
+            assert_eq!(sum, BigNat::from_u128(a + b), "{a} + {b}");
+            assert_eq!(sum, BigNat::from_u128(b).add(&BigNat::from_u128(a)));
+        }
+        // (2^128 − 1) + 1 = 2^128: one limb more than either operand.
+        let wide = BigNat::from_u128(u128::MAX).add(&BigNat::from_u128(1));
+        assert_eq!(wide.limbs, vec![0, 0, 0, 0, 1]);
+        assert_eq!(
+            wide,
+            BigNat::from_u128(1 << 64).mul(&BigNat::from_u128(1 << 64))
+        );
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //!   PROFIBUS crates conventionally map one tick to one *bit time*
 //!   (`1 / baud_rate` seconds), which keeps every DIN 19245 timing parameter
 //!   exactly representable.
-//! * [`Frac`] — an exact rational built on `i128`, used for utilisation
-//!   comparisons (`Σ Ci/Ti` vs. a bound) without rounding.
+//! * [`cmp_utilization_one`] — the exact comparison `Σ Ci/Ti ⋚ 1` behind
+//!   every EDF test, for any rows an `i64` can hold; [`Frac`] — an exact
+//!   rational built on `i128`, for utilisation values (`Σ Ci/Ti` vs. a
+//!   bound) without rounding.
 //! * [`Task`] / [`TaskSet`] — the single-processor task model of the paper's
 //!   §2 (`Ci`, `Di`, `Ti`, plus release jitter `Ji` for the §4.1 extension).
 //! * [`MessageStream`] / [`StreamSet`] — the PROFIBUS message-stream model of
@@ -47,6 +49,7 @@ pub mod rng;
 pub mod stream;
 pub mod task;
 pub mod time;
+pub mod utilization;
 
 pub use bignat::BigNat;
 pub use criticality::Criticality;
@@ -59,3 +62,4 @@ pub use rng::Prng;
 pub use stream::{MessageStream, StreamSet};
 pub use task::{Task, TaskSet};
 pub use time::Time;
+pub use utilization::cmp_utilization_one;

@@ -4,7 +4,7 @@
 use core::cmp::Ordering;
 use core::fmt;
 use core::iter::Sum;
-use core::ops::{Add, Mul, Sub};
+use core::ops::Add;
 
 use serde::{Deserialize, Serialize};
 
@@ -59,17 +59,20 @@ pub fn lcm(a: i64, b: i64) -> Result<i64, AnalysisError> {
 /// An exact rational number over `i128`, always stored normalised
 /// (`den > 0`, `gcd(|num|, den) == 1`).
 ///
-/// Used for utilisation arithmetic: `Σ Ci/Ti < n(2^{1/n}−1)` style bounds are
-/// evaluated without floating point wherever algebraically possible, and the
-/// comparison `Σ Ci/Ti < 1` (EDF, eq. (3) precondition) is always exact.
+/// Used for utilisation *values*: the exact `U = p/q` that the Liu &
+/// Layland test raises to the `n`-th power, the low-priority residual
+/// `TTR·(1 − U)`. Comparisons of `Σ Ci/Ti` with 1 do not need the value
+/// and go through [`crate::cmp_utilization_one`] instead.
 ///
-/// **Range note.** Sums keep the denominator at the lcm of the operands'
-/// denominators. With the workspace's conventional inputs (periods on a
-/// common granularity — the workload generators round to 100-tick
-/// multiples) the lcm stays far below `i128` range; summing dozens of
-/// fractions with large *pairwise-coprime* denominators can overflow,
-/// which panics in debug builds. Keep set sizes or the period granularity
-/// sensible (as the generators do) when using `Frac` directly.
+/// **Range note.** A sum's denominator is the lcm of its operands'
+/// denominators. On a common period granularity (the workload generators
+/// round to 100-tick multiples) it stays small, but four periods near
+/// 10^12 that are pairwise coprime already need more than `i128` holds.
+/// [`Frac::checked_add`] reports that as `None`, and every analysis sums
+/// with it. The `+` operator, [`Sum`] and the ordering (which
+/// cross-multiplies) do not check: they panic on overflow in debug builds
+/// and wrap in release builds, so they are only for operands known to be
+/// small, such as test fixtures.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Frac {
     num: i128,
@@ -109,6 +112,19 @@ impl Frac {
     /// Denominator (always positive).
     pub const fn den(self) -> i128 {
         self.den
+    }
+
+    /// `self + rhs`, or `None` if an intermediate product or the result
+    /// leaves `i128`.
+    pub fn checked_add(self, rhs: Frac) -> Option<Frac> {
+        // Over the lcm of the denominators, so sums on a common period
+        // granularity stay as small as their value allows.
+        let g = gcd128(self.den as u128, rhs.den as u128) as i128;
+        let num = self
+            .num
+            .checked_mul(rhs.den / g)?
+            .checked_add(rhs.num.checked_mul(self.den / g)?)?;
+        Some(Frac::new(num, (self.den / g).checked_mul(rhs.den)?))
     }
 
     /// Exact comparison against another fraction.
@@ -153,20 +169,6 @@ impl Add for Frac {
     type Output = Frac;
     fn add(self, rhs: Frac) -> Frac {
         Frac::new(self.num * rhs.den + rhs.num * self.den, self.den * rhs.den)
-    }
-}
-
-impl Sub for Frac {
-    type Output = Frac;
-    fn sub(self, rhs: Frac) -> Frac {
-        Frac::new(self.num * rhs.den - rhs.num * self.den, self.den * rhs.den)
-    }
-}
-
-impl Mul for Frac {
-    type Output = Frac;
-    fn mul(self, rhs: Frac) -> Frac {
-        Frac::new(self.num * rhs.num, self.den * rhs.den)
     }
 }
 
@@ -268,8 +270,7 @@ mod tests {
         let a = Frac::new(1, 3);
         let b = Frac::new(1, 6);
         assert_eq!(a + b, Frac::new(1, 2));
-        assert_eq!(a - b, Frac::new(1, 6));
-        assert_eq!(a * b, Frac::new(1, 18));
+        assert_eq!(a.checked_add(b), Some(Frac::new(1, 2)));
         assert!(b < a);
         assert!(a < Frac::ONE);
         assert!(a.lt_one());
@@ -283,6 +284,29 @@ mod tests {
         // 1/3 + 1/3 + 1/3 == 1 exactly (would not hold in f64 chains).
         let u: Frac = (0..3).map(|_| Frac::new(1, 3)).sum();
         assert_eq!(u, Frac::ONE);
+    }
+
+    #[test]
+    fn checked_add_reports_what_the_operator_would_wrap() {
+        // Over the lcm, not the product, of the denominators.
+        let near = Frac::new(1, 1 << 100);
+        assert_eq!(
+            near.checked_add(Frac::new(1, 1 << 120)),
+            Some(Frac::new((1 << 20) + 1, 1 << 120))
+        );
+        // Four pairwise-coprime periods near 10^12: the lcm leaves i128.
+        let sum = [
+            999_999_999_989_i128,
+            1_000_000_000_039,
+            1_000_000_000_061,
+            1_000_000_000_063,
+        ]
+        .iter()
+        .try_fold(Frac::ZERO, |acc, &t| {
+            acc.checked_add(Frac::new(t * 3 / 10, t))
+        });
+        assert_eq!(sum, None);
+        assert_eq!(Frac::new(i128::MAX, 1).checked_add(Frac::ONE), None);
     }
 
     #[test]

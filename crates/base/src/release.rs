@@ -191,10 +191,14 @@ impl PeriodicReleases {
             }
             let index = self.next_index;
             let jitter = self.draw_jitter(index);
-            let ready = self.next_arrival + jitter;
+            // Saturating: a release that could only be ready past
+            // `Time::MAX` is never served before the horizon.
+            let ready = self.next_arrival.saturating_add(jitter);
             self.buffer.push(Reverse((ready, index)));
             self.next_index += 1;
-            self.next_arrival += self.period;
+            // An arrival past `Time::MAX` lies past every horizon, so a
+            // saturated `next_arrival` stops the source.
+            self.next_arrival = self.next_arrival.saturating_add(self.period);
         }
     }
 }
@@ -318,6 +322,16 @@ mod tests {
         let g = PeriodicReleases::new(t(0), t(10), t(30));
         // Arrivals strictly before the horizon: 0, 10, 20.
         assert_eq!(drain(g).len(), 3);
+    }
+
+    #[test]
+    fn arrivals_past_the_tick_range_end_the_source() {
+        // 0 and 5e18 lie before the horizon; 1e19 would wrap i64.
+        let period = t(5_000_000_000_000_000_000);
+        let g = PeriodicReleases::new(Time::ZERO, period, t(8_000_000_000_000_000_000));
+        assert_eq!(drain(g), vec![(Time::ZERO, 0), (period, 1)]);
+        let g = PeriodicReleases::new(Time::ZERO, period, Time::MAX);
+        assert_eq!(drain(g).len(), 2);
     }
 
     #[test]

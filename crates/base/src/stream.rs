@@ -166,11 +166,6 @@ impl StreamSet {
         self.streams.iter().map(|s| s.ch).max()
     }
 
-    /// Total bus utilisation of the set, `Σ Chi/Thi`.
-    pub fn total_utilization(&self) -> Frac {
-        self.streams.iter().map(|s| s.utilization()).sum()
-    }
-
     /// Indices sorted by ascending relative deadline (deadline-monotonic
     /// priority order; ties broken by index).
     pub fn indices_by_deadline(&self) -> Vec<usize> {
@@ -221,7 +216,11 @@ mod tests {
     #[test]
     fn utilization() {
         let set = StreamSet::from_cdt(&[(1, 10, 10), (1, 5, 5)]).unwrap();
-        assert_eq!(set.total_utilization(), Frac::new(3, 10));
+        let u = set
+            .streams()
+            .iter()
+            .try_fold(Frac::ZERO, |u, s| u.checked_add(s.utilization()));
+        assert_eq!(u, Some(Frac::new(3, 10)));
     }
 
     #[test]
@@ -237,6 +236,5 @@ mod tests {
         let set = StreamSet::new(vec![]).unwrap();
         assert!(set.is_empty());
         assert_eq!(set.max_cycle_time(), None);
-        assert_eq!(set.total_utilization(), Frac::ZERO);
     }
 }

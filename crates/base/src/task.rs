@@ -167,7 +167,11 @@ impl TaskSet {
         self.tasks.iter().enumerate()
     }
 
-    /// Exact total utilisation `Σ Ci/Ti`.
+    /// Exact total utilisation `Σ Ci/Ti`, summed with `Frac`'s unchecked
+    /// `+` (see its range note): for sets known to be small, such as test
+    /// fixtures. Analyses compare the sum with 1 through
+    /// [`crate::cmp_utilization_one`] and sum values with
+    /// [`Frac::checked_add`].
     pub fn total_utilization(&self) -> Frac {
         self.tasks.iter().map(Task::utilization).sum()
     }

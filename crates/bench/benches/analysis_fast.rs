@@ -33,10 +33,11 @@
 //! analysis-side perf baseline artifact CI uploads alongside `BENCH_sim`,
 //! recording per-comparison best-of-N ns for both paths and the fast/reference
 //! speedup, the `edf_rta_scan` block (summed arrival candidates,
-//! fixpoint evaluations and merged deadline-walk points of `edf-rta` and
-//! `np-edf-rta` over the `edf_rta_sweep` fixture: deterministic work
-//! counts, free of timing noise), the `edf_message_scan` block (the same
-//! three counts for the EDF message analysis of eqs. (17)–(18) over a
+//! fixpoint evaluations, merged deadline-walk points and exact
+//! `Σ Ci/Ti ⋚ 1` fallbacks of `edf-rta` and `np-edf-rta` over the
+//! `edf_rta_sweep` fixture: deterministic work counts, free of timing
+//! noise), the `edf_message_scan` block (the same
+//! four counts for the EDF message analysis of eqs. (17)–(18) over a
 //! fixed set of generated networks), plus the campaign `units_per_sec`
 //! block the advisory `perf_floor` CI step checks. Before timing, every
 //! pair is checked for verdict equality, so a speedup in the artifact is
@@ -84,7 +85,8 @@ fn edf_sweep_scratch(sets: &[TaskSet], scratch: &mut AnalysisScratch) {
 /// The deterministic work of the EDF response-time scans over `sets`: for
 /// `edf-rta` and `np-edf-rta`, each on its own fresh scratch, the summed
 /// per-task arrival candidates examined, the fixpoint evaluations
-/// (busy periods included) and the deadline-walk points the scans merged.
+/// (busy periods included), the deadline-walk points the scans merged and
+/// the utilisation checks left to the exact fallback.
 /// Counts, not times: they move only when the scan itself changes.
 fn edf_scan_work(sets: &[TaskSet]) -> Value {
     let sum = |analyze: &dyn Fn(&TaskSet, &mut AnalysisScratch) -> Vec<usize>| {
@@ -100,6 +102,10 @@ fn edf_scan_work(sets: &[TaskSet]) -> Value {
                 Value::Int(scratch.take_fixpoint_iters() as i64),
             ),
             ("walk_points", Value::Int(scratch.walk_points() as i64)),
+            (
+                "exact_fallbacks",
+                Value::Int(scratch.exact_fallbacks() as i64),
+            ),
         ])
     };
     let edf = sum(&|set, scratch| {
@@ -361,7 +367,8 @@ fn best_ns(iters: u32, mut f: impl FnMut()) -> f64 {
 /// scratch, over a fixed fixture — one pinned-seed network per 2–4
 /// masters × 2–6 streams each, deadlines at 80% of the period: the summed
 /// per-stream arrival candidates examined, the fixpoint evaluations,
-/// busy periods included, and the deadline-walk points the scans merged.
+/// busy periods included, the deadline-walk points the scans merged and
+/// the utilisation checks left to the exact fallback.
 fn edf_message_work() -> Value {
     let nets: Vec<NetworkConfig> = (2..=4)
         .flat_map(|masters| (2..=6).map(move |nh| profirt_bench::network(masters, nh, 0.8)))
@@ -389,6 +396,10 @@ fn edf_message_work() -> Value {
             Value::Int(scratch.take_fixpoint_iters() as i64),
         ),
         ("walk_points", Value::Int(scratch.walk_points() as i64)),
+        (
+            "exact_fallbacks",
+            Value::Int(scratch.exact_fallbacks() as i64),
+        ),
     ])
 }
 

@@ -51,15 +51,18 @@ pub struct LowPriorityOutlook {
 ///
 /// # Errors
 /// [`AnalysisError::Overflow`] if the burst or the residual exceeds the
-/// tick range.
+/// tick range, or the exact utilisation needs more than `i128`
+/// (pairwise-coprime periods near 10^12 and beyond).
 pub fn low_priority_outlook(net: &NetworkConfig) -> AnalysisResult<LowPriorityOutlook> {
     // Long-run high-priority utilisation Σ Ch/T (exact).
-    let high_utilization: Frac = net
+    let high_utilization = net
         .masters
         .iter()
         .flat_map(|m| m.streams.streams())
-        .map(|s| Frac::new(s.ch.ticks() as i128, s.t.ticks() as i128))
-        .sum();
+        .try_fold(Frac::ZERO, |u, s| u.checked_add(s.utilization()))
+        .ok_or(AnalysisError::Overflow {
+            context: "low-priority utilisation",
+        })?;
     // One synchronous batch: every stream's cycle once + one full round of
     // token passes.
     let overhead = net.ring_overhead()?;
@@ -154,6 +157,28 @@ mod tests {
         assert!(low_priority_outlook(&starved).unwrap().starvation_risk);
         let healthy = net(&[(200, 8_000, 10_000)], 2_000);
         assert!(!low_priority_outlook(&healthy).unwrap().starvation_risk);
+    }
+
+    #[test]
+    fn utilisation_beyond_i128_is_an_overflow() {
+        // Pairwise-coprime periods near 10^12: the exact sum's
+        // denominator leaves i128.
+        let streams: Vec<(i64, i64, i64)> = [
+            999_999_999_989_i64,
+            1_000_000_000_039,
+            1_000_000_000_061,
+            1_000_000_000_063,
+        ]
+        .iter()
+        .map(|&t| (t * 3 / 10, t, t))
+        .collect();
+        assert_eq!(
+            low_priority_outlook(&net(&streams, 2_000)),
+            Err(AnalysisError::Overflow {
+                context: "low-priority utilisation"
+            })
+        );
+        assert!(low_priority_outlook(&net(&streams[..2], 2_000)).is_ok());
     }
 
     #[test]

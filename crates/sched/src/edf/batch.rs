@@ -78,6 +78,7 @@ pub fn edf_feasibility_batch(
         suffix,
         warm,
         fixpoint_iters,
+        exact_fallbacks,
         ..
     } = scratch;
     let mut out: Vec<Option<Feasibility>> = vec![None; variants.len()];
@@ -89,7 +90,13 @@ pub fn edf_feasibility_batch(
         match variant.blocking {
             None => {
                 let cfg = DemandConfig { formula, fixpoint };
-                let horizon = match preemptive_plan(set, &cfg, Some(&mut *warm), fixpoint_iters)? {
+                let horizon = match preemptive_plan(
+                    set,
+                    &cfg,
+                    Some(&mut *warm),
+                    fixpoint_iters,
+                    exact_fallbacks,
+                )? {
                     ScanPlan::Done(f) => {
                         out[idx] = Some(f);
                         continue;
@@ -128,13 +135,14 @@ pub fn edf_feasibility_batch(
                     formula,
                     fixpoint,
                 };
-                let horizon = match np_plan(set, &cfg, Some(&mut *warm), fixpoint_iters)? {
-                    ScanPlan::Done(f) => {
-                        out[idx] = Some(f);
-                        continue;
-                    }
-                    ScanPlan::UpTo(h) => h,
-                };
+                let horizon =
+                    match np_plan(set, &cfg, Some(&mut *warm), fixpoint_iters, exact_fallbacks)? {
+                        ScanPlan::Done(f) => {
+                            out[idx] = Some(f);
+                            continue;
+                        }
+                        ScanPlan::UpTo(h) => h,
+                    };
                 if !dpc_loaded {
                     load_dpc(set, dpc);
                     dpc_loaded = true;

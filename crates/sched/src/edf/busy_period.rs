@@ -13,7 +13,9 @@
 //! demand-test checkpoints (eq. (3)) and the arrival candidates of the EDF
 //! response-time analyses (eqs. (8), (10)).
 
-use profirt_base::{AnalysisError, AnalysisResult, Frac, Task, TaskSet, Time};
+use core::cmp::Ordering;
+
+use profirt_base::{cmp_utilization_one, AnalysisError, AnalysisResult, Task, TaskSet, Time};
 
 use crate::fixpoint::{fixpoint_counted, FixOutcome, FixpointConfig};
 use crate::scratch::WarmState;
@@ -21,8 +23,24 @@ use crate::soa;
 
 /// The busy period `l = B + Σ ⌈(l + Ji)/Ti⌉·Ci` over task rows, with the
 /// errors of [`synchronous_busy_period`] — the form the scratch-threaded
-/// analyses use internally. The iteration body is the [`soa::busy_step`]
-/// kernel over the flat row slice.
+/// analyses use internally. See [`busy_period_if_below_one`] for the
+/// warm start and the utilisation check.
+pub(crate) fn busy_period_warm(
+    tasks: &[Task],
+    blocking: Time,
+    config: FixpointConfig,
+    warm: Option<&mut WarmState>,
+    iters: &mut u64,
+    exact_fallbacks: &mut u64,
+) -> AnalysisResult<Time> {
+    busy_period_if_below_one(tasks, blocking, config, warm, iters, exact_fallbacks)?
+        .map_err(|_| AnalysisError::UtilizationAtLeastOne)
+}
+
+/// The busy period over task rows when `Σ Ci/Ti < 1`, else `Ok(Err(o))`
+/// with `o` the ordering of `Σ Ci/Ti` against 1 (`Equal` or `Greater`).
+/// The iteration body is the [`soa::busy_step`] kernel over the flat row
+/// slice.
 ///
 /// Cold start seeds at `B + Σ Ci`. When a [`WarmState`] is supplied and
 /// holds the least fixpoint of *exactly* this `(B, (Ci, Ti, Ji))` input, the
@@ -30,23 +48,32 @@ use crate::soa;
 /// (`W(L) = L`); a converged cold run populates the memo. The busy period
 /// reads neither deadlines nor a policy, so one memo entry serves every
 /// analysis variant of the same workload.
-pub(crate) fn busy_period_warm(
+///
+/// The utilisation check ([`cmp_utilization_one`], counting its exact
+/// fallbacks into `exact_fallbacks`) runs only on a memo miss. A hit is
+/// exact without it: the memo is keyed on every row's `(Ci, Ti, Ji)`, and
+/// only this function stores into it, after the check passed on the same
+/// `(Ci, Ti)` columns.
+pub(crate) fn busy_period_if_below_one(
     tasks: &[Task],
     blocking: Time,
     config: FixpointConfig,
     warm: Option<&mut WarmState>,
     iters: &mut u64,
-) -> AnalysisResult<Time> {
+    exact_fallbacks: &mut u64,
+) -> AnalysisResult<Result<Time, Ordering>> {
     if tasks.is_empty() {
         return Err(AnalysisError::EmptySet);
-    }
-    if !tasks.iter().map(Task::utilization).sum::<Frac>().lt_one() {
-        return Err(AnalysisError::UtilizationAtLeastOne);
     }
     let memo = warm.as_ref().and_then(|w| w.lookup_busy(blocking, tasks));
     let seed = match memo {
         Some(lfp) => lfp,
         None => {
+            let rows = tasks.iter().map(|t| (t.c.ticks(), t.t.ticks()));
+            let u = cmp_utilization_one(rows, exact_fallbacks);
+            if u != Ordering::Less {
+                return Ok(Err(u));
+            }
             let mut seed = blocking;
             for task in tasks {
                 seed = seed.try_add(task.c)?;
@@ -64,7 +91,7 @@ pub(crate) fn busy_period_warm(
                     w.store_busy(blocking, tasks, l);
                 }
             }
-            Ok(l)
+            Ok(Ok(l))
         }
         // Unreachable with bound = Time::MAX short of overflow, which the
         // kernel reports itself.
@@ -82,7 +109,7 @@ pub(crate) fn busy_period_warm(
 /// * [`AnalysisError::EmptySet`] for an empty set (no busy period).
 /// * Iteration-cap / overflow errors from pathological inputs.
 pub fn synchronous_busy_period(set: &TaskSet, config: FixpointConfig) -> AnalysisResult<Time> {
-    busy_period_warm(set.tasks(), Time::ZERO, config, None, &mut 0)
+    busy_period_warm(set.tasks(), Time::ZERO, config, None, &mut 0, &mut 0)
 }
 
 /// Computes the blocking-extended busy period: the least fixpoint of
@@ -98,7 +125,7 @@ pub fn nonpreemptive_busy_period(
     blocking: Time,
     config: FixpointConfig,
 ) -> AnalysisResult<Time> {
-    busy_period_warm(set.tasks(), blocking, config, None, &mut 0)
+    busy_period_warm(set.tasks(), blocking, config, None, &mut 0, &mut 0)
 }
 
 #[cfg(test)]
@@ -187,6 +214,7 @@ mod tests {
             cfg,
             Some(&mut warm),
             &mut cold_iters,
+            &mut 0,
         )
         .unwrap();
         let hit = busy_period_warm(
@@ -195,6 +223,7 @@ mod tests {
             cfg,
             Some(&mut warm),
             &mut warm_iters,
+            &mut 0,
         )
         .unwrap();
         assert_eq!(cold, hit);
@@ -202,8 +231,15 @@ mod tests {
         assert_eq!(warm_iters, 1, "warm hit re-verifies in one evaluation");
         // A different blocking term misses the memo and iterates cold.
         let mut miss_iters = 0u64;
-        let blocked =
-            busy_period_warm(set.tasks(), t(8), cfg, Some(&mut warm), &mut miss_iters).unwrap();
+        let blocked = busy_period_warm(
+            set.tasks(),
+            t(8),
+            cfg,
+            Some(&mut warm),
+            &mut miss_iters,
+            &mut 0,
+        )
+        .unwrap();
         assert_eq!(blocked, nonpreemptive_busy_period(&set, t(8), cfg).unwrap());
         assert!(miss_iters > 1);
     }
@@ -224,8 +260,15 @@ mod tests {
         // least fixpoint.
         let mut warm = WarmState::default();
         for set in [&plain, &jittered, &plain, &jittered] {
-            let got =
-                busy_period_warm(set.tasks(), Time::ZERO, cfg, Some(&mut warm), &mut 0).unwrap();
+            let got = busy_period_warm(
+                set.tasks(),
+                Time::ZERO,
+                cfg,
+                Some(&mut warm),
+                &mut 0,
+                &mut 0,
+            )
+            .unwrap();
             assert_eq!(got, l(set));
         }
     }

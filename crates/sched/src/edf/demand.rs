@@ -36,11 +36,13 @@
 //! differential property tests); only `checked_points` — the number of
 //! demand evaluations actually performed — reflects the chosen path.
 
+use core::cmp::Ordering;
+
 use profirt_base::{AnalysisResult, TaskSet, Time};
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoints::CheckpointScratch;
-use crate::edf::busy_period::busy_period_warm;
+use crate::edf::busy_period::busy_period_if_below_one;
 use crate::edf::qpa::{self, QpaOutcome};
 use crate::fixpoint::FixpointConfig;
 use crate::scratch::{AnalysisScratch, WarmState};
@@ -108,6 +110,7 @@ pub(crate) fn preemptive_plan(
     config: &DemandConfig,
     warm: Option<&mut WarmState>,
     iters: &mut u64,
+    exact_fallbacks: &mut u64,
 ) -> AnalysisResult<ScanPlan> {
     if set.is_empty() {
         return Ok(ScanPlan::Done(Feasibility {
@@ -117,24 +120,25 @@ pub(crate) fn preemptive_plan(
             horizon: Time::ZERO,
         }));
     }
-    let u = set.total_utilization();
-    if !u.le_one() {
-        return Ok(ScanPlan::Done(Feasibility {
-            feasible: false,
-            violation: None,
-            checked_points: 0,
-            horizon: Time::ZERO,
-        }));
-    }
-    if u.lt_one() {
-        // The busy period bounds every first deadline miss.
-        return Ok(ScanPlan::UpTo(busy_period_warm(
-            set.tasks(),
-            Time::ZERO,
-            config.fixpoint,
-            warm,
-            iters,
-        )?));
+    // Below full load, the busy period bounds every first deadline miss.
+    match busy_period_if_below_one(
+        set.tasks(),
+        Time::ZERO,
+        config.fixpoint,
+        warm,
+        iters,
+        exact_fallbacks,
+    )? {
+        Ok(l) => return Ok(ScanPlan::UpTo(l)),
+        Err(Ordering::Greater) => {
+            return Ok(ScanPlan::Done(Feasibility {
+                feasible: false,
+                violation: None,
+                checked_points: 0,
+                horizon: Time::ZERO,
+            }))
+        }
+        Err(_) => {}
     }
     if set.all_implicit_deadlines() {
         // U == 1 with implicit deadlines: schedulable by the exact
@@ -256,9 +260,10 @@ pub fn edf_feasible_preemptive_with(
         dpc,
         warm,
         fixpoint_iters,
+        exact_fallbacks,
         ..
     } = scratch;
-    let horizon = match preemptive_plan(set, config, Some(warm), fixpoint_iters)? {
+    let horizon = match preemptive_plan(set, config, Some(warm), fixpoint_iters, exact_fallbacks)? {
         ScanPlan::Done(f) => return Ok(f),
         ScanPlan::UpTo(h) => h,
     };
@@ -311,9 +316,10 @@ pub fn edf_feasible_preemptive_exhaustive_with(
         dpc,
         warm,
         fixpoint_iters,
+        exact_fallbacks,
         ..
     } = scratch;
-    let horizon = match preemptive_plan(set, config, Some(warm), fixpoint_iters)? {
+    let horizon = match preemptive_plan(set, config, Some(warm), fixpoint_iters, exact_fallbacks)? {
         ScanPlan::Done(f) => return Ok(f),
         ScanPlan::UpTo(h) => h,
     };

@@ -30,10 +30,12 @@
 //! as [`edf_feasible_nonpreemptive_exhaustive`], now with incremental
 //! demand updates and an amortised-O(1) blocking lookup.
 
+use core::cmp::Ordering;
+
 use profirt_base::{AnalysisResult, TaskSet, Time};
 use serde::{Deserialize, Serialize};
 
-use crate::edf::busy_period::busy_period_warm;
+use crate::edf::busy_period::busy_period_if_below_one;
 use crate::edf::demand::{exhaustive_scan, load_dpc, DemandFormula, Feasibility, ScanPlan};
 use crate::edf::qpa::{self, QpaOutcome};
 use crate::fixpoint::FixpointConfig;
@@ -87,6 +89,7 @@ pub(crate) fn np_plan(
     config: &NpFeasibilityConfig,
     warm: Option<&mut WarmState>,
     iters: &mut u64,
+    exact_fallbacks: &mut u64,
 ) -> AnalysisResult<ScanPlan> {
     if set.is_empty() {
         return Ok(ScanPlan::Done(Feasibility {
@@ -96,29 +99,29 @@ pub(crate) fn np_plan(
             horizon: Time::ZERO,
         }));
     }
-    let u = set.total_utilization();
-    if !u.le_one() {
-        return Ok(ScanPlan::Done(Feasibility {
-            feasible: false,
-            violation: None,
-            checked_points: 0,
-            horizon: Time::ZERO,
-        }));
-    }
-    let horizon = if u.lt_one() {
-        // Safe horizon: the blocking-extended busy period (a non-preemptive
-        // busy interval can open with a blocker of up to max Ci).
-        busy_period_warm(
-            set.tasks(),
-            set.max_cost().unwrap_or(Time::ZERO),
-            config.fixpoint,
-            warm,
-            iters,
-        )?
-    } else {
-        set.hyperperiod()?
+    // Safe horizon below full load: the blocking-extended busy period (a
+    // non-preemptive busy interval can open with a blocker of up to max Ci).
+    let horizon = match busy_period_if_below_one(
+        set.tasks(),
+        set.max_cost().unwrap_or(Time::ZERO),
+        config.fixpoint,
+        warm,
+        iters,
+        exact_fallbacks,
+    )? {
+        Ok(l) => l,
+        Err(Ordering::Greater) => {
+            return Ok(ScanPlan::Done(Feasibility {
+                feasible: false,
+                violation: None,
+                checked_points: 0,
+                horizon: Time::ZERO,
+            }))
+        }
+        Err(_) => set
+            .hyperperiod()?
             .try_add(set.max_deadline().unwrap_or(Time::ZERO))?
-            .try_add(set.max_cost().unwrap_or(Time::ZERO))?
+            .try_add(set.max_cost().unwrap_or(Time::ZERO))?,
     };
     Ok(ScanPlan::UpTo(horizon))
 }
@@ -192,9 +195,10 @@ pub fn edf_feasible_nonpreemptive_with(
         suffix,
         warm,
         fixpoint_iters,
+        exact_fallbacks,
         ..
     } = scratch;
-    let horizon = match np_plan(set, config, Some(warm), fixpoint_iters)? {
+    let horizon = match np_plan(set, config, Some(warm), fixpoint_iters, exact_fallbacks)? {
         ScanPlan::Done(f) => return Ok(f),
         ScanPlan::UpTo(h) => h,
     };
@@ -276,9 +280,10 @@ pub fn edf_feasible_nonpreemptive_exhaustive_with(
         suffix,
         warm,
         fixpoint_iters,
+        exact_fallbacks,
         ..
     } = scratch;
-    let horizon = match np_plan(set, config, Some(warm), fixpoint_iters)? {
+    let horizon = match np_plan(set, config, Some(warm), fixpoint_iters, exact_fallbacks)? {
         ScanPlan::Done(f) => return Ok(f),
         ScanPlan::UpTo(h) => h,
     };

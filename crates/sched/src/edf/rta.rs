@@ -122,6 +122,7 @@ pub fn edf_response_times_with(
         config.fixpoint,
         Some(&mut scratch.warm),
         &mut scratch.fixpoint_iters,
+        &mut scratch.exact_fallbacks,
     )?;
     // Candidates lie in [0, L) (eq. (8)). L itself is excluded: a busy
     // period starting the instance at a >= L cannot extend it (the

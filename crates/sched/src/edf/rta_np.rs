@@ -146,6 +146,7 @@ pub fn np_edf_rows_with(
         config.fixpoint,
         Some(&mut scratch.warm),
         &mut scratch.fixpoint_iters,
+        &mut scratch.exact_fallbacks,
     )?;
     // Eq. (10) is inclusive of the candidate bound.
     let spec = ScanSpec {
@@ -162,6 +163,7 @@ pub fn np_edf_rows_with(
                 config.fixpoint,
                 Some(&mut scratch.warm),
                 &mut scratch.fixpoint_iters,
+                &mut scratch.exact_fallbacks,
             )?
         },
         fix_bound: l_blocked,

@@ -5,7 +5,9 @@
 //! The paper states the strict form `< 1` as the precondition for the
 //! busy-period machinery; we expose both comparisons exactly.
 
-use profirt_base::{Frac, TaskSet};
+use core::cmp::Ordering;
+
+use profirt_base::{cmp_utilization_one, TaskSet};
 use serde::{Deserialize, Serialize};
 
 /// Result of the exact EDF utilisation test.
@@ -21,10 +23,13 @@ pub struct EdfUtilization {
 
 /// Runs the exact utilisation test.
 pub fn edf_utilization_test(set: &TaskSet) -> EdfUtilization {
-    let u: Frac = set.total_utilization();
+    let u = cmp_utilization_one(
+        set.tasks().iter().map(|t| (t.c.ticks(), t.t.ticks())),
+        &mut 0,
+    );
     EdfUtilization {
-        at_most_one: u.le_one(),
-        below_one: u.lt_one(),
+        at_most_one: u != Ordering::Greater,
+        below_one: u == Ordering::Less,
     }
 }
 

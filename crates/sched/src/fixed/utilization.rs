@@ -20,6 +20,8 @@ use profirt_base::bignat::BigNat;
 use profirt_base::{Frac, TaskSet};
 use serde::{Deserialize, Serialize};
 
+use crate::edf::edf_utilization_test;
+
 /// Outcome of a sufficient (non-exact) utilisation test.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum UtilizationVerdict {
@@ -51,21 +53,25 @@ pub fn liu_layland_bound(n: usize) -> f64 {
 ///
 /// The empty set is trivially schedulable. Utilisations above 1 are always
 /// `Inconclusive` (and in fact unschedulable, but that is the caller's
-/// conclusion to draw from the exact EDF test).
+/// conclusion to draw from the exact EDF test). So is a set whose exact
+/// `U = p/q` needs more than `i128` (pairwise-coprime periods near
+/// 10^12 and beyond): the sufficient test then makes no claim.
 pub fn rm_utilization_schedulable(set: &TaskSet) -> UtilizationVerdict {
     let n = set.len();
     if n == 0 {
         return UtilizationVerdict::Schedulable;
     }
-    let u = set.total_utilization();
-    // (p + n q)^n <= 2 (n q)^n with U = p/q (normalised, q > 0).
-    let p = u.num();
-    let q = u.den();
-    if p < 0 {
-        return UtilizationVerdict::Schedulable; // degenerate (not constructible)
-    }
-    let nq = BigNat::from_u128((n as u128) * (q as u128));
-    let p_nq = BigNat::from_u128(p as u128 + (n as u128) * (q as u128));
+    let Some(u) = set
+        .tasks()
+        .iter()
+        .try_fold(Frac::ZERO, |u, task| u.checked_add(task.utilization()))
+    else {
+        return UtilizationVerdict::Inconclusive;
+    };
+    // (p + n q)^n <= 2 (n q)^n with U = p/q (normalised, q > 0, p > 0 for
+    // validated tasks).
+    let nq = BigNat::from_u128(n as u128).mul(&BigNat::from_u128(u.den() as u128));
+    let p_nq = BigNat::from_u128(u.num() as u128).add(&nq);
     let lhs = p_nq.pow(n as u32);
     let rhs = nq.pow(n as u32).mul_u32(2);
     if lhs <= rhs {
@@ -97,19 +103,14 @@ pub fn hyperbolic_schedulable(set: &TaskSet) -> UtilizationVerdict {
     }
 }
 
-/// Exact check `Σ Ci/Ti ≤ 1` shared with the EDF module.
+/// Exact check `Σ Ci/Ti ≤ 1`, the EDF module's utilisation test.
 pub fn utilization_at_most_one(set: &TaskSet) -> bool {
-    set.total_utilization().le_one()
+    edf_utilization_test(set).at_most_one
 }
 
 /// Exact check `Σ Ci/Ti < 1`.
 pub fn utilization_below_one(set: &TaskSet) -> bool {
-    set.total_utilization().lt_one()
-}
-
-/// The exact total utilisation (re-export convenience).
-pub fn total_utilization(set: &TaskSet) -> Frac {
-    set.total_utilization()
+    edf_utilization_test(set).below_one
 }
 
 #[cfg(test)]

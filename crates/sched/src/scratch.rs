@@ -33,6 +33,8 @@ use crate::edf::scan::DeadlineWalk;
 /// `(cost, period, jitter)` columns. Deadlines, priorities and scan formulas do not
 /// enter a busy-period computation, so one memo entry serves every analysis
 /// variant of the same workload — the main sharing lever of a policy sweep.
+/// An entry exists only for columns whose `Σ Ci/Ti < 1` was checked, so a
+/// hit also answers that check.
 #[derive(Debug, Clone)]
 struct BusyMemo {
     blocking: Time,
@@ -188,6 +190,9 @@ pub struct AnalysisScratch {
     /// Running count of deadline-walk points generated through this
     /// scratch.
     pub(crate) walk_points: u64,
+    /// Running count of utilisation checks the integer filter of
+    /// [`profirt_base::cmp_utilization_one`] left to its exact fallback.
+    pub(crate) exact_fallbacks: u64,
 }
 
 impl AnalysisScratch {
@@ -215,6 +220,14 @@ impl AnalysisScratch {
         self.walk_points
     }
 
+    /// Total `Σ Ci/Ti ⋚ 1` checks through this scratch since creation that
+    /// the integer filter could not decide, so the exact comparison ran
+    /// (sums within about `n/2^64` of 1, such as exactly 1 over periods
+    /// that are not powers of two).
+    pub fn exact_fallbacks(&self) -> u64 {
+        self.exact_fallbacks
+    }
+
     /// Drops the warm-start memos (results never depend on them; this only
     /// forces cold starts for measurements and tests).
     pub fn clear_warm(&mut self) {
@@ -238,6 +251,32 @@ mod tests {
         assert!(c.segments.is_empty());
         assert!(c.suffix.is_empty());
         assert_eq!(c.fixpoint_iters(), 0);
+    }
+
+    #[test]
+    fn exact_utilisation_fallbacks_are_counted() {
+        use crate::edf::{
+            edf_feasible_preemptive_with, edf_response_times_with, DemandConfig, EdfRtaConfig,
+        };
+        use profirt_base::{AnalysisError, TaskSet};
+
+        let mut s = AnalysisScratch::new();
+        // U = 1/3 + 1/3 + 1/3 = 1 exactly: only the exact comparison can
+        // tell, once per check.
+        let one = TaskSet::from_ct(&[(1, 3), (1, 3), (1, 3)]).unwrap();
+        assert_eq!(
+            edf_response_times_with(&one, &EdfRtaConfig::default(), &mut s).unwrap_err(),
+            AnalysisError::UtilizationAtLeastOne
+        );
+        assert_eq!(s.exact_fallbacks(), 1);
+        // U = 1 with implicit deadlines: feasible without a scan.
+        let f = edf_feasible_preemptive_with(&one, &DemandConfig::default(), &mut s).unwrap();
+        assert!(f.feasible);
+        assert_eq!(s.exact_fallbacks(), 2);
+        // The filter decides an ordinary set alone.
+        let light = TaskSet::from_ct(&[(1, 3), (1, 4)]).unwrap();
+        edf_response_times_with(&light, &EdfRtaConfig::default(), &mut s).unwrap();
+        assert_eq!(s.exact_fallbacks(), 2);
     }
 
     #[test]

@@ -1163,6 +1163,35 @@ mod tests {
             .contains("overflow"));
     }
 
+    /// Four tasks with pairwise-coprime periods near 10^12, each at
+    /// `C = 0.3·T`: `U = 1.2`, and the exact `Frac` sum of these leaves
+    /// `i128`.
+    const COPRIME_TASKS: &str = r#""tasks":[{"c":299999999996,"d":999999999989,"t":999999999989},{"c":300000000011,"d":1000000000039,"t":1000000000039},{"c":300000000018,"d":1000000000061,"t":1000000000061},{"c":300000000018,"d":1000000000063,"t":1000000000063}]"#;
+
+    #[test]
+    fn wrapped_utilisation_sums_answer_from_exact_arithmetic() {
+        // These lines once panicked in a debug build (`attempt to multiply
+        // with overflow` in the `Frac` sum); a release build wrapped and
+        // answered `edf-util` and `rm-ll` with `accepted:true`.
+        let rejected = r#"{"id":null,"ok":true,"op":"task_feasibility","result":{"accepted":false,"wcrts":null}}"#;
+        let no_busy_period = r#"{"id":null,"ok":true,"op":"task_feasibility","result":{"accepted":false,"reason":"total utilisation is >= 1; busy-period bounds do not exist","wcrts":null}}"#;
+        for test in TASK_TESTS {
+            let line = format!(r#"{{"op":"task_feasibility","test":"{test}",{COPRIME_TASKS}}}"#);
+            let want = match test {
+                "edf-rta" | "np-edf-rta" => no_busy_period,
+                _ => rejected,
+            };
+            assert_eq!(answer_line(&line), want, "{test}");
+        }
+        // The message analysis sums Tcycle/T over the same periods: U is
+        // tiny, and exactly so.
+        let net = r#"{"op":"feasibility","policy":"edf","net":{"ttr":2000,"masters":[{"cl":0,"streams":[{"ch":300,"d":999999999989,"t":999999999989},{"ch":300,"d":1000000000039,"t":1000000000039},{"ch":300,"d":1000000000061,"t":1000000000061},{"ch":300,"d":1000000000063,"t":1000000000063}]}]}}"#;
+        assert_eq!(
+            answer_line(net),
+            r#"{"id":null,"ok":true,"op":"feasibility","result":{"feasible":true,"schedulable_streams":4,"streams":4,"tcycle":2466,"tdel":300}}"#
+        );
+    }
+
     #[test]
     fn memo_key_ignores_id_but_not_payload() {
         let a = parse_request(&format!(

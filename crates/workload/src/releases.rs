@@ -46,7 +46,8 @@ impl ReleaseGen for StreamReleases {
             Request {
                 stream: self.stream,
                 release: ready,
-                abs_deadline: ready + self.d,
+                // A deadline past `Time::MAX` is never missed.
+                abs_deadline: ready.saturating_add(self.d),
                 priority: self.priority,
                 cycle_time: self.ch,
             },
@@ -181,7 +182,7 @@ impl ReleaseGen for TaskReleases {
             TaskRelease {
                 task: self.task,
                 release: ready,
-                abs_deadline: ready + self.d,
+                abs_deadline: ready.saturating_add(self.d),
                 cost: self.c,
             },
         ))

@@ -273,3 +273,33 @@ fn overflowing_simulation_clock_is_an_error_not_a_hang() {
         "stderr: {stderr}"
     );
 }
+
+#[test]
+fn releases_past_the_tick_range_stop_the_source() {
+    // The second arrival (5e18) lies within the horizon; the third would be
+    // at 1e19, past i64::MAX, and the second's absolute deadline too. Both
+    // once wrapped to negative times: 9 completions, 5 misses and a response
+    // time near 8.4e18 against a bound of 1266.
+    let cfg = write_config(
+        "huge_period.json",
+        r#"{"ttr": 1000, "masters": [{"cl": 0, "streams": [{"ch": 100, "d": 5000000000000000000, "t": 5000000000000000000}]}]}"#,
+    );
+    let (ok, stdout, stderr) = profirt(&[
+        "simulate",
+        cfg.to_str().unwrap(),
+        "--horizon",
+        "8000000000000000000",
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    let row: Vec<&str> = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with("M0/S0"))
+        .expect("a row for the stream")
+        .split_whitespace()
+        .collect();
+    // stream, completed, max resp, misses, policy, bound, ok
+    assert_eq!(row[1], "2", "completions: {stdout}");
+    assert_eq!(row[3], "0", "misses: {stdout}");
+    assert_eq!(row[6], "yes", "{stdout}");
+    assert!(stdout.contains("all observations within analytical bounds"));
+}
