@@ -14,10 +14,8 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A criticality level; `Hi` must survive any overload, `Lo` is shed first.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Criticality {
     /// Best-effort traffic: shed in degraded mode, re-admitted at match-up.
     Lo,

@@ -2,11 +2,8 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a task within a [`crate::TaskSet`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TaskId(pub usize);
 
 impl fmt::Display for TaskId {
@@ -16,8 +13,7 @@ impl fmt::Display for TaskId {
 }
 
 /// Index of a message stream within a [`crate::StreamSet`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct StreamId(pub usize);
 
 impl fmt::Display for StreamId {
@@ -27,8 +23,7 @@ impl fmt::Display for StreamId {
 }
 
 /// PROFIBUS station address (0..=126 per DIN 19245; 127 is broadcast).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct MasterAddr(pub u8);
 
 impl MasterAddr {

@@ -1,11 +1,11 @@
 //! Minimal JSON support shared by the CLI, the campaign engine, and the
 //! admission-control server.
 //!
-//! The build environment cannot fetch serde_json, and every on-disk schema
-//! in this workspace is a handful of small structs, so the workspace
-//! carries its own parser and pretty printer. Supported: objects, arrays,
-//! strings (with the standard escapes), integers, floats, booleans, and
-//! null — the full JSON grammar minus exotic number forms (`1e99` parses
+//! Every on-disk schema in this workspace is a handful of small structs,
+//! so the workspace carries its own dependency-free parser and pretty
+//! printer. Supported: objects, arrays, strings (with the standard
+//! escapes), integers, floats, booleans, and null — the full JSON grammar
+//! minus exotic number forms (`1e99` parses
 //! via `f64`; numbers that overflow to a non-finite `f64`, like `1e999`,
 //! are rejected with a typed error rather than smuggling `inf` into a
 //! feasibility decision).
@@ -108,7 +108,7 @@ impl Value {
         }
     }
 
-    /// Pretty-prints with two-space indentation (serde_json style).
+    /// Pretty-prints with two-space indentation (one key or element per line).
     pub fn pretty(&self) -> String {
         let mut out = String::new();
         self.write_pretty(&mut out, 0);

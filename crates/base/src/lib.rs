@@ -22,8 +22,7 @@
 //!   arithmetic overflow) — analyses return `Result`, they never panic on
 //!   user input.
 //! * [`json`] — a dependency-free JSON parser / pretty printer shared by
-//!   the CLI config files and the campaign engine (this build environment
-//!   has no crates.io access, so serde_json is not an option).
+//!   the CLI config files and the campaign engine.
 //! * [`hash`] — FNV-1a 64, a stable hash whose values may be stored and
 //!   compared across runs (std's `DefaultHasher` is keyed per process).
 //! * [`artifact`] — where the perf-baseline `BENCH_*.json` files are

@@ -6,8 +6,6 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::Add;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AnalysisError;
 
 /// `⌈n / d⌉` for signed `n` and strictly positive `d`.
@@ -73,7 +71,7 @@ pub fn lcm(a: i64, b: i64) -> Result<i64, AnalysisError> {
 /// cross-multiplies) do not check: they panic on overflow in debug builds
 /// and wrap in release builds, so they are only for operands known to be
 /// small, such as test fixtures.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Frac {
     num: i128,
     den: i128,

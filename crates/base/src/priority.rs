@@ -7,11 +7,8 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed priority level; smaller is more urgent.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Priority(pub u32);
 
 impl Priority {

@@ -28,13 +28,11 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::Prng;
 use crate::time::Time;
 
 /// How first releases are placed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum OffsetMode {
     /// All sources release synchronously at time zero.
     #[default]
@@ -45,7 +43,7 @@ pub enum OffsetMode {
 
 /// How per-release jitter is injected (releases become *ready* at
 /// `arrival + jitter`, with `jitter ∈ [0, J]`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum JitterMode {
     /// No jitter (all releases ready at arrival).
     #[default]

@@ -15,14 +15,12 @@
 //! but the semantic difference (non-preemptable bus cycles, `Tcycle`-grained
 //! service) warrants a distinct type so the two cannot be confused.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{AnalysisError, AnalysisResult, ModelError};
 use crate::num::Frac;
 use crate::time::Time;
 
 /// A high-priority PROFIBUS message stream `(Ch, Dh, Th, J)`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct MessageStream {
     /// Worst-case message-cycle time `Chi` (request + response + turnaround +
     /// retries), in ticks; strictly positive.
@@ -98,7 +96,7 @@ impl MessageStream {
 }
 
 /// The set of high-priority message streams of one master.
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct StreamSet {
     streams: Vec<MessageStream>,
 }

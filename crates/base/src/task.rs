@@ -5,14 +5,12 @@
 //! sporadic tasks) `Ti`. The §4.1 extension adds a release jitter `Ji`: a
 //! job that "arrives" at `a` may only become *ready* up to `Ji` later.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{AnalysisError, AnalysisResult, ModelError};
 use crate::num::{lcm, Frac};
 use crate::time::Time;
 
 /// A periodic or sporadic task: `(Ci, Di, Ti, Ji)`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Task {
     /// Worst-case execution time `Ci` (ticks, > 0).
     pub c: Time,
@@ -107,7 +105,7 @@ impl Task {
 /// Index order is the identity of the tasks; analyses refer to tasks by
 /// index. No priority order is implied — priority assignments are explicit
 /// (see `profirt-sched`).
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct TaskSet {
     tasks: Vec<Task>,
 }

@@ -13,8 +13,6 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Neg, Rem, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AnalysisError;
 
 /// A signed, exact time value measured in abstract ticks.
@@ -23,8 +21,7 @@ use crate::error::AnalysisError;
 /// arithmetic operators panic on overflow in debug builds (like primitive
 /// integers); analyses that may legitimately overflow use the `checked_*`
 /// methods and surface [`AnalysisError::Overflow`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(i64);
 
 impl Time {

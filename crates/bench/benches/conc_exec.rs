@@ -3,9 +3,9 @@
 //! a campaign-shaped workload (many independent seeds, each evaluating
 //! a small schedulability analysis).
 //!
-//! The reference implementation below is the previous runner verbatim
-//! in shape: an unbounded MPMC channel distributes seeds to scoped
-//! workers, results land in per-seed mutex slots. The executor path is
+//! The reference implementation below is the previous runner in shape:
+//! one channel distributes seeds to scoped workers that share its
+//! receiver behind a mutex, and results land in per-seed mutex slots. The executor path is
 //! `profirt_experiments::runner::try_par_map_seeds`, now mounted on
 //! `profirt_conc::exec::Core` (sharded deques + stealing + the
 //! model-checked park protocol).
@@ -20,10 +20,9 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
-use crossbeam::channel;
 use profirt_base::artifact;
 use profirt_base::json::{self, Value};
 use profirt_bench::task_set;
@@ -50,21 +49,23 @@ fn unit(seed: u64) -> u64 {
 /// before it moved onto the executor core.
 fn channel_pool(n: u64, workers: usize) -> Vec<u64> {
     let workers = workers.clamp(1, n.max(1) as usize);
-    let (tx, rx) = channel::unbounded::<u64>();
+    let (tx, rx) = mpsc::channel::<u64>();
     for seed in 0..n {
         tx.send(seed).expect("channel open");
     }
     drop(tx);
+    let rx = Mutex::new(rx);
     let mut results: Vec<Option<u64>> = (0..n).map(|_| None).collect();
     let slots: Vec<_> = results.iter_mut().map(Mutex::new).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            let rx = rx.clone();
-            let slots = &slots;
-            scope.spawn(move || {
-                while let Ok(seed) = rx.recv() {
-                    **slots[seed as usize].lock().expect("slot lock") = Some(unit(seed));
-                }
+            let (rx, slots) = (&rx, &slots);
+            scope.spawn(move || loop {
+                // A `let` statement drops the receiver guard before the
+                // unit runs, so workers only serialize on the hand-off.
+                let next = rx.lock().expect("receiver lock").recv();
+                let Ok(seed) = next else { break };
+                **slots[seed as usize].lock().expect("slot lock") = Some(unit(seed));
             });
         }
     });

@@ -21,10 +21,12 @@
 //!   facade's condvar, and a bounded injection queue with a backpressure
 //!   error. Its join/steal/park protocol passes the model checker at
 //!   2–3 threads (see `tests/exec_model.rs`).
+//! * [`oneshot`] — a one-shot reply slot (one value, one sender, one
+//!   receiver) on the facade's mutex and condvar; the serve engine's
+//!   per-request reply.
 //!
 //! The crate is pure `std`, `#![forbid(unsafe_code)]`, and has no
-//! dependencies — the same vendoring discipline as the offline stand-ins
-//! under `vendor/`.
+//! dependencies.
 //!
 //! [loom]: https://github.com/tokio-rs/loom
 //!
@@ -35,7 +37,7 @@
 //! cargo test -p profirt_conc --features model  # shims + explorer
 //! ```
 //!
-//! Code routed through the facade (the vendored crossbeam channel, the
+//! Code routed through the facade (the one-shot reply slot, the
 //! experiment runner's slot/failure mutexes, the executor core) compiles
 //! identically in both modes; only the `model`-gated test suites observe
 //! the shims.
@@ -44,6 +46,7 @@
 #![deny(missing_docs)]
 
 pub mod exec;
+pub mod oneshot;
 pub(crate) mod rng;
 
 #[cfg(feature = "model")]

@@ -24,6 +24,14 @@ pub struct PoisonError<T> {
     _marker: std::marker::PhantomData<T>,
 }
 
+impl<T> PoisonError<T> {
+    /// `std::sync::PoisonError::into_inner` lookalike; unreachable, since
+    /// this type is never constructed.
+    pub fn into_inner(self) -> T {
+        match self._never {}
+    }
+}
+
 impl<T> std::fmt::Debug for PoisonError<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("PoisonError")

@@ -98,7 +98,7 @@ fn close_wakes_every_parked_worker() {
     // Two workers with NO work at all: both head straight for the park
     // protocol and only `close`'s notify_all can release them. A
     // notify_one here (or a notify outside the park lock) strands one
-    // worker — the same bug class as the crossbeam disconnect fix.
+    // worker.
     let stats = model::check_with(small(4000), || {
         let core: Arc<Core<u32>> = Arc::new(Core::new(CoreConfig {
             workers: 2,

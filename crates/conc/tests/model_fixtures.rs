@@ -59,8 +59,8 @@ fn flags_missed_notify_as_lost_wakeup() {
 #[test]
 fn flags_notify_one_with_two_waiters_as_lost_wakeup() {
     // BUG under test: a shutdown path wakes ONE of two parked waiters;
-    // the other is stranded. This is exactly the crossbeam-stub
-    // disconnect bug class the satellite fix addresses (notify_all).
+    // the other is stranded. Waking every waiter on a shutdown edge
+    // (notify_all) is the fix for this bug class.
     let failure = model::try_check_with(quick(), || {
         let state = Arc::new((Mutex::new(false), Condvar::new()));
         let mut waiters = Vec::new();

@@ -8,7 +8,9 @@
 //! racing submission — and assert the serving-layer contract in every
 //! interleaving: **no accepted request is ever lost, no rejected
 //! request is ever processed, and accepted + rejected always equals
-//! submitted.**
+//! submitted.** The last three scenarios check the per-request
+//! one-shot reply slot ([`profirt_conc::oneshot`]) that a front end
+//! blocks on while a worker answers.
 //!
 //! Run with: `cargo test -p profirt_conc --features model --tests`
 
@@ -16,6 +18,7 @@
 
 use profirt_conc::exec::{Core, CoreConfig, Reject};
 use profirt_conc::model::{self, thread, Options};
+use profirt_conc::oneshot::{self, RecvError};
 use profirt_conc::sync::atomic::{AtomicUsize, Ordering};
 use profirt_conc::sync::Arc;
 
@@ -143,6 +146,47 @@ fn shutdown_racing_submission_never_drops_an_accepted_request() {
             accepted.load(Ordering::SeqCst),
             "drain-then-exit contract violated across the close race"
         );
+    });
+    assert!(stats.schedules > 1, "exploration must branch: {stats:?}");
+}
+
+#[test]
+fn reply_slot_wakes_a_receiver_parked_before_the_send() {
+    // The front end may park in recv before the worker sends, or find
+    // the answer already there. A wakeup that can land before the
+    // receiver waits shows up as a lost wakeup.
+    let stats = model::check_with(small(4000), || {
+        let (tx, rx) = oneshot::channel::<u32>();
+        let worker = thread::spawn(move || tx.send(7));
+        assert_eq!(rx.recv(), Ok(7));
+        worker.join();
+    });
+    assert!(stats.schedules > 1, "exploration must branch: {stats:?}");
+}
+
+#[test]
+fn reply_slot_wakes_a_parked_receiver_when_the_sender_drops_unsent() {
+    // A worker lost mid-request drops its sender without answering: the
+    // front end, parked or not, must get Err (answered "worker lost"),
+    // never hang.
+    let stats = model::check_with(small(4000), || {
+        let (tx, rx) = oneshot::channel::<u32>();
+        let worker = thread::spawn(move || drop(tx));
+        assert_eq!(rx.recv(), Err(RecvError));
+        worker.join();
+    });
+    assert!(stats.schedules > 1, "exploration must branch: {stats:?}");
+}
+
+#[test]
+fn reply_slot_send_racing_a_receiver_drop_never_blocks() {
+    // A requester that gave up drops its receiver while the worker
+    // answers: the send must complete in every order.
+    let stats = model::check_with(small(4000), || {
+        let (tx, rx) = oneshot::channel::<u32>();
+        let requester = thread::spawn(move || drop(rx));
+        tx.send(9);
+        requester.join();
     });
     assert!(stats.schedules > 1, "exploration must branch: {stats:?}");
 }

@@ -9,7 +9,6 @@
 //! [`PolicyComparison::priority_dominates_fcfs_on_tightest`].
 
 use profirt_base::{AnalysisResult, Time};
-use serde::{Deserialize, Serialize};
 
 use crate::config::NetworkConfig;
 use crate::dm::DmAnalysis;
@@ -18,7 +17,7 @@ use crate::fcfs::FcfsAnalysis;
 use crate::NetworkAnalysis;
 
 /// Results of all three policies on one network.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PolicyComparison {
     /// Eq. (11) result.
     pub fcfs: NetworkAnalysis,
@@ -79,7 +78,7 @@ impl PolicyComparison {
 }
 
 /// One row of the comparison table.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ComparisonRow {
     /// Master index.
     pub master: usize,

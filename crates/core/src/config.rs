@@ -8,10 +8,9 @@
 
 use profirt_base::{AnalysisError, AnalysisResult, Criticality, StreamSet, Time};
 use profirt_profibus::{BusParams, MasterStation};
-use serde::{Deserialize, Serialize};
 
 /// Analysis-relevant view of one master.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MasterConfig {
     /// High-priority streams of this master.
     pub streams: StreamSet,
@@ -22,7 +21,7 @@ pub struct MasterConfig {
     /// vector — the default of every constructor — means all-HI, the
     /// backward-compatible reading under which pre-existing configs are
     /// unchanged. When non-empty, the length must equal `streams.len()`.
-    #[serde(default)]
+    /// A config file that omits the field reads it as empty.
     pub criticality: Vec<Criticality>,
 }
 
@@ -79,7 +78,7 @@ impl MasterConfig {
 }
 
 /// The whole-network analysis input.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct NetworkConfig {
     /// Masters in logical-ring order.
     pub masters: Vec<MasterConfig>,
@@ -94,8 +93,8 @@ pub struct NetworkConfig {
     /// Simulation shows the literal bound can be exceeded by up to one
     /// token pass per master in a worst-case rotation (the T5 finding), so
     /// validation campaigns set this to the real SD4+TID2 pass time. The
-    /// default `0` reproduces the paper verbatim.
-    #[serde(default)]
+    /// default `0` reproduces the paper verbatim; a config file that
+    /// omits the field reads it as `0`.
     pub token_pass: Time,
 }
 

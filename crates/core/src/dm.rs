@@ -31,14 +31,13 @@
 use profirt_base::{AnalysisResult, Time};
 use profirt_sched::fixed::PriorityMap;
 use profirt_sched::{fixpoint, FixOutcome, FixpointConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::config::NetworkConfig;
 use crate::tcycle::{tcycle, TcycleModel};
 use crate::{NetworkAnalysis, StreamResponse};
 
 /// Which eq. (16) interpretation to use.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum DmVariant {
     /// Eq. (16) verbatim (`T*cycle = 0` for the lowest-priority stream).
     Paper,

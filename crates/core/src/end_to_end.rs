@@ -17,7 +17,6 @@
 use profirt_base::{AnalysisError, AnalysisResult, TaskSet, Time};
 use profirt_sched::fixed::rta::{response_times_with_jitter, RtaConfig};
 use profirt_sched::fixed::PriorityMap;
-use serde::{Deserialize, Serialize};
 
 use crate::config::{MasterConfig, NetworkConfig};
 use crate::dm::DmAnalysis;
@@ -25,7 +24,7 @@ use crate::edf::EdfAnalysis;
 use crate::jitter::{inherit_jitter, with_inherited_jitter, JitterModel};
 
 /// Host-task structure behind one message stream.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TaskSegments {
     /// The request-generating model (defines `g` and the jitter).
     pub generator: JitterModel,
@@ -54,7 +53,7 @@ pub struct EndToEndAnalysis {
 }
 
 /// Per-stream delay decomposition.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EndToEndBreakdown {
     /// Generation delay `g` (= inherited release jitter).
     pub g: Time,

@@ -22,10 +22,9 @@
 use profirt_base::{AnalysisError, AnalysisResult, StreamSet, Task, TaskSet, Time};
 use profirt_sched::fixed::rta::{response_times_with_jitter, RtaConfig};
 use profirt_sched::fixed::PriorityMap;
-use serde::{Deserialize, Serialize};
 
 /// How a stream's generating task produces its request.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum JitterModel {
     /// One task: request queued at the end of its first segment of cost
     /// `generation_cost`; the task then self-suspends.

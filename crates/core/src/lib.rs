@@ -69,10 +69,9 @@ pub use tcycle::{TcycleBound, TcycleModel};
 pub use ttr::{max_feasible_ttr, TtrSetting};
 
 use profirt_base::Time;
-use serde::{Deserialize, Serialize};
 
 /// Per-stream outcome of a message response-time analysis.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct StreamResponse {
     /// Master index within the network configuration.
     pub master: usize,
@@ -90,7 +89,7 @@ pub struct StreamResponse {
 }
 
 /// Whole-network analysis result.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct NetworkAnalysis {
     /// The token-cycle bound used.
     pub tcycle: Time,

@@ -24,12 +24,11 @@
 //! through the high-priority queue.
 
 use profirt_base::{AnalysisError, AnalysisResult, Frac, Time};
-use serde::{Deserialize, Serialize};
 
 use crate::config::NetworkConfig;
 
 /// Long-run outlook for low-priority traffic on one network.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LowPriorityOutlook {
     /// Long-run fraction of bus time consumed by high-priority streams
     /// (exact rational).

@@ -19,14 +19,13 @@
 //! stable phases (the existing `sim_violations` column).
 
 use profirt_base::{AnalysisResult, Time};
-use serde::{Deserialize, Serialize};
 
 use crate::config::NetworkConfig;
 use crate::policy::{PolicyKind, PolicyScratch, PolicyTuning};
 use crate::NetworkAnalysis;
 
 /// The two-verdict result of analysing a mixed-criticality network.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ModeAnalysis {
     /// Nominal (LO-mode) bounds: full workload, full ring. Valid in stable
     /// phases only.

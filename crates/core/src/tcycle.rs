@@ -26,12 +26,11 @@
 //! a tick count gets [`profirt_base::AnalysisError::Overflow`], never a wrapped bound.
 
 use profirt_base::{AnalysisResult, Time};
-use serde::{Deserialize, Serialize};
 
 use crate::config::{MasterConfig, NetworkConfig};
 
 /// Which token-lateness bound to use.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum TcycleModel {
     /// Eq. (13) verbatim: every master charged its longest cycle `CM^k`.
     #[default]
@@ -42,7 +41,7 @@ pub enum TcycleModel {
 }
 
 /// The computed token-cycle bound.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TcycleBound {
     /// Worst-case token lateness `Tdel`.
     pub tdel: Time,

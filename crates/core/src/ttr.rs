@@ -11,13 +11,12 @@
 //! binding stream.
 
 use profirt_base::{AnalysisResult, Time};
-use serde::{Deserialize, Serialize};
 
 use crate::config::NetworkConfig;
 use crate::tcycle::{token_lateness, TcycleModel};
 
 /// Result of the eq. (15) computation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TtrSetting {
     /// The largest feasible `TTR` (ticks). `None` if even `TTR → 0⁺` cannot
     /// satisfy the tightest stream (the right-hand side is non-positive).

@@ -14,9 +14,9 @@
 //!   or `std::env` in the sim/sched/profibus kernels: simulated time
 //!   and seeded RNG streams are the only clocks and entropy allowed.
 //! * **sync** — no direct `std::sync::` in facade-routed concurrency
-//!   code (the crossbeam stub, the executor core, the seed runner):
-//!   those files must synchronize through `profirt_conc::sync` so the
-//!   model checker sees every primitive.
+//!   code (the one-shot reply slot, the executor core, the seed runner,
+//!   the serve engine): those files must synchronize through
+//!   `profirt_conc::sync` so the model checker sees every primitive.
 //! * **mode** — no direct mutation of mixed-criticality mode state
 //!   (`degraded`, `degraded_at`, `over_streak`, `clean_since`) in the
 //!   sim or experiments crates: the `ModeController` owns every
@@ -91,12 +91,11 @@ fn classify(path: &str) -> FileClass {
     }
 }
 
-/// True for files the panic/print rules cover: first-party library code
-/// plus the crossbeam stub (facade-routed, effectively first-party).
-/// The other vendor stand-ins mirror external APIs and are out of
-/// scope — their panics are the registry crates' problem.
+/// True for files the panic/print rules cover: first-party library code.
+/// The vendor stand-ins mirror external APIs and are out of scope —
+/// their panics are the registry crates' problem.
 fn first_party(path: &str) -> bool {
-    !path.starts_with("vendor/") || path.starts_with("vendor/crossbeam/")
+    !path.starts_with("vendor/")
 }
 
 /// Kernel crates where wall-clock time and OS nondeterminism are banned.
@@ -108,8 +107,8 @@ const KERNEL_PREFIXES: [&str; 3] = [
 
 /// Files that must route every sync primitive through `profirt_conc`.
 const FACADE_PREFIXES: [&str; 4] = [
-    "vendor/crossbeam/src/",
     "crates/conc/src/exec.rs",
+    "crates/conc/src/oneshot.rs",
     "crates/experiments/src/runner.rs",
     "crates/serve/src/",
 ];

@@ -73,7 +73,7 @@ fn nondet_fixture_is_flagged_in_kernel_crates_only() {
 fn direct_sync_fixture_is_flagged_in_facade_scope_only() {
     let src = fixture("direct_sync.rs");
     for facade in [
-        "vendor/crossbeam/src/fixture.rs",
+        "crates/serve/src/fixture.rs",
         "crates/conc/src/exec.rs",
         "crates/experiments/src/runner.rs",
     ] {
@@ -129,7 +129,7 @@ fn clean_fixture_produces_no_findings_anywhere() {
     for path in [
         "crates/sim/src/lib.rs",
         "crates/conc/src/exec.rs",
-        "vendor/crossbeam/src/fixture.rs",
+        "crates/serve/src/fixture.rs",
         "crates/core/src/fixture.rs",
     ] {
         let findings = scan_file(path, &src);

@@ -14,7 +14,7 @@ pub fn char_time(chars: usize) -> Time {
     Time::new(BITS_PER_CHAR * chars as i64)
 }
 
-/// Character count of each frame format (see [`crate::frame`]).
+/// Character count of each FDL frame format.
 pub mod frame_chars {
     /// SD1 fixed-length frame, no data: SD DA SA FC FCS ED.
     pub const SD1: usize = 6;

@@ -27,7 +27,6 @@
 //! ([`crate::fdl::token_recovery_timeout`]).
 
 use profirt_base::MasterAddr;
-use serde::{Deserialize, Serialize};
 
 use crate::fdl::{FdlEvent, FdlState, FdlStation};
 use crate::gap::{GapPollResult, GapState};
@@ -72,7 +71,7 @@ impl std::fmt::Display for RingConfigError {
 impl std::error::Error for RingConfigError {}
 
 /// Protocol state of a dynamic logical ring (see the module docs).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RingController {
     addrs: Vec<MasterAddr>,
     stations: Vec<FdlStation>,

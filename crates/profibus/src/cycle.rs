@@ -16,14 +16,12 @@
 //! also include the time needed to process the allowed retries").
 
 use profirt_base::Time;
-use serde::{Deserialize, Serialize};
 
 use crate::chartime::char_time;
-use crate::frame::Frame;
 use crate::params::BusParams;
 
 /// Character-level description of one request/response exchange.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MessageCycleSpec {
     /// Characters of the action (request or send/request) frame.
     pub request_chars: usize,
@@ -32,14 +30,6 @@ pub struct MessageCycleSpec {
 }
 
 impl MessageCycleSpec {
-    /// Builds a spec from concrete frames.
-    pub fn from_frames(request: &Frame, response: &Frame) -> MessageCycleSpec {
-        MessageCycleSpec {
-            request_chars: request.char_len(),
-            response_chars: response.char_len(),
-        }
-    }
-
     /// An SRD exchange carrying `req_data` octets out and `resp_data` octets
     /// back, both in SD2 frames — the typical DP data exchange shape.
     pub fn srd_sd2(req_data: usize, resp_data: usize) -> MessageCycleSpec {
@@ -75,7 +65,7 @@ impl MessageCycleSpec {
 }
 
 /// Token-pass timing: the SD4 frame plus the post-transmission idle `TID2`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct TokenPassTime;
 
 impl TokenPassTime {
@@ -88,7 +78,6 @@ impl TokenPassTime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::FunctionCode;
     use profirt_base::time::t;
 
     #[test]
@@ -114,20 +103,6 @@ mod tests {
         // retry = 3 adds three slots.
         let p3 = p.with_max_retry(3);
         assert_eq!(spec.worst_case_time(&p3), t(324 + 3 * 376));
-    }
-
-    #[test]
-    fn from_frames_matches_char_len() {
-        let req = Frame::Variable {
-            da: 5,
-            sa: 1,
-            fc: FunctionCode::SRD_HIGH,
-            data: vec![0; 12],
-        };
-        let resp = Frame::ShortAck;
-        let spec = MessageCycleSpec::from_frames(&req, &resp);
-        assert_eq!(spec.request_chars, 21);
-        assert_eq!(spec.response_chars, 1);
     }
 
     #[test]

@@ -21,12 +21,11 @@
 //! token first, making recovery deterministic and collision-free.
 
 use profirt_base::{MasterAddr, Time};
-use serde::{Deserialize, Serialize};
 
 use crate::params::BusParams;
 
 /// FDL master states (simplified subset of DIN 19245).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FdlState {
     /// Not on the bus.
     Offline,
@@ -45,7 +44,7 @@ pub enum FdlState {
 }
 
 /// Events driving the state machine.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FdlEvent {
     /// Station switched on.
     PowerOn,
@@ -116,7 +115,7 @@ pub fn token_recovery_timeout(params: &BusParams, addr: MasterAddr) -> Time {
 }
 
 /// A station wrapper tracking its state and rejecting invalid events.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FdlStation {
     /// This station's address.
     pub addr: MasterAddr,

@@ -11,7 +11,6 @@
 //! results back into ring membership knowledge.
 
 use profirt_base::{MasterAddr, Time};
-use serde::{Deserialize, Serialize};
 
 use crate::chartime::{char_time, frame_chars};
 use crate::params::BusParams;
@@ -34,7 +33,7 @@ pub fn poll_time(params: &BusParams, answered: bool) -> Time {
 }
 
 /// Result of polling one GAP address.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum GapPollResult {
     /// No station answered within the slot time.
     NoStation,
@@ -47,7 +46,7 @@ pub enum GapPollResult {
 }
 
 /// Per-master GAP maintenance state.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct GapState {
     /// This master's address.
     pub addr: MasterAddr,

@@ -8,10 +8,6 @@
 //!   delays `TSDR`, idle times `TID1/TID2`, retry limit, target rotation time
 //!   `TTR`) with standard profiles. One tick = one **bit time**.
 //! * [`chartime`] — UART character timing (11 bits/char) and frame lengths.
-//! * [`fcs`] — the PROFIBUS frame check sequence (mod-256 running sum).
-//! * [`frame`] / [`codec`] — the four FDL frame formats (SD1 fixed, SD2
-//!   variable, SD3 fixed-with-data, SD4 token) plus the single-character
-//!   acknowledge, with exact binary encode/decode.
 //! * [`cycle`] — message-cycle timing: action frame + responder turnaround +
 //!   response + idle time, with worst-case retry expansion. This produces
 //!   the `Chi` / `Cl` inputs of the paper's analysis from payload sizes.
@@ -22,7 +18,7 @@
 //! * [`queue`] — outgoing queues: the stock FCFS queue, the paper's §4
 //!   priority-ordered application-process queue (DM or EDF keyed), and the
 //!   depth-limited communication-stack queue.
-//! * [`station`] / [`ring`] / [`gap`] — master/slave station models, the
+//! * [`station`] / [`ring`] / [`gap`] — the master station model, the
 //!   logical token ring (LAS, next-station), and the GAP update mechanism.
 //! * [`controller`] — the ring-membership controller tying [`fdl`],
 //!   [`ring`] and [`gap`] together: per-station state machines, live LAS,
@@ -33,12 +29,9 @@
 #![warn(missing_docs)]
 
 pub mod chartime;
-pub mod codec;
 pub mod controller;
 pub mod cycle;
-pub mod fcs;
 pub mod fdl;
-pub mod frame;
 pub mod gap;
 pub mod params;
 pub mod queue;
@@ -49,10 +42,9 @@ pub mod token;
 pub use controller::{RingConfigError, RingController};
 pub use cycle::{MessageCycleSpec, TokenPassTime};
 pub use fdl::{token_recovery_timeout, FdlEvent, FdlState, FdlStation};
-pub use frame::{Frame, FrameError, FunctionCode};
 pub use gap::{GapPollResult, GapState};
 pub use params::BusParams;
 pub use queue::{ApQueue, QueuePolicy, Request, StackCapacity, StackQueue};
 pub use ring::LogicalRing;
-pub use station::{LowPriorityTraffic, MasterStation, SlaveStation};
+pub use station::{LowPriorityTraffic, MasterStation};
 pub use token::{TokenHold, TokenTimer};

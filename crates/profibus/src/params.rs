@@ -7,10 +7,9 @@
 //! reporting.
 
 use profirt_base::Time;
-use serde::{Deserialize, Serialize};
 
 /// PROFIBUS bus parameter set (per-network, common to all masters).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BusParams {
     /// Baud rate in bit/s (defines the tick duration `1/baud`).
     pub baud_rate: u32,

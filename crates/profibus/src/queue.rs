@@ -16,10 +16,9 @@ use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
 use profirt_base::{Priority, StreamId, Time};
-use serde::{Deserialize, Serialize};
 
 /// A queued message request (one message cycle to execute).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Request {
     /// Originating stream.
     pub stream: StreamId,
@@ -34,7 +33,7 @@ pub struct Request {
 }
 
 /// Dispatching policy of the application-process queue.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum QueuePolicy {
     /// First-come-first-served — the stock PROFIBUS behaviour (§3).
     #[default]
@@ -140,7 +139,7 @@ impl ApQueue {
 }
 
 /// Capacity of a [`StackQueue`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StackCapacity {
     /// At most this many pending requests (`>= 1`).
     Slots(usize),

@@ -7,10 +7,9 @@
 //! token frames.
 
 use profirt_base::MasterAddr;
-use serde::{Deserialize, Serialize};
 
 /// The logical ring: the sorted set of active master addresses.
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct LogicalRing {
     members: Vec<MasterAddr>,
 }

@@ -1,14 +1,12 @@
-//! Station models: masters (active, in the token ring) and slaves (passive
-//! responders).
+//! Station model: the active masters that hold the token in the ring.
 
 use profirt_base::{MasterAddr, StreamSet, Time};
-use serde::{Deserialize, Serialize};
 
 use crate::queue::QueuePolicy;
 
 /// Periodic low-priority background traffic at a master (parameterises the
 /// `Cl^k` term of eq. (13) and loads the simulator realistically).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LowPriorityTraffic {
     /// Worst-case message-cycle time of one low-priority exchange.
     pub cycle_time: Time,
@@ -29,7 +27,7 @@ impl LowPriorityTraffic {
 }
 
 /// An active (token-holding) master station.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MasterStation {
     /// Bus address.
     pub addr: MasterAddr,
@@ -103,23 +101,6 @@ impl MasterStation {
     }
 }
 
-/// A passive slave station (responds within `TSDR`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct SlaveStation {
-    /// Bus address.
-    pub addr: MasterAddr,
-    /// Actual responder turnaround used by the simulator (must lie within
-    /// `[min_TSDR, max_TSDR]` of the bus parameters).
-    pub turnaround: Time,
-}
-
-impl SlaveStation {
-    /// Creates a slave with the given turnaround.
-    pub fn new(addr: MasterAddr, turnaround: Time) -> SlaveStation {
-        SlaveStation { addr, turnaround }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,12 +141,5 @@ mod tests {
     #[should_panic(expected = "period must be positive")]
     fn invalid_low_priority_panics() {
         let _ = LowPriorityTraffic::new(t(10), t(0));
-    }
-
-    #[test]
-    fn slave_station() {
-        let s = SlaveStation::new(MasterAddr(9), t(60));
-        assert_eq!(s.addr, MasterAddr(9));
-        assert_eq!(s.turnaround, t(60));
     }
 }

@@ -17,10 +17,9 @@
 //! wall-clock) so the analysis crate and the simulator share them.
 
 use profirt_base::Time;
-use serde::{Deserialize, Serialize};
 
 /// Per-master token rotation timer (`TRR` measurement + `TTR` target).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TokenTimer {
     ttr: Time,
     /// Instant at which the current TRR measurement started (= last token
@@ -62,7 +61,7 @@ impl TokenTimer {
 }
 
 /// The token-holding state for a single token visit.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TokenHold {
     /// Token arrival instant.
     pub arrived_at: Time,

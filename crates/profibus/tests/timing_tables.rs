@@ -104,8 +104,8 @@ fn cycle_time_envelope() {
     }
 }
 
-/// Character-count arithmetic for every frame format (the codec tests
-/// verify byte-for-byte encodings; this pins the *time* model).
+/// Character-count arithmetic for every frame format: pins the *time*
+/// model.
 #[test]
 fn frame_time_table() {
     assert_eq!(char_time(frame_chars::SHORT_ACK), t(11));

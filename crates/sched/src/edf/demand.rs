@@ -39,7 +39,6 @@
 use core::cmp::Ordering;
 
 use profirt_base::{AnalysisResult, TaskSet, Time};
-use serde::{Deserialize, Serialize};
 
 use crate::checkpoints::CheckpointScratch;
 use crate::edf::busy_period::busy_period_if_below_one;
@@ -48,7 +47,7 @@ use crate::fixpoint::FixpointConfig;
 use crate::scratch::{AnalysisScratch, WarmState};
 
 /// Which demand-bound job-count formula to use.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum DemandFormula {
     /// `(⌊(t − Di)/Ti⌋ + 1)⁺` — counts the job with deadline exactly `t`
     /// (Baruah et al.; correct).
@@ -69,7 +68,7 @@ pub struct DemandConfig {
 }
 
 /// Outcome of a feasibility test.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Feasibility {
     /// `true` iff no checkpoint violated the test.
     pub feasible: bool,

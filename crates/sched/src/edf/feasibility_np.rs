@@ -33,7 +33,6 @@
 use core::cmp::Ordering;
 
 use profirt_base::{AnalysisResult, TaskSet, Time};
-use serde::{Deserialize, Serialize};
 
 use crate::edf::busy_period::busy_period_if_below_one;
 use crate::edf::demand::{exhaustive_scan, load_dpc, DemandFormula, Feasibility, ScanPlan};
@@ -42,7 +41,7 @@ use crate::fixpoint::FixpointConfig;
 use crate::scratch::{AnalysisScratch, WarmState};
 
 /// Which blocking model to apply on top of the processor demand.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum NpBlockingModel {
     /// Eq. (4), Zheng & Shin: constant `max_i Ci` blocking at every `t`.
     ZhengShin,

@@ -8,10 +8,9 @@
 use core::cmp::Ordering;
 
 use profirt_base::{cmp_utilization_one, TaskSet};
-use serde::{Deserialize, Serialize};
 
 /// Result of the exact EDF utilisation test.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EdfUtilization {
     /// `Σ Ci/Ti ≤ 1` (exact) — necessary and sufficient for implicit
     /// deadlines.

@@ -11,14 +11,13 @@
 //! (e.g. from Audsley's OPA) are interchangeable.
 
 use profirt_base::{Priority, StreamSet, TaskSet, Time};
-use serde::{Deserialize, Serialize};
 
 /// A total fixed-priority order over set indices.
 ///
 /// Internally stores `prio_of[i]` = priority of the element with index `i`
 /// (smaller = more urgent) and the index list sorted from most to least
 /// urgent. Priorities are always the dense range `0..n`.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PriorityMap {
     prio_of: Vec<u32>,
     by_urgency: Vec<usize>,

@@ -31,7 +31,6 @@
 //!   they differ only when a fixpoint lands exactly on a release boundary).
 
 use profirt_base::{AnalysisResult, TaskSet, Time};
-use serde::{Deserialize, Serialize};
 
 use crate::fixed::assignment::PriorityMap;
 use crate::fixpoint::{fixpoint_counted, FixOutcome, FixpointConfig};
@@ -39,7 +38,7 @@ use crate::scratch::AnalysisScratch;
 use crate::{soa, SetAnalysis, TaskVerdict};
 
 /// Which interference formula to use for the start-delay recurrence.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum NpFixedVariant {
     /// The paper's eq. (1): `⌈w/Tj⌉` interference, seeded at
     /// `Bi + Σ_{hp} Cj`.
@@ -56,7 +55,7 @@ pub enum NpFixedVariant {
 /// [`BlockingRule::MaxLowerCostMinusOne`], while PROFIBUS messages, whose
 /// token-cycle cost is an upper bound rather than an execution time, block
 /// for the full cost ([`BlockingRule::MaxLowerCost`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum BlockingRule {
     /// The paper's eq. (2): `Bi = max_{j ∈ lp(i)} Cj`.
     #[default]

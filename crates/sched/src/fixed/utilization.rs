@@ -18,12 +18,11 @@
 
 use profirt_base::bignat::BigNat;
 use profirt_base::{Frac, TaskSet};
-use serde::{Deserialize, Serialize};
 
 use crate::edf::edf_utilization_test;
 
 /// Outcome of a sufficient (non-exact) utilisation test.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum UtilizationVerdict {
     /// The sufficient condition holds — the set is schedulable.
     Schedulable,

@@ -3,7 +3,7 @@
 //!
 //! Requests enter through [`Engine::handle`], which injects a job into
 //! the model-checked [`Core`] executor's bounded queue and blocks on a
-//! per-request reply channel. Saturation is explicit: a full queue comes
+//! per-request one-shot reply slot. Saturation is explicit: a full queue comes
 //! back as [`Reject::Full`] and is answered with an `"overloaded"` error
 //! (the caller sheds load or retries), never an unbounded buffer. After
 //! [`Engine::shutdown`] the queue answers `"closed"`, and — the
@@ -20,9 +20,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
 
-use crossbeam::channel;
 use profirt_base::json::{self, Value};
 use profirt_conc::exec::{Core, CoreConfig, Reject};
+use profirt_conc::oneshot;
 use profirt_conc::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use profirt_conc::sync::{Arc, Mutex};
 use profirt_core::PolicyTuning;
@@ -57,10 +57,10 @@ impl Default for EngineConfig {
     }
 }
 
-/// One queued request: the raw line plus its reply channel.
+/// One queued request: the raw line plus its reply slot.
 struct Job {
     line: String,
-    reply: channel::Sender<String>,
+    reply: oneshot::Sender<String>,
 }
 
 /// Monotone engine counters, readable via the `stats` op and
@@ -183,14 +183,14 @@ impl Engine {
             self.inner.stats.oversized.fetch_add(1, Ordering::SeqCst);
             return proto::oversized_response(line.len(), self.max_request_bytes);
         }
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = oneshot::channel();
         match self.inner.core.inject(Job {
             line: line.to_string(),
             reply: tx,
         }) {
             Ok(()) => match rx.recv() {
                 Ok(resp) => resp,
-                // The worker dropped the reply channel without answering:
+                // The worker dropped the reply slot without answering:
                 // only possible if its thread died mid-request.
                 Err(_) => proto::reject_response(line, "internal", "worker lost"),
             },
@@ -275,9 +275,9 @@ fn shard_loop(inner: &Inner, w: usize) {
             proto::reject_response(&job.line, "internal", "request evaluation panicked")
         });
         inner.stats.served.fetch_add(1, Ordering::SeqCst);
-        // A send error means the requester gave up (dropped the
-        // receiver); the answer is simply discarded.
-        let _ = job.reply.send(resp);
+        // If the requester gave up (dropped the receiver), the answer
+        // is simply discarded.
+        job.reply.send(resp);
     });
 }
 

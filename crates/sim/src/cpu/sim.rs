@@ -12,13 +12,12 @@ use profirt_base::release::MergedReleases;
 use profirt_base::{Criticality, TaskSet, Time};
 use profirt_sched::fixed::PriorityMap;
 use profirt_workload::{task_release_gens, TaskRelease};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::event::KeyedHeap;
 use crate::engine::observer::{HistSummary, Observer, TickHistogram};
 
 /// Dispatching discipline.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CpuPolicy {
     /// Fixed priorities, preemptive (Joseph & Pandya setting).
     FixedPreemptive,
@@ -58,7 +57,7 @@ pub struct CpuSimConfig {
 }
 
 /// Per-task observations.
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct CpuSimResult {
     /// Maximum observed response time per task (zero if no job completed).
     pub max_response: Vec<Time>,

@@ -2,7 +2,6 @@
 
 use profirt_base::{MasterAddr, StreamSet, Time};
 use profirt_profibus::{gap, BusParams, LowPriorityTraffic, QueuePolicy};
-use serde::{Deserialize, Serialize};
 
 // The placement/jitter modes are defined next to the lazy release
 // generators in `profirt_base::release` (the workload-level generator
@@ -15,7 +14,7 @@ pub use crate::network::mode::ModeSimConfig;
 use profirt_base::Criticality;
 
 /// One simulated master.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimMaster {
     /// High-priority streams (periods, deadlines, cycle times, jitters).
     pub streams: StreamSet,
@@ -163,7 +162,7 @@ impl std::fmt::Display for SimNetworkError {
 impl std::error::Error for SimNetworkError {}
 
 /// The simulated network.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimNetwork {
     /// The masters, indexed by ring index. The token visits them in FDL
     /// address order (next-higher address, wrapping), which is the vector
@@ -237,7 +236,7 @@ impl SimNetwork {
 }
 
 /// Simulation run parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NetworkSimConfig {
     /// Simulated horizon (ticks of bus time).
     pub horizon: Time,

@@ -13,10 +13,9 @@
 //! materialized reference simulator.
 
 use profirt_base::{Prng, Time};
-use serde::{Deserialize, Serialize};
 
 /// What happens to a master at a scheduled instant.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MembershipAction {
     /// The station is switched on: it starts listening for the LAS and is
     /// admitted through a GAP poll once it has observed two rotations.
@@ -32,7 +31,7 @@ pub enum MembershipAction {
 }
 
 /// One scripted membership event.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MembershipEvent {
     /// Absolute instant the event fires (applied at the next token-visit
     /// boundary at or after `at`).
@@ -47,7 +46,7 @@ pub struct MembershipEvent {
 /// A scripted membership scenario: initial power states plus a time-sorted
 /// event list. Construct with the builder methods (which keep the list
 /// sorted) or [`MembershipPlan::random_churn`].
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct MembershipPlan {
     initially_off: Vec<usize>,
     events: Vec<MembershipEvent>,

@@ -32,13 +32,12 @@
 //! statistic.
 
 use profirt_base::Time;
-use serde::{Deserialize, Serialize};
 
 use crate::network::config::SimNetworkError;
 
 /// Mode-controller parameters (a field of
 /// [`NetworkSimConfig`](crate::network::NetworkSimConfig)).
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct ModeSimConfig {
     /// Enables the controller. Disabled (the default) the simulator is
     /// criticality-blind and every pre-existing run is byte-identical.

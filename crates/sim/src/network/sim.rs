@@ -41,7 +41,6 @@
 //! benchmarking.
 
 use profirt_base::Time;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::observer::{HistSummary, Observer};
 use crate::network::config::{NetworkSimConfig, SimNetwork};
@@ -51,7 +50,7 @@ use crate::network::observe::{
 };
 
 /// Observations for one stream.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StreamObservation {
     /// Largest observed response time (ready instant → cycle completion).
     pub max_response: Time,
@@ -62,7 +61,7 @@ pub struct StreamObservation {
 }
 
 /// Whole-run result.
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct NetworkSimResult {
     /// Per-master, per-stream observations.
     pub streams: Vec<Vec<StreamObservation>>,

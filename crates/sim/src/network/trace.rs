@@ -7,10 +7,9 @@
 //! — and render as a compact text timeline for docs and debugging.
 
 use profirt_base::{MasterAddr, StreamId, Time};
-use serde::{Deserialize, Serialize};
 
 /// One traced bus event.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TraceEvent {
     /// Token arrived at a master.
     TokenArrival {
@@ -97,7 +96,7 @@ pub enum TraceEvent {
 /// Recording stops silently once `capacity` events are stored (the bound
 /// keeps long simulations cheap); [`Trace::truncated`] reports whether
 /// events were dropped.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Trace {
     capacity: usize,
     events: Vec<(Time, TraceEvent)>,

@@ -9,7 +9,6 @@
 use profirt_base::{AnalysisResult, Criticality, Prng, StreamSet, Time};
 use profirt_core::{MasterConfig, NetworkConfig};
 use profirt_profibus::{BusParams, LowPriorityTraffic, MessageCycleSpec};
-use serde::{Deserialize, Serialize};
 
 use crate::periods::PeriodRange;
 use crate::streamgen::{generate_stream_set, StreamGenParams};
@@ -18,7 +17,7 @@ use crate::streamgen::{generate_stream_set, StreamGenParams};
 ///
 /// [`CriticalityMix::AllHi`] consumes **no** RNG draws, so every workload
 /// generated before the mix existed is byte-identical under it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum CriticalityMix {
     /// Every stream is HI (the pre-mixed-criticality behaviour).
     #[default]
@@ -82,7 +81,7 @@ impl std::fmt::Display for CriticalityMix {
 }
 
 /// Network generation parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NetGenParams {
     /// Number of masters in the ring.
     pub n_masters: usize,
@@ -147,7 +146,7 @@ impl NetGenParams {
 
 /// A generated network: the analysis view plus the raw per-master pieces
 /// needed to assemble simulator inputs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GeneratedNetwork {
     /// Analysis input for `profirt-core`.
     pub config: NetworkConfig,

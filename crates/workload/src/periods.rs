@@ -6,10 +6,9 @@
 //! short-period bias of linear sampling.
 
 use profirt_base::{Prng, Time};
-use serde::{Deserialize, Serialize};
 
 /// An inclusive period range in ticks, with optional rounding granularity.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PeriodRange {
     /// Minimum period (ticks, > 0).
     pub min: Time,

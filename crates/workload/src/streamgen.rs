@@ -8,12 +8,11 @@
 
 use profirt_base::{AnalysisResult, MessageStream, Prng, StreamSet, Time};
 use profirt_profibus::{BusParams, MessageCycleSpec};
-use serde::{Deserialize, Serialize};
 
 use crate::periods::{log_uniform_period, PeriodRange};
 
 /// Stream-set generation parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct StreamGenParams {
     /// Number of high-priority streams (`nh`).
     pub nh: usize,

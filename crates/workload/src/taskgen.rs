@@ -1,13 +1,12 @@
 //! Random task-set generation for the §2 experiments.
 
 use profirt_base::{AnalysisResult, Prng, Task, TaskSet, Time};
-use serde::{Deserialize, Serialize};
 
 use crate::periods::{log_uniform_period, PeriodRange};
 use crate::uunifast::uunifast;
 
 /// How relative deadlines are assigned.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum DeadlinePolicy {
     /// `Di = Ti` (the Liu & Layland model).
     Implicit,
@@ -22,7 +21,7 @@ pub enum DeadlinePolicy {
 }
 
 /// Generation parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TaskGenParams {
     /// Number of tasks.
     pub n: usize,

@@ -14,7 +14,7 @@ use profirt::core::{EndToEndAnalysis, JitterModel, MasterConfig, NetworkConfig, 
 use profirt::profibus::{BusParams, MessageCycleSpec, TokenPassTime};
 use profirt::sched::fixed::PriorityMap;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bus = BusParams::profile_1m5().with_ttr(Time::new(1_000));
     println!(
         "bus: 1.5 Mbit/s, 1 tick = {} ns, TTR = {} bit times ({:.0} us)",
@@ -53,20 +53,17 @@ fn main() {
 
     let ms = |us: f64| bus.micros_to_ticks(us * 1_000.0);
     let plc_streams = StreamSet::new(vec![
-        MessageStream::new(drive, ms(8.0), ms(8.0)).unwrap(),
-        MessageStream::new(gripper, ms(12.0), ms(16.0)).unwrap(),
-        MessageStream::new(scanner, ms(24.0), ms(24.0)).unwrap(),
-    ])
-    .unwrap();
+        MessageStream::new(drive, ms(8.0), ms(8.0))?,
+        MessageStream::new(gripper, ms(12.0), ms(16.0))?,
+        MessageStream::new(scanner, ms(24.0), ms(24.0))?,
+    ])?;
     // Supervisory master: one slow data-collection stream + big low-priority
     // file transfers.
     let sup_streams = StreamSet::new(vec![MessageStream::new(
         MessageCycleSpec::srd_sd2(16, 64).worst_case_time(&bus),
         ms(50.0),
         ms(100.0),
-    )
-    .unwrap()])
-    .unwrap();
+    )?])?;
     let sup_low = MessageCycleSpec::srd_sd2(32, 32).worst_case_time(&bus);
 
     let net = NetworkConfig::new(
@@ -75,8 +72,7 @@ fn main() {
             MasterConfig::new(sup_streams, sup_low),
         ],
         bus.ttr,
-    )
-    .unwrap();
+    )?;
 
     // --- Host tasks on the PLC -------------------------------------------
     // CPU ticks == bus ticks for simplicity (1 tick = 2/3 us).
@@ -87,8 +83,7 @@ fn main() {
         (450, 12_000, 24_000),
         (400, 18_000, 36_000),
         (2_000, 90_000, 150_000),
-    ])
-    .unwrap();
+    ])?;
     let prio = PriorityMap::deadline_monotonic(&host);
 
     let segments = [
@@ -114,9 +109,7 @@ fn main() {
         ("DM ", EndToEndAnalysis::dm()),
         ("EDF", EndToEndAnalysis::edf()),
     ] {
-        let breakdown = analysis
-            .analyze(&net, 0, &host, &prio, &segments)
-            .expect("end-to-end analysis");
+        let breakdown = analysis.analyze(&net, 0, &host, &prio, &segments)?;
         println!("\n{name} end-to-end delays (bit times):");
         println!(
             "  {:<9} {:>8} {:>8} {:>8} {:>10} {:>8}",
@@ -133,11 +126,16 @@ fn main() {
                 if b.message_schedulable { "yes" } else { "NO" }
             );
         }
-        let worst = breakdown.iter().map(|b| b.total).max().unwrap();
+        let worst = breakdown
+            .iter()
+            .map(|b| b.total)
+            .max()
+            .ok_or("no stream analysed")?;
         println!(
             "  worst end-to-end: {} bit times = {:.2} ms",
             worst,
             bus.ticks_to_micros(worst) / 1_000.0
         );
     }
+    Ok(())
 }

@@ -6,20 +6,20 @@
 //! cargo run --example fault_injection
 //! ```
 
-use profirt::base::{AnalysisError, StreamSet, Time};
+use profirt::base::{StreamSet, Time};
 use profirt::core::{low_priority_outlook, DmAnalysis, MasterConfig, NetworkConfig};
 use profirt::profibus::QueuePolicy;
 use profirt::sim::{
     simulate_network, simulate_network_traced, NetworkSimConfig, SimMaster, SimNetwork,
 };
 
-fn main() -> Result<(), AnalysisError> {
-    let streams = StreamSet::from_cdt(&[(700, 25_000, 30_000), (500, 60_000, 80_000)]).unwrap();
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let streams = StreamSet::from_cdt(&[(700, 25_000, 30_000), (500, 60_000, 80_000)])?;
     let net = SimNetwork {
         masters: vec![
             SimMaster::priority_queued(streams.clone(), QueuePolicy::DeadlineMonotonic),
             SimMaster::priority_queued(
-                StreamSet::from_cdt(&[(600, 40_000, 50_000)]).unwrap(),
+                StreamSet::from_cdt(&[(600, 40_000, 50_000)])?,
                 QueuePolicy::DeadlineMonotonic,
             ),
         ],
@@ -108,16 +108,12 @@ fn main() -> Result<(), AnalysisError> {
     let analysis_net = NetworkConfig::new(
         vec![
             MasterConfig::new(streams, Time::ZERO),
-            MasterConfig::new(
-                StreamSet::from_cdt(&[(600, 40_000, 50_000)]).unwrap(),
-                Time::ZERO,
-            ),
+            MasterConfig::new(StreamSet::from_cdt(&[(600, 40_000, 50_000)])?, Time::ZERO),
         ],
         Time::new(3_000),
-    )
-    .unwrap()
+    )?
     .with_token_pass(Time::new(166));
-    let bounds = DmAnalysis::conservative().analyze(&analysis_net).unwrap();
+    let bounds = DmAnalysis::conservative().analyze(&analysis_net)?;
     let mut ok = true;
     for v in [0.0, 0.5, 0.9] {
         let obs = simulate_network(

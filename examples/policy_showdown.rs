@@ -11,7 +11,7 @@ use profirt::core::{compare_policies, DmAnalysis, EdfAnalysis};
 use profirt::profibus::BusParams;
 use profirt::workload::{generate_network, NetGenParams, PeriodRange, StreamGenParams};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bus = BusParams::profile_500k();
     let sets_per_point = 120;
     println!(
@@ -42,11 +42,8 @@ fn main() {
                 ttr: Time::new(4_000),
                 criticality_mix: Default::default(),
             };
-            let net = generate_network(&mut rng, &bus, &params)
-                .expect("generation")
-                .config;
-            let cmp = compare_policies(&net, &DmAnalysis::conservative(), &EdfAnalysis::paper())
-                .expect("analysis");
+            let net = generate_network(&mut rng, &bus, &params)?.config;
+            let cmp = compare_policies(&net, &DmAnalysis::conservative(), &EdfAnalysis::paper())?;
             if cmp.fcfs.all_schedulable() {
                 ok.0 += 1;
             }
@@ -70,4 +67,5 @@ fn main() {
         "\nexpected shape: all ~1.0 at loose deadlines; FCFS collapses first as\n\
          deadlines tighten (flat nh*Tcycle bound), DM/EDF degrade gracefully."
     );
+    Ok(())
 }

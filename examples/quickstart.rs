@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use profirt::base::{AnalysisError, StreamSet, Time};
+use profirt::base::{StreamSet, Time};
 use profirt::core::{
     compare_policies, max_feasible_ttr, DmAnalysis, EdfAnalysis, MasterConfig, NetworkConfig,
     TcycleModel,
@@ -13,7 +13,7 @@ use profirt::core::{
 use profirt::profibus::QueuePolicy;
 use profirt::sim::{simulate_network, NetworkSimConfig, SimMaster, SimNetwork};
 
-fn main() -> Result<(), AnalysisError> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. Describe the network -----------------------------------------
     // Two masters at 500 kbit/s (1 tick = 2 us). Times in bit times.
     // Master 0: three sensor-polling streams; master 1: one actuator stream.
@@ -22,9 +22,8 @@ fn main() -> Result<(), AnalysisError> {
         (700, 12_000, 25_000),
         (500, 25_000, 50_000),
         (900, 80_000, 100_000),
-    ])
-    .unwrap();
-    let m1_streams = StreamSet::from_cdt(&[(800, 30_000, 40_000)]).unwrap();
+    ])?;
+    let m1_streams = StreamSet::from_cdt(&[(800, 30_000, 40_000)])?;
 
     let net = NetworkConfig::new(
         vec![
@@ -32,12 +31,10 @@ fn main() -> Result<(), AnalysisError> {
             MasterConfig::new(m1_streams.clone(), Time::new(0)),
         ],
         Time::new(2_000), // TTR
-    )
-    .unwrap();
+    )?;
 
     // --- 2. Worst-case response times under FCFS / DM / EDF --------------
-    let cmp = compare_policies(&net, &DmAnalysis::conservative(), &EdfAnalysis::paper())
-        .expect("analysis");
+    let cmp = compare_policies(&net, &DmAnalysis::conservative(), &EdfAnalysis::paper())?;
     println!(
         "Tcycle bound: {} bit times (Tdel = {})",
         cmp.fcfs.tcycle, cmp.fcfs.tdel

@@ -8,28 +8,25 @@
 //! cargo run --example ttr_tuning
 //! ```
 
-use profirt::base::{AnalysisError, StreamSet, Time};
+use profirt::base::{StreamSet, Time};
 use profirt::core::{max_feasible_ttr, FcfsAnalysis, MasterConfig, NetworkConfig, TcycleModel};
 use profirt::sim::{simulate_network, NetworkSimConfig, SimMaster, SimNetwork};
 
-fn main() -> Result<(), AnalysisError> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Three masters with mixed deadline tightness; Cl on master 2 inflates
     // the token lateness.
     let masters = vec![
         MasterConfig::new(
-            StreamSet::from_cdt(&[(700, 20_000, 40_000), (500, 60_000, 60_000)]).unwrap(),
+            StreamSet::from_cdt(&[(700, 20_000, 40_000), (500, 60_000, 60_000)])?,
             Time::new(0),
         ),
+        MasterConfig::new(StreamSet::from_cdt(&[(900, 30_000, 50_000)])?, Time::new(0)),
         MasterConfig::new(
-            StreamSet::from_cdt(&[(900, 30_000, 50_000)]).unwrap(),
-            Time::new(0),
-        ),
-        MasterConfig::new(
-            StreamSet::from_cdt(&[(600, 80_000, 100_000)]).unwrap(),
+            StreamSet::from_cdt(&[(600, 80_000, 100_000)])?,
             Time::new(2_500),
         ),
     ];
-    let probe = NetworkConfig::new(masters.clone(), Time::new(1)).unwrap();
+    let probe = NetworkConfig::new(masters.clone(), Time::new(1))?;
 
     for model in [TcycleModel::Paper, TcycleModel::Refined] {
         let setting = max_feasible_ttr(&probe, model)?;
@@ -42,7 +39,7 @@ fn main() -> Result<(), AnalysisError> {
         );
     }
     let setting = max_feasible_ttr(&probe, TcycleModel::Paper)?;
-    let ttr_star = setting.max_ttr.expect("feasible configuration");
+    let ttr_star = setting.max_ttr.ok_or("no feasible TTR")?;
 
     // --- Feasibility sweep around the optimum ----------------------------
     println!(
@@ -51,8 +48,8 @@ fn main() -> Result<(), AnalysisError> {
     );
     for factor in [0.25, 0.5, 0.75, 1.0, 1.05, 1.5, 2.0] {
         let ttr = Time::new(((ttr_star.ticks() as f64) * factor) as i64).max(Time::ONE);
-        let net = NetworkConfig::new(masters.clone(), ttr).unwrap();
-        let an = FcfsAnalysis::paper().run(&net).unwrap();
+        let net = NetworkConfig::new(masters.clone(), ttr)?;
+        let an = FcfsAnalysis::paper().run(&net)?;
         let worst = an
             .iter()
             .map(|r| r.response_time.ticks() as f64 / r.deadline.ticks() as f64)
@@ -67,8 +64,8 @@ fn main() -> Result<(), AnalysisError> {
     }
 
     // --- Simulation cross-check at the optimum ---------------------------
-    let net_star = NetworkConfig::new(masters.clone(), ttr_star).unwrap();
-    let an_star = FcfsAnalysis::paper().run(&net_star).unwrap();
+    let net_star = NetworkConfig::new(masters.clone(), ttr_star)?;
+    let an_star = FcfsAnalysis::paper().run(&net_star)?;
     assert!(an_star.all_schedulable());
     let sim_net = SimNetwork {
         masters: net_star
