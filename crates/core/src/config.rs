@@ -192,6 +192,12 @@ impl NetworkConfig {
         self.masters.iter().any(MasterConfig::has_sub_hi)
     }
 
+    /// `true` if any master carries criticality labels, all-HI ones
+    /// included: the condition under which `serve` answers two-sided.
+    pub fn is_labelled(&self) -> bool {
+        self.masters.iter().any(|m| !m.criticality.is_empty())
+    }
+
     /// The HI-only projection: every master keeps only its HI-criticality
     /// streams (`cl`, `TTR` and the token-pass overhead are unchanged — the
     /// ring still rotates, and low-priority traffic is not criticality

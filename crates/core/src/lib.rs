@@ -28,6 +28,8 @@
 //!   queue discipline) dispatch used by the CLI and the campaign engine.
 //! * [`mode`] — [`ModeAnalysis`], the mixed-criticality two-verdict pair
 //!   (LO-mode bounds for stable phases, HI-mode bounds through any churn).
+//! * [`wire`] — the network JSON format: the one decoder and encoder that
+//!   the CLI's config files and the `serve` protocol share.
 //!
 //! ## Fidelity switches
 //!
@@ -54,6 +56,7 @@ pub mod mode;
 pub mod policy;
 pub mod tcycle;
 pub mod ttr;
+pub mod wire;
 
 pub use compare::{compare_policies, PolicyComparison};
 pub use config::{MasterConfig, NetworkConfig};

@@ -31,6 +31,7 @@ use profirt_base::json::{self, Value};
 use profirt_base::{
     AnalysisError, AnalysisResult, Criticality, MessageStream, StreamSet, Task, TaskSet, Time,
 };
+use profirt_core::wire::{self, field_i64, DecodeError};
 use profirt_core::{
     MasterConfig, ModeAnalysis, NetworkAnalysis, NetworkConfig, PolicyKind, PolicyTuning,
 };
@@ -52,10 +53,6 @@ use crate::memo::QuestionKey;
 /// while bounding per-connection memory — the line-length analogue of the
 /// parser's nesting cap.
 pub const DEFAULT_MAX_REQUEST_BYTES: usize = 64 * 1024;
-
-/// Default per-hop token pass time in ticks (SD4 + TSYN + TID2 at
-/// 500 kbit/s), matching the CLI config-file default.
-pub const DEFAULT_TOKEN_PASS: i64 = 166;
 
 /// The task-set schedulability tests servable through
 /// `{"op":"task_feasibility"}` — the same spellings the campaign engine's
@@ -91,6 +88,12 @@ fn wire(kind: &'static str, detail: impl Into<String>) -> WireError {
     WireError {
         kind,
         detail: detail.into(),
+    }
+}
+
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> WireError {
+        wire(e.kind.name(), e.detail)
     }
 }
 
@@ -154,8 +157,8 @@ pub enum Op {
         /// The candidate stream.
         stream: MessageStream,
         /// The candidate's declared criticality, when the request carries
-        /// one. `None` keeps the legacy all-HI semantics (and the legacy
-        /// result shape) byte-identical.
+        /// one. `None` reads as HI; on an unlabelled ring it keeps the
+        /// legacy result shape byte-identical.
         criticality: Option<Criticality>,
     },
     /// A §2-style processor task-set schedulability test (see
@@ -182,15 +185,6 @@ impl Op {
     }
 }
 
-fn field_i64(obj: &Value, key: &str, default: Option<i64>) -> Result<i64, WireError> {
-    match obj.get(key) {
-        Some(v) => v
-            .as_i64()
-            .ok_or_else(|| wire("schema", format!("field {key:?} must be an integer"))),
-        None => default.ok_or_else(|| wire("schema", format!("missing field {key:?}"))),
-    }
-}
-
 fn parse_policy(obj: &Value) -> Result<PolicyKind, WireError> {
     let name = obj
         .get("policy")
@@ -205,43 +199,12 @@ fn parse_policy(obj: &Value) -> Result<PolicyKind, WireError> {
     })
 }
 
-fn parse_stream(v: &Value) -> Result<MessageStream, WireError> {
-    let ch = field_i64(v, "ch", None)?;
-    let d = field_i64(v, "d", None)?;
-    let t = field_i64(v, "t", None)?;
-    let j = field_i64(v, "j", Some(0))?;
-    MessageStream::with_jitter(ch, d, t, j).map_err(|e| wire("model", e.to_string()))
-}
-
+/// The `"net"` field, decoded by [`wire::decode_network`].
 fn parse_net(obj: &Value) -> Result<NetworkConfig, WireError> {
     let net = obj
         .get("net")
         .ok_or_else(|| wire("schema", "missing field \"net\""))?;
-    let ttr = field_i64(net, "ttr", None)?;
-    let token_pass = field_i64(net, "token_pass", Some(DEFAULT_TOKEN_PASS))?;
-    let masters = net
-        .get("masters")
-        .ok_or_else(|| wire("schema", "missing field \"net.masters\""))?
-        .as_array()
-        .ok_or_else(|| wire("schema", "field \"net.masters\" must be an array"))?
-        .iter()
-        .map(|m| {
-            let cl = field_i64(m, "cl", Some(0))?;
-            let streams = m
-                .get("streams")
-                .ok_or_else(|| wire("schema", "missing field \"streams\" in master"))?
-                .as_array()
-                .ok_or_else(|| wire("schema", "field \"streams\" must be an array"))?
-                .iter()
-                .map(parse_stream)
-                .collect::<Result<Vec<_>, _>>()?;
-            let set = StreamSet::new(streams).map_err(|e| wire("model", e.to_string()))?;
-            Ok(MasterConfig::new(set, Time::new(cl)))
-        })
-        .collect::<Result<Vec<_>, WireError>>()?;
-    Ok(NetworkConfig::new(masters, Time::new(ttr))
-        .map_err(|e| wire("model", e.to_string()))?
-        .with_token_pass(Time::new(token_pass)))
+    Ok(wire::decode_network(net)?)
 }
 
 fn parse_tasks(obj: &Value) -> Result<TaskSet, WireError> {
@@ -313,28 +276,12 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
                         ),
                     )
                 })?;
-            let criticality = match sv.get("criticality") {
-                None | Some(Value::Null) => None,
-                Some(v) => {
-                    let name = v.as_str().ok_or_else(|| {
-                        wire("schema", "field \"stream.criticality\" must be a string")
-                    })?;
-                    Some(Criticality::parse(name).ok_or_else(|| {
-                        wire(
-                            "schema",
-                            format!(
-                                "unknown criticality {name:?} (want \"lo\", \"mid\" or \"hi\")"
-                            ),
-                        )
-                    })?)
-                }
-            };
             Ok(Op::Admit {
                 policy,
                 net,
                 master,
-                stream: parse_stream(sv)?,
-                criticality,
+                stream: wire::decode_stream(sv)?,
+                criticality: wire::decode_criticality(sv)?,
             })
         }),
         "task_feasibility" => {
@@ -439,33 +386,60 @@ pub struct EvalScratch {
 }
 
 fn feasibility_result(an: &NetworkAnalysis) -> Value {
-    let streams = an.masters.iter().map(Vec::len).sum::<usize>();
-    let sched = an
-        .masters
-        .iter()
-        .flatten()
-        .filter(|r| r.schedulable)
-        .count();
     json::object([
         ("feasible", Value::Bool(an.all_schedulable())),
-        ("streams", Value::Int(streams as i64)),
-        ("schedulable_streams", Value::Int(sched as i64)),
+        ("streams", Value::Int(an.stream_count() as i64)),
+        (
+            "schedulable_streams",
+            Value::Int(an.schedulable_count() as i64),
+        ),
         ("tcycle", Value::Int(an.tcycle.ticks())),
         ("tdel", Value::Int(an.tdel.ticks())),
     ])
 }
 
-/// Renders a network analysis with `render`. An overflow is a `"model"`
-/// error; any other analysis error gets the `ok:true, feasible:false`
-/// shape for analysis-level rejections (utilization ≥ 1, divergent
-/// recurrences): the analysis *answered* — the set is not admissible —
-/// and says why.
+/// The analysis of `net` under `policy`; when `two_sided`, the LO-mode
+/// analysis plus the HI-mode verdict.
+fn analyze(
+    policy: PolicyKind,
+    net: &NetworkConfig,
+    two_sided: bool,
+    tuning: &PolicyTuning,
+    scratch: &mut EvalScratch,
+) -> AnalysisResult<(NetworkAnalysis, Option<bool>)> {
+    if two_sided {
+        let man = ModeAnalysis::analyze_with_scratch(policy, net, tuning, &mut scratch.policy)?;
+        let hi = man.hi_schedulable();
+        Ok((man.lo, Some(hi)))
+    } else {
+        let an = policy.analyze_with_scratch(net, tuning, &mut scratch.policy)?;
+        Ok((an, None))
+    }
+}
+
+/// Analyses `net` under `policy` and renders the result with `render`.
+/// A labelled ring is analysed in both modes: `render` shows the LO-mode
+/// analysis, `hi_feasible` the HI-mode verdict, and `feasible` requires
+/// both. An overflow is a `"model"` error; any other analysis error gets
+/// the `ok:true, feasible:false` shape for analysis-level rejections
+/// (utilization ≥ 1, divergent recurrences): the analysis *answered* —
+/// the set is not admissible — and says why.
 fn network_result(
-    an: AnalysisResult<NetworkAnalysis>,
+    policy: PolicyKind,
+    net: &NetworkConfig,
     render: fn(&NetworkAnalysis) -> Value,
+    tuning: &PolicyTuning,
+    scratch: &mut EvalScratch,
 ) -> Result<Value, WireError> {
-    match an {
-        Ok(an) => Ok(render(&an)),
+    match analyze(policy, net, net.is_labelled(), tuning, scratch) {
+        Ok((an, hi)) => {
+            let mut value = render(&an);
+            if let (Some(hi), Value::Object(fields)) = (hi, &mut value) {
+                fields.insert("feasible".into(), Value::Bool(an.all_schedulable() && hi));
+                fields.insert("hi_feasible".into(), Value::Bool(hi));
+            }
+            Ok(value)
+        }
         Err(e @ AnalysisError::Overflow { .. }) => Err(wire("model", e.to_string())),
         Err(e) => Ok(json::object([
             ("feasible", Value::Bool(false)),
@@ -512,91 +486,59 @@ fn eval_admit(
     let mut masters = net.masters.clone();
     let mut streams = masters[master].streams.streams().to_vec();
     streams.push(stream);
+    // The candidate is the last stream and keeps the master's labels; an
+    // unlabelled master gets labels only for a sub-HI candidate.
+    let mut labels = std::mem::take(&mut masters[master].criticality);
+    if !labels.is_empty() || criticality.is_some_and(|c| c.shed_in_hi_mode()) {
+        labels.resize(streams.len() - 1, Criticality::Hi);
+        labels.push(criticality.unwrap_or_default());
+    }
     let candidate = StreamSet::new(streams)
         .and_then(|set| {
-            let n = set.len();
-            let mut mc = MasterConfig::new(set, masters[master].cl);
-            // The candidate is the last stream; all existing wire streams
-            // are HI. Only a sub-HI label changes the analysis shape.
-            if criticality.is_some_and(|c| c.shed_in_hi_mode()) {
-                let mut labels = vec![Criticality::Hi; n];
-                labels[n - 1] = criticality.unwrap_or_default();
-                mc = mc.with_criticality(labels);
-            }
-            masters[master] = mc;
+            masters[master] = MasterConfig::new(set, masters[master].cl).with_criticality(labels);
             NetworkConfig::new(masters, net.ttr)
         })
         .map(|c| c.with_token_pass(net.token_pass));
-    let candidate = match candidate {
-        Ok(c) => c,
-        Err(e) => {
-            return Ok(json::object([
-                ("admit", Value::Bool(false)),
-                ("reason", Value::Str(e.to_string())),
-            ]))
-        }
-    };
-    // Fields shared by the legacy and the criticality-labelled shapes.
-    let base_fields = |an: &NetworkAnalysis| {
-        let r_new = an.masters[master]
-            .last()
-            .map(|r| r.response_time.ticks())
-            .unwrap_or(0);
-        let streams = an.masters.iter().map(Vec::len).sum::<usize>();
-        let sched = an
-            .masters
-            .iter()
-            .flatten()
-            .filter(|r| r.schedulable)
-            .count();
-        vec![
-            ("streams", Value::Int(streams as i64)),
-            ("schedulable_streams", Value::Int(sched as i64)),
-            ("tcycle", Value::Int(an.tcycle.ticks())),
-            ("r_new", Value::Int(r_new)),
-        ]
-    };
     let reject = |e: &dyn std::fmt::Display| {
         Ok(json::object([
             ("admit", Value::Bool(false)),
             ("reason", Value::Str(e.to_string())),
         ]))
     };
-    match criticality {
-        // Legacy shape: no criticality field in, none out.
-        None => match policy.analyze_with_scratch(&candidate, tuning, &mut scratch.policy) {
-            Ok(an) => {
-                let mut fields = vec![("admit", Value::Bool(an.all_schedulable()))];
-                fields.extend(base_fields(&an));
-                Ok(json::object(fields))
-            }
-            Err(e) => reject(&e),
-        },
-        // Labelled shape: a two-verdict answer. A HI candidate must keep
-        // both modes feasible; a sub-HI one is shed in HI mode, so only
-        // the stable-phase (LO) verdict gates it — but the HI baseline
-        // must stay feasible either way.
-        Some(c) => {
-            match ModeAnalysis::analyze_with_scratch(
-                policy,
-                &candidate,
-                tuning,
-                &mut scratch.policy,
-            ) {
-                Ok(man) => {
-                    let admit = man.lo_schedulable() && man.hi_schedulable();
-                    let mut fields = vec![
-                        ("admit", Value::Bool(admit)),
-                        ("criticality", Value::Str(c.name().to_string())),
-                        ("hi_feasible", Value::Bool(man.hi_schedulable())),
-                    ];
-                    fields.extend(base_fields(&man.lo));
-                    Ok(json::object(fields))
-                }
-                Err(e) => reject(&e),
-            }
-        }
+    let candidate = match candidate {
+        Ok(c) => c,
+        Err(e) => return reject(&e),
+    };
+    // A labelled ring or candidate gets the two-verdict shape, with an
+    // unlabelled candidate read as HI: `admit` needs both modes, and a
+    // sub-HI candidate, shed in HI mode, is gated by the LO verdict while
+    // the HI baseline must stay feasible. Without labels the legacy shape
+    // carries no criticality.
+    let shape = criticality.or(net.is_labelled().then_some(Criticality::Hi));
+    let (an, hi) = match analyze(policy, &candidate, shape.is_some(), tuning, scratch) {
+        Ok(answer) => answer,
+        Err(e) => return reject(&e),
+    };
+    let r_new = an.masters[master]
+        .last()
+        .map(|r| r.response_time.ticks())
+        .unwrap_or(0);
+    let admit = an.all_schedulable() && hi != Some(false);
+    let mut fields = vec![
+        ("admit", Value::Bool(admit)),
+        ("streams", Value::Int(an.stream_count() as i64)),
+        (
+            "schedulable_streams",
+            Value::Int(an.schedulable_count() as i64),
+        ),
+        ("tcycle", Value::Int(an.tcycle.ticks())),
+        ("r_new", Value::Int(r_new)),
+    ];
+    if let (Some(c), Some(hi)) = (shape, hi) {
+        fields.push(("criticality", Value::Str(c.name().to_string())));
+        fields.push(("hi_feasible", Value::Bool(hi)));
     }
+    Ok(json::object(fields))
 }
 
 fn wcrts_value(wcrts: Option<Vec<Time>>) -> Value {
@@ -708,14 +650,12 @@ pub fn eval(
             "schema",
             "op \"stats\" is only answered by a running engine",
         )),
-        Op::Feasibility { policy, net } => network_result(
-            policy.analyze_with_scratch(net, tuning, &mut scratch.policy),
-            feasibility_result,
-        ),
-        Op::ResponseTimes { policy, net } => network_result(
-            policy.analyze_with_scratch(net, tuning, &mut scratch.policy),
-            response_times_result,
-        ),
+        Op::Feasibility { policy, net } => {
+            network_result(*policy, net, feasibility_result, tuning, scratch)
+        }
+        Op::ResponseTimes { policy, net } => {
+            network_result(*policy, net, response_times_result, tuning, scratch)
+        }
         Op::Admit {
             policy,
             net,
@@ -735,38 +675,12 @@ pub fn eval(
     }
 }
 
-/// Renders an analysis network back to the wire schema's `"net"` value —
-/// the inverse of the parser, used by the load harness and the test
-/// corpora to build request lines from generated networks.
+/// Renders an analysis network back to the wire schema's `"net"` value
+/// with [`wire::encode`] — the inverse of the parser, used by the load
+/// harness and the test corpora to build request lines from generated
+/// networks.
 pub fn net_to_value(net: &NetworkConfig) -> Value {
-    let masters = net
-        .masters
-        .iter()
-        .map(|m| {
-            let streams = m
-                .streams
-                .streams()
-                .iter()
-                .map(|s| {
-                    json::object([
-                        ("ch", Value::Int(s.ch.ticks())),
-                        ("d", Value::Int(s.d.ticks())),
-                        ("t", Value::Int(s.t.ticks())),
-                        ("j", Value::Int(s.j.ticks())),
-                    ])
-                })
-                .collect();
-            json::object([
-                ("cl", Value::Int(m.cl.ticks())),
-                ("streams", Value::Array(streams)),
-            ])
-        })
-        .collect();
-    json::object([
-        ("ttr", Value::Int(net.ttr.ticks())),
-        ("token_pass", Value::Int(net.token_pass.ticks())),
-        ("masters", Value::Array(masters)),
-    ])
+    wire::encode(net, &[])
 }
 
 /// Builds the success envelope.
@@ -953,7 +867,8 @@ mod tests {
 
     #[test]
     fn admit_accepts_then_rejects() {
-        // A lax stream fits; a stream with a sub-Tcycle deadline never can.
+        // A lax stream fits; a stream with a sub-Tcycle deadline never can
+        // (a deadline below its own `ch` is a model error, not a "no").
         let ok_line = format!(
             r#"{{"op":"admit","policy":"dm",{NET},"stream":{{"master":0,"ch":100,"d":50000,"t":50000}}}}"#
         );
@@ -963,7 +878,7 @@ mod tests {
         assert!(result.get("r_new").unwrap().as_i64().unwrap() > 0);
 
         let no_line = format!(
-            r#"{{"op":"admit","policy":"dm",{NET},"stream":{{"master":0,"ch":100,"d":10,"t":50000}}}}"#
+            r#"{{"op":"admit","policy":"dm",{NET},"stream":{{"master":0,"ch":100,"d":1000,"t":50000}}}}"#
         );
         let doc = json::parse(&answer_line(&no_line)).unwrap();
         assert_eq!(
@@ -1013,6 +928,59 @@ mod tests {
         assert_eq!(
             doc.get("error").unwrap().get("kind").unwrap().as_str(),
             Some("schema")
+        );
+    }
+
+    /// One master whose second stream is LO and misses its deadline in
+    /// LO mode; HI mode sheds it.
+    const LABELLED: &str = r#""net":{"ttr":2000,"masters":[{"cl":0,"streams":[{"ch":300,"d":30000,"t":30000},{"ch":240,"d":1000,"t":60000,"criticality":"lo"}]}]}"#;
+
+    #[test]
+    fn labelled_rings_get_two_verdicts() {
+        // The rows are the LO-mode analysis, `hi_feasible` is the HI-mode
+        // verdict, and `feasible` needs both, as `profirt analyze` prints
+        // them for the same ring.
+        let line = format!(r#"{{"op":"response_times","policy":"dm",{LABELLED}}}"#);
+        assert_eq!(
+            answer_line(&line),
+            r#"{"id":null,"ok":true,"op":"response_times","result":{"feasible":false,"hi_feasible":true,"rows":[{"d":30000,"master":0,"r":4932,"schedulable":true,"stream":0},{"d":1000,"master":0,"r":4932,"schedulable":false,"stream":1}],"tcycle":2466,"tdel":300}}"#
+        );
+        let line = format!(r#"{{"op":"feasibility","policy":"dm",{LABELLED}}}"#);
+        let req = parse_request(&line).unwrap();
+        let Op::Feasibility { net, .. } = &req.op else {
+            panic!("parsed op mismatch")
+        };
+        let man = ModeAnalysis::analyze(PolicyKind::Dm, net, &PolicyTuning::default()).unwrap();
+        let doc = json::parse(&answer_line(&line)).unwrap();
+        let result = doc.get("result").unwrap();
+        assert_eq!(
+            result.get("feasible").unwrap().as_bool(),
+            Some(man.lo_schedulable() && man.hi_schedulable())
+        );
+        assert_eq!(
+            result.get("hi_feasible").unwrap().as_bool(),
+            Some(man.hi_schedulable())
+        );
+
+        // `admit` keeps the LO label: re-marked HI, the stream would fail
+        // HI mode too.
+        let line = format!(
+            r#"{{"op":"admit","policy":"dm",{LABELLED},"stream":{{"master":0,"ch":100,"d":50000,"t":50000}}}}"#
+        );
+        assert_eq!(
+            answer_line(&line),
+            r#"{"id":null,"ok":true,"op":"admit","result":{"admit":false,"criticality":"hi","hi_feasible":true,"r_new":7398,"schedulable_streams":2,"streams":3,"tcycle":2466}}"#
+        );
+    }
+
+    #[test]
+    fn negative_token_pass_is_a_model_error() {
+        // The sample ring with a pass of -1000 ticks was answered
+        // `feasible:true` with a `tcycle` of 1800, below its TTR of 2000.
+        let line = r#"{"op":"feasibility","policy":"dm","net":{"ttr":2000,"token_pass":-1000,"masters":[{"cl":1000,"policy":"dm","stack_capacity":1,"streams":[{"ch":700,"d":12000,"t":25000,"j":0},{"ch":500,"d":25000,"t":50000,"j":200}]},{"cl":0,"policy":"fcfs","streams":[{"ch":800,"d":30000,"t":40000}]}]}}"#;
+        assert_eq!(
+            answer_line(line),
+            r#"{"error":{"detail":"field \"token_pass\" must be non-negative, got -1000","kind":"model"},"id":null,"ok":false}"#
         );
     }
 
@@ -1110,7 +1078,7 @@ mod tests {
     fn overflowing_token_cycle_is_a_model_error() {
         // TTR + Tdel wraps past i64::MAX; this line used to be answered
         // `feasible:true` with a negative Tcycle.
-        let line = r#"{"op":"feasibility","policy":"dm","net":{"ttr":9223372036854775000,"masters":[{"cl":9223372036854775000,"streams":[{"ch":9223372036854775000,"d":30000,"t":30000}]}]}}"#;
+        let line = r#"{"op":"feasibility","policy":"dm","net":{"ttr":9223372036854775000,"masters":[{"cl":9223372036854775000,"streams":[{"ch":9223372036854775000,"d":9223372036854775000,"t":9223372036854775000}]}]}}"#;
         for line in [
             line.to_string(),
             line.replace("feasibility", "response_times"),

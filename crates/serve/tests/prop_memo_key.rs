@@ -15,10 +15,12 @@
 //! explicit defaults (`j:0`, `cl:0`, `token_pass:166`) or none, integral
 //! floats (`300.0`), unknown extra fields, duplicate keys (the last one
 //! wins) and every JSON type as `id`. Every spelling of a question must
-//! get one question key. Each question also gets neighbours that differ
-//! in one field, so a key that dropped or merged a field would meet a
-//! different answer under an equal key; (i) and (ii) are checked across
-//! all lines of the case.
+//! get one question key: this pins the network format's rule that an
+//! unknown field decodes like its absence. The extra member is always
+//! `x_extra`, a name `core::wire` does not read. Each question also gets
+//! neighbours that differ in one field, so a key that dropped or merged a
+//! field would meet a different answer under an equal key; (i) and (ii)
+//! are checked across all lines of the case.
 
 use std::collections::HashMap;
 
@@ -26,7 +28,7 @@ use proptest::prelude::*;
 
 use profirt_base::json::{self, Value};
 use profirt_base::Prng;
-use profirt_core::PolicyTuning;
+use profirt_core::{wire, PolicyTuning};
 use profirt_serve::memo::Memo;
 use profirt_serve::proto::{self, EvalScratch, TASK_TESTS};
 use profirt_serve::{Engine, EngineConfig, DEFAULT_MAX_REQUEST_BYTES};
@@ -106,7 +108,7 @@ fn net(rng: &mut Prng, n_masters: usize) -> Node {
     let mut members = vec![("ttr", Node::Int(pick(rng, &[2_000, 3_000])))];
     match rng.index(3) {
         0 => members.push(("token_pass", Node::Int(200))),
-        _ => maybe(&mut members, rng, "token_pass", proto::DEFAULT_TOKEN_PASS),
+        _ => maybe(&mut members, rng, "token_pass", wire::DEFAULT_TOKEN_PASS),
     }
     let masters = (0..n_masters)
         .map(|_| {

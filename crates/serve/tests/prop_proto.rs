@@ -12,6 +12,9 @@
 //!   panics, nothing is answered `ok:true`.
 //! * **Byte cap** — the engine answers any line over its configured cap
 //!   with `kind:"oversized"` without evaluating it.
+//! * **Malformed networks** — one document per error class of the network
+//!   format, from the table `tests/cli.rs` also reads: each network op
+//!   answers it with the table's `kind` and `detail`.
 
 use proptest::prelude::*;
 
@@ -253,4 +256,46 @@ fn default_cap_bounds_every_accepted_line() {
     let resp = engine.handle(&line);
     assert!(resp.contains("\"oversized\""), "{resp}");
     engine.shutdown();
+}
+
+#[test]
+fn malformed_networks_get_the_cli_detail() {
+    let table = json::parse(include_str!("../../../tests/data/malformed_networks.json")).unwrap();
+    for row in table.as_array().unwrap() {
+        let field = |key| row.get(key).and_then(Value::as_str).unwrap();
+        let candidate = json::object([
+            ("master", Value::Int(0)),
+            ("ch", Value::Int(100)),
+            ("d", Value::Int(50_000)),
+            ("t", Value::Int(50_000)),
+        ]);
+        for op in ["feasibility", "response_times", "admit"] {
+            let line = json::object([
+                ("op", Value::Str(op.to_string())),
+                ("policy", Value::Str("dm".to_string())),
+                ("net", row.get("net").unwrap().clone()),
+                ("stream", candidate.clone()),
+            ])
+            .compact();
+            let resp = answer_line(&line);
+            let doc = check_envelope(&line, &resp);
+            assert_eq!(
+                doc.get("ok").and_then(Value::as_bool),
+                Some(false),
+                "{resp}"
+            );
+            let error = doc.get("error").unwrap();
+            let case = field("case");
+            assert_eq!(
+                error.get("kind").and_then(Value::as_str),
+                Some(field("kind")),
+                "{case}"
+            );
+            assert_eq!(
+                error.get("detail").and_then(Value::as_str),
+                Some(field("detail")),
+                "{case}"
+            );
+        }
+    }
 }

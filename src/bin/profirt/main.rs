@@ -27,8 +27,6 @@ use std::process::ExitCode;
 
 use profirt::core::TcycleModel;
 
-use crate::config_file::CliNetwork;
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -49,8 +47,8 @@ fn run(args: &[String]) -> Result<(), String> {
         "analyze" => {
             let path = positional(args, 1, "config path")?;
             let policy = flag_value(args, "--policy").unwrap_or("all");
-            let net = CliNetwork::load(path)?;
-            output::analyze(&net, policy)
+            let net = config_file::load(path)?;
+            output::analyze(&net.config, policy)
         }
         "ttr" => {
             let path = positional(args, 1, "config path")?;
@@ -59,8 +57,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 "refined" => TcycleModel::Refined,
                 other => return Err(format!("unknown lateness model {other:?}")),
             };
-            let net = CliNetwork::load(path)?;
-            output::ttr(&net, model)
+            let net = config_file::load(path)?;
+            output::ttr(&net.config, model)
         }
         "simulate" => {
             let path = positional(args, 1, "config path")?;
@@ -89,8 +87,8 @@ fn run(args: &[String]) -> Result<(), String> {
                     })
                 })
                 .transpose()?;
-            let net = CliNetwork::load(path)?;
-            output::simulate(&net, horizon, seed, gap_factor, &power_cycles, mix)
+            let net = config_file::load(path)?;
+            output::simulate(net, horizon, seed, gap_factor, &power_cycles, mix)
         }
         "campaign" => match args.get(1).map(String::as_str) {
             Some("run") => {
@@ -121,7 +119,7 @@ fn run(args: &[String]) -> Result<(), String> {
         },
         "serve" => serve_cmd::run(args),
         "example-config" => {
-            println!("{}", config_file::example_json());
+            println!("{}", config_file::example_json()?);
             Ok(())
         }
         "--help" | "-h" | "help" => {

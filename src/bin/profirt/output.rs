@@ -2,7 +2,8 @@
 
 use profirt::base::{Criticality, Time};
 use profirt::core::{
-    max_feasible_ttr, FcfsAnalysis, ModeAnalysis, NetworkAnalysis, PolicyKind, TcycleModel,
+    max_feasible_ttr, FcfsAnalysis, ModeAnalysis, NetworkAnalysis, NetworkConfig, PolicyKind,
+    TcycleModel,
 };
 use profirt::sim::{simulate_network_stats, MembershipPlan, ModeSimConfig, NetworkSimConfig};
 use profirt::workload::CriticalityMix;
@@ -41,8 +42,7 @@ fn print_analysis(label: &str, an: &NetworkAnalysis) {
 /// two verdicts: the nominal (LO-mode) bounds of the full workload, valid
 /// in stable phases, and the HI-mode bounds of the HI-only projection,
 /// valid through any ring disturbance.
-pub fn analyze(net: &CliNetwork, policy: &str) -> Result<(), String> {
-    let config = net.to_analysis()?;
+pub fn analyze(config: &NetworkConfig, policy: &str) -> Result<(), String> {
     let kinds: Vec<PolicyKind> = if policy == "all" {
         PolicyKind::ALL.to_vec()
     } else {
@@ -51,7 +51,7 @@ pub fn analyze(net: &CliNetwork, policy: &str) -> Result<(), String> {
     let mixed = config.has_sub_hi();
     for kind in kinds {
         let result = if mixed {
-            ModeAnalysis::analyze(kind, &config, &Default::default()).map(|man| {
+            ModeAnalysis::analyze(kind, config, &Default::default()).map(|man| {
                 print_analysis(
                     &format!("{} [LO mode, stable phases]", kind.label()),
                     &man.lo,
@@ -62,7 +62,7 @@ pub fn analyze(net: &CliNetwork, policy: &str) -> Result<(), String> {
                 );
             })
         } else {
-            kind.analyze(&config)
+            kind.analyze(config)
                 .map(|an| print_analysis(kind.label(), &an))
         };
         match result {
@@ -81,9 +81,8 @@ pub fn analyze(net: &CliNetwork, policy: &str) -> Result<(), String> {
 }
 
 /// `profirt ttr`.
-pub fn ttr(net: &CliNetwork, model: TcycleModel) -> Result<(), String> {
-    let config = net.to_analysis()?;
-    let setting = max_feasible_ttr(&config, model).map_err(|e| e.to_string())?;
+pub fn ttr(config: &NetworkConfig, model: TcycleModel) -> Result<(), String> {
+    let setting = max_feasible_ttr(config, model).map_err(|e| e.to_string())?;
     println!("lateness model: {model:?}");
     println!("effective Tdel (incl. ring overhead): {}", setting.tdel);
     match setting.max_ttr {
@@ -138,15 +137,17 @@ fn mix_labels(mix: CriticalityMix, n_streams: usize) -> Vec<Criticality> {
 
 /// `profirt simulate`.
 pub fn simulate(
-    net: &CliNetwork,
+    net: CliNetwork,
     horizon: i64,
     seed: u64,
     gap_factor: u32,
     power_cycles: &[(usize, i64, i64)],
     mix: Option<CriticalityMix>,
 ) -> Result<(), String> {
-    let mut config = net.to_analysis()?;
-    let mut sim_net = net.to_sim()?;
+    let CliNetwork {
+        mut config,
+        sim: mut sim_net,
+    } = net;
     // `--criticality-mix` overrides the file's per-stream labels with a
     // deterministic index-based assignment in both views.
     if let Some(mix) = mix {
@@ -247,7 +248,7 @@ pub fn simulate(
     );
     let mut sound = true;
     for (k, rows) in obs.streams.iter().enumerate() {
-        let policy = net.policy_of(k)?;
+        let policy = sim_net.masters[k].policy;
         for (i, o) in rows.iter().enumerate() {
             let bound = match policy {
                 profirt::profibus::QueuePolicy::Fcfs => fcfs.as_ref().map(|a| a.masters[k][i]),

@@ -2,6 +2,8 @@
 
 use std::process::Command;
 
+use profirt::base::json;
+
 fn profirt(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_profirt"))
         .args(args)
@@ -301,5 +303,71 @@ fn releases_past_the_tick_range_stop_the_source() {
     assert_eq!(row[1], "2", "completions: {stdout}");
     assert_eq!(row[3], "0", "misses: {stdout}");
     assert_eq!(row[6], "yes", "{stdout}");
+    assert!(stdout.contains("all observations within analytical bounds"));
+}
+
+/// One malformed network per error class. `crates/serve/tests/prop_proto.rs`
+/// reads the same table: serve answers each with the listed `kind` and
+/// `detail`, and the CLI fails to load it with the same detail.
+const MALFORMED: &str = include_str!("data/malformed_networks.json");
+
+#[test]
+fn malformed_networks_are_load_errors_with_serves_detail() {
+    let table = json::parse(MALFORMED).unwrap();
+    for (i, row) in table.as_array().unwrap().iter().enumerate() {
+        let case = row.get("case").and_then(json::Value::as_str).unwrap();
+        let detail = row.get("detail").and_then(json::Value::as_str).unwrap();
+        let cfg = write_config(
+            &format!("malformed_{i}.json"),
+            &row.get("net").unwrap().pretty(),
+        );
+        let want = format!("invalid network in {}: {detail}", cfg.display());
+        for cmd in ["analyze", "ttr", "simulate"] {
+            let (ok, _, stderr) = profirt(&[cmd, cfg.to_str().unwrap()]);
+            assert!(!ok, "{case}: {cmd} accepted it");
+            assert!(stderr.contains(&want), "{case}: {cmd}: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn negative_token_pass_is_a_load_error() {
+    // `simulate` used to clamp this pass to 1 tick, and its analytical
+    // bounds went below the observed responses ("an observation exceeded
+    // its analytical bound").
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/configs/sample_network.json");
+    let sample = std::fs::read_to_string(path).unwrap();
+    let negative = sample.replacen("\"token_pass\": 166", "\"token_pass\": -1000", 1);
+    assert_ne!(negative, sample, "the sample config's token_pass moved");
+    let cfg = write_config("negative_token_pass.json", &negative);
+    let (ok, stdout, stderr) = profirt(&["simulate", cfg.to_str().unwrap()]);
+    assert!(!ok);
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.contains("field \"token_pass\" must be non-negative, got -1000"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
+fn a_master_without_streams_still_holds_the_token() {
+    // Master 0 sends no high-priority traffic, but its Cl = 500 still
+    // counts in Tdel = 500 + 800.
+    let cfg = write_config(
+        "streamless_master.json",
+        r#"{"ttr": 2000, "masters": [
+            {"cl": 500, "streams": []},
+            {"cl": 0, "streams": [{"ch": 800, "d": 30000, "t": 40000}]}
+        ]}"#,
+    );
+    let cfg = cfg.to_str().unwrap();
+    let (ok, stdout, stderr) = profirt(&["analyze", cfg, "--policy", "all"]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.contains("Tcycle = 3632 (Tdel = 1300), 1/1 streams schedulable"));
+    let (ok, stdout, stderr) = profirt(&["ttr", cfg]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.contains("largest FCFS-feasible TTR"), "{stdout}");
+    let (ok, stdout, stderr) = profirt(&["simulate", cfg, "--horizon", "1000000"]);
+    assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("all observations within analytical bounds"));
 }
