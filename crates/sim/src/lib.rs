@@ -51,5 +51,5 @@ pub use network::{
     MembershipAction, MembershipEvent, MembershipPlan, ModeController, ModeSimConfig, ModeStats,
     ModeSummary, ModeTransition, NetEvent, NetStats, NetworkSimConfig, NetworkSimResult,
     NetworkSimStats, OffsetMode, ResponseStats, ResultObserver, RingStats, RingSummary, SimMaster,
-    SimNetwork, SimNetworkError, StableResponseObserver, Trace, TraceEvent, TrrStats,
+    SimNetwork, SimNetworkError, StableResponseObserver, Trace, TrrStats,
 };

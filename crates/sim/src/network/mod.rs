@@ -8,8 +8,10 @@
 //!
 //! Structure: [`kernel`] is the streaming execution engine (lazy release
 //! generators → deterministic merge → token loop → event stream);
-//! [`observe`] holds the event type and the built-in observers (results,
-//! the fused run statistics of [`NetStats`], stable-phase maxima, traces);
+//! [`observe`] holds [`NetEvent`], the simulator's one event type, and the
+//! built-in observers (results, the fused run statistics of [`NetStats`],
+//! stable-phase maxima); [`mod@trace`] records the same events, unchanged,
+//! as a bounded [`Trace`];
 //! [`membership`] scripts ring churn (a [`MembershipPlan`] of power-on /
 //! power-off / crash events driving the DIN 19245 FDL machinery through
 //! [`profirt_profibus::RingController`]); [`mode`] runs the
@@ -37,7 +39,6 @@ pub use membership::{MembershipAction, MembershipEvent, MembershipPlan};
 pub use mode::{ModeController, ModeSimConfig, ModeTransition};
 pub use observe::{
     ModeSummary, NetEvent, NetStats, ResultObserver, RingSummary, StableResponseObserver,
-    TraceObserver,
 };
 pub use reference::simulate_network_materialized;
 pub use reference_stats::{ModeStats, ResponseStats, RingStats, TrrStats};
@@ -45,4 +46,4 @@ pub use sim::{
     simulate_network, simulate_network_observed, simulate_network_stats, simulate_network_traced,
     NetworkSimResult, NetworkSimStats, StreamObservation,
 };
-pub use trace::{Trace, TraceEvent};
+pub use trace::Trace;

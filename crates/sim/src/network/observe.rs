@@ -17,7 +17,8 @@
 //! * [`StableResponseObserver`] keeps the stable-phase maxima the
 //!   `observed ≤ analytical` contract is checked on under ring churn and
 //!   mode switches.
-//! * [`TraceObserver`] records a bounded event trace.
+//! * [`Trace`](crate::network::Trace) records a bounded event trace. It keeps each [`NetEvent`]
+//!   as emitted, so this enum is the simulator's one event vocabulary.
 //!
 //! Under dynamic membership the kernel additionally emits ring-lifecycle
 //! events — [`NetEvent::GapPoll`], [`NetEvent::MasterJoin`],
@@ -34,7 +35,6 @@ use crate::engine::observer::{replay_span, IdleSpan, Observer, TickHistogram};
 use crate::network::config::{NetworkSimConfig, SimNetwork};
 use crate::network::kernel::KernelMemStats;
 use crate::network::sim::{NetworkSimResult, NetworkSimStats, StreamObservation};
-use crate::network::trace::{Trace, TraceEvent};
 
 /// One bus-level event of the network kernel.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -585,58 +585,6 @@ pub struct ModeSummary {
     /// Largest degradation-to-match-up span (`Time::ZERO` when no
     /// match-up completed).
     pub max_time_to_matchup: Time,
-}
-
-/// Bounded event tracing as an observer: the former hand-threaded
-/// `Option<&mut Trace>` plumbing, now just another pipeline stage.
-#[derive(Clone, Debug)]
-pub struct TraceObserver {
-    /// The recorded trace.
-    pub trace: Trace,
-}
-
-impl TraceObserver {
-    /// Records up to `capacity` events.
-    pub fn new(capacity: usize) -> TraceObserver {
-        TraceObserver {
-            trace: Trace::new(capacity),
-        }
-    }
-}
-
-impl Observer<NetEvent> for TraceObserver {
-    // `on_idle_span` deliberately keeps the default replay: a trace
-    // materializes every event (and counts drops past its capacity), so
-    // a compressed span must be expanded rotation by rotation.
-    fn observe(&mut self, at: Time, event: &NetEvent) {
-        let mapped = match *event {
-            NetEvent::TokenArrival { master, tth, .. } => TraceEvent::TokenArrival { master, tth },
-            NetEvent::HighCycle {
-                master,
-                ref request,
-                start,
-                end,
-            } => TraceEvent::HighCycle {
-                master,
-                stream: request.stream,
-                start,
-                end,
-            },
-            NetEvent::LowCycle { master, start, end } => {
-                TraceEvent::LowCycle { master, start, end }
-            }
-            NetEvent::TokenPass { from, to } => TraceEvent::TokenPass { from, to },
-            NetEvent::Recovery { claimant } => TraceEvent::Recovery { claimant },
-            NetEvent::GapPoll { master, target, .. } => TraceEvent::GapPoll { master, target },
-            NetEvent::MasterJoin { master } => TraceEvent::MasterJoin { master },
-            NetEvent::MasterLeave { master } => TraceEvent::MasterLeave { master },
-            NetEvent::Claim { master } => TraceEvent::Claim { master },
-            NetEvent::ModeSwitch { degraded } => TraceEvent::ModeSwitch { degraded },
-            NetEvent::Shed { master, stream, .. } => TraceEvent::Shed { master, stream },
-            NetEvent::Matchup { waited } => TraceEvent::Matchup { waited },
-        };
-        self.trace.record(at, mapped);
-    }
 }
 
 #[cfg(test)]

@@ -36,7 +36,8 @@
 //! observer assemblies over that kernel — results, traces, and percentile
 //! statistics are all [`Observer`]s: [`simulate_network`] attaches a
 //! [`ResultObserver`], [`simulate_network_stats`] the single fused
-//! [`NetStats`] observer. The pre-streaming implementation is retained as
+//! [`NetStats`] observer, and [`simulate_network_traced`] a [`Trace`],
+//! which stores the events as emitted. The pre-streaming implementation is retained as
 //! [`crate::network::reference`] for differential testing and
 //! benchmarking.
 
@@ -45,9 +46,8 @@ use profirt_base::Time;
 use crate::engine::observer::{HistSummary, Observer};
 use crate::network::config::{NetworkSimConfig, SimNetwork};
 use crate::network::kernel::{run_network, KernelMemStats};
-use crate::network::observe::{
-    ModeSummary, NetEvent, NetStats, ResultObserver, RingSummary, TraceObserver,
-};
+use crate::network::observe::{ModeSummary, NetEvent, NetStats, ResultObserver, RingSummary};
+use crate::network::trace::Trace;
 
 /// Observations for one stream.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -149,10 +149,10 @@ pub fn simulate_network_traced(
     net: &SimNetwork,
     config: &NetworkSimConfig,
     trace_capacity: usize,
-) -> (NetworkSimResult, crate::network::trace::Trace) {
-    let mut tracer = TraceObserver::new(trace_capacity);
-    let result = simulate_network_observed(net, config, &mut [&mut tracer]);
-    (result, tracer.trace)
+) -> (NetworkSimResult, Trace) {
+    let mut trace = Trace::new(trace_capacity);
+    let result = simulate_network_observed(net, config, &mut [&mut trace]);
+    (result, trace)
 }
 
 /// Runs the simulation with the [`NetStats`] observer attached, returning
@@ -424,7 +424,7 @@ mod tests {
         let traced_recoveries = trace
             .events()
             .iter()
-            .filter(|(_, e)| matches!(e, crate::network::trace::TraceEvent::Recovery { .. }))
+            .filter(|(_, e)| matches!(e, NetEvent::Recovery { .. }))
             .count() as u64;
         assert_eq!(traced_recoveries, result.token_recoveries);
         assert!(traced_recoveries > 0);
@@ -542,7 +542,7 @@ mod tests {
         );
         assert!(result.token_recoveries > 0);
         for (_, e) in trace.events() {
-            if let crate::network::trace::TraceEvent::Recovery { claimant } = e {
+            if let NetEvent::Recovery { claimant } = e {
                 assert_eq!(*claimant, 1, "claimant must be the lowest-address master");
             }
         }

@@ -6,13 +6,13 @@
 
 use profirt_base::{StreamSet, Time};
 use profirt_profibus::LowPriorityTraffic;
-use profirt_sim::{simulate_network_traced, NetworkSimConfig, SimMaster, SimNetwork, TraceEvent};
+use profirt_sim::{simulate_network_traced, NetEvent, NetworkSimConfig, SimMaster, SimNetwork};
 
 fn t(v: i64) -> Time {
     Time::new(v)
 }
 
-fn trace_events(net: &SimNetwork, horizon: i64) -> Vec<(Time, TraceEvent)> {
+fn trace_events(net: &SimNetwork, horizon: i64) -> Vec<(Time, NetEvent)> {
     let (_, trace) = simulate_network_traced(
         net,
         &NetworkSimConfig {
@@ -43,23 +43,23 @@ fn first_rotation_hand_computed() {
     // Event 0: token arrival with full TTH.
     assert!(matches!(
         ev[0],
-        (at, TraceEvent::TokenArrival { master: 0, tth }) if at == t(0) && tth == t(2_000)
+        (at, NetEvent::TokenArrival { master: 0, tth, .. }) if at == t(0) && tth == t(2_000)
     ));
     // Event 1: the high cycle, exactly [0..400].
     assert!(matches!(
         ev[1],
-        (_, TraceEvent::HighCycle { master: 0, start, end, .. })
+        (_, NetEvent::HighCycle { master: 0, start, end, .. })
             if start == t(0) && end == t(400)
     ));
     // Event 2: token pass recorded at t=500 (after 100 ticks of pass time).
     assert!(matches!(
         ev[2],
-        (at, TraceEvent::TokenPass { from: 0, to: 0 }) if at == t(500)
+        (at, NetEvent::TokenPass { from: 0, to: 0 }) if at == t(500)
     ));
     // Event 3: next arrival at t=500 with TRR = 500 -> TTH = 1500.
     assert!(matches!(
         ev[3],
-        (at, TraceEvent::TokenArrival { master: 0, tth }) if at == t(500) && tth == t(1_500)
+        (at, NetEvent::TokenArrival { master: 0, tth, .. }) if at == t(500) && tth == t(1_500)
     ));
 }
 
@@ -86,7 +86,7 @@ fn late_token_serves_exactly_one_high_cycle_per_visit() {
     let mut seen_first_arrival = false;
     for (_, e) in &ev {
         match e {
-            TraceEvent::TokenArrival { tth, .. } => {
+            NetEvent::TokenArrival { tth, .. } => {
                 if seen_first_arrival {
                     per_visit.push(count);
                 }
@@ -94,7 +94,7 @@ fn late_token_serves_exactly_one_high_cycle_per_visit() {
                 count = 0;
                 late = !tth.is_positive();
             }
-            TraceEvent::HighCycle { .. } => count += 1,
+            NetEvent::HighCycle { .. } => count += 1,
             _ => {}
         }
         let _ = late;
@@ -124,7 +124,7 @@ fn tth_overrun_low_cycle_completes() {
     let lc = ev
         .iter()
         .find_map(|(_, e)| match e {
-            TraceEvent::LowCycle { start, end, .. } => Some((*start, *end)),
+            NetEvent::LowCycle { start, end, .. } => Some((*start, *end)),
             _ => None,
         })
         .expect("a low cycle must run");
@@ -150,8 +150,8 @@ fn no_low_cycles_on_late_tokens() {
     let mut violations = 0;
     for (_, e) in &ev {
         match e {
-            TraceEvent::TokenArrival { tth, .. } => late = !tth.is_positive(),
-            TraceEvent::LowCycle { .. } if late => violations += 1,
+            NetEvent::TokenArrival { tth, .. } => late = !tth.is_positive(),
+            NetEvent::LowCycle { .. } if late => violations += 1,
             _ => {}
         }
     }
@@ -171,7 +171,7 @@ fn token_passes_in_ring_order() {
     let passes: Vec<(usize, usize)> = ev
         .iter()
         .filter_map(|(_, e)| match e {
-            TraceEvent::TokenPass { from, to } => Some((*from, *to)),
+            NetEvent::TokenPass { from, to } => Some((*from, *to)),
             _ => None,
         })
         .collect();
@@ -206,7 +206,7 @@ fn idle_rotation_is_pass_time_only() {
         .events()
         .iter()
         .filter_map(|(_, e)| match e {
-            TraceEvent::TokenArrival { master: 0, tth } => Some(*tth),
+            NetEvent::TokenArrival { master: 0, tth, .. } => Some(*tth),
             _ => None,
         })
         .collect();

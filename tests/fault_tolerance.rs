@@ -7,7 +7,7 @@ use profirt::base::Time;
 use profirt::core::{low_priority_outlook, DmAnalysis, FcfsAnalysis};
 use profirt::profibus::{token_recovery_timeout, BusParams, QueuePolicy};
 use profirt::sim::{
-    simulate_network, simulate_network_traced, NetworkSimConfig, SimMaster, SimNetwork, TraceEvent,
+    simulate_network, simulate_network_traced, NetEvent, NetworkSimConfig, SimMaster, SimNetwork,
 };
 use profirt::workload::{generate_network, NetGenParams, PeriodRange, StreamGenParams};
 
@@ -143,7 +143,7 @@ fn trace_recovery_count_matches_result_and_fdl_timeout_is_plausible() {
     let recoveries = trace
         .events()
         .iter()
-        .filter(|(_, e)| matches!(e, TraceEvent::Recovery { claimant: 0 }))
+        .filter(|(_, e)| matches!(e, NetEvent::Recovery { claimant: 0 }))
         .count() as u64;
     assert_eq!(recoveries, result.token_recoveries);
 
