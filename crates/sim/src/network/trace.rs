@@ -7,6 +7,8 @@
 //! when a deadline slipped, where a TTH overrun stretched a rotation — and
 //! render as a compact text timeline for docs and debugging.
 
+use std::fmt::Write;
+
 use profirt_base::Time;
 
 use crate::engine::observer::Observer;
@@ -49,69 +51,61 @@ impl Trace {
         self.dropped
     }
 
-    /// Renders a compact text timeline, one line per event.
+    /// Renders a compact text timeline, one line per event: the instant in
+    /// ticks, right-aligned (a message cycle's start), then the event.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for &(at, ev) in &self.events {
-            let line = match ev {
+            let (stamp, text) = match ev {
                 NetEvent::TokenArrival { master, tth, .. } => {
-                    format!(
-                        "{at:>10}  M{master} ◀ token (TTH = {}{})",
-                        tth,
-                        if tth.is_positive() { "" } else { " LATE" }
-                    )
+                    let late = if tth.is_positive() { "" } else { " LATE" };
+                    (at, format!("M{master} ◀ token (TTH = {tth}{late})"))
                 }
                 NetEvent::HighCycle {
                     master,
                     request,
                     start,
                     end,
-                } => format!(
-                    "{start:>10}  M{master} ▶ high {} [{start}..{end}] ({} ticks)",
-                    request.stream,
-                    end - start
+                } => (
+                    start,
+                    format!(
+                        "M{master} ▶ high {} [{start}..{end}] ({} ticks)",
+                        request.stream,
+                        end - start
+                    ),
                 ),
-                NetEvent::LowCycle { master, start, end } => format!(
-                    "{start:>10}  M{master} ▷ low  [{start}..{end}] ({} ticks)",
-                    end - start
+                NetEvent::LowCycle { master, start, end } => (
+                    start,
+                    format!("M{master} ▷ low  [{start}..{end}] ({} ticks)", end - start),
                 ),
-                NetEvent::TokenPass { from, to } => {
-                    format!("{at:>10}  M{from} → M{to} token pass")
-                }
+                NetEvent::TokenPass { from, to } => (at, format!("M{from} → M{to} token pass")),
                 NetEvent::Recovery { claimant } => {
-                    format!("{at:>10}  !! token lost, reclaimed by M{claimant}")
+                    (at, format!("!! token lost, reclaimed by M{claimant}"))
                 }
                 NetEvent::GapPoll { master, target, .. } => {
-                    format!("{at:>10}  M{master} ? gap poll {target}")
+                    (at, format!("M{master} ? gap poll {target}"))
                 }
-                NetEvent::MasterJoin { master } => {
-                    format!("{at:>10}  ++ M{master} joined the ring")
-                }
-                NetEvent::MasterLeave { master } => {
-                    format!("{at:>10}  -- M{master} left the ring")
-                }
-                NetEvent::Claim { master } => {
-                    format!("{at:>10}  !! token claimed by M{master}")
-                }
-                NetEvent::ModeSwitch { degraded } => {
-                    if degraded {
-                        format!("{at:>10}  !! mode switch: HI (shedding sub-HI traffic)")
-                    } else {
-                        format!("{at:>10}  !! mode switch: LO (all traffic admitted)")
-                    }
+                NetEvent::MasterJoin { master } => (at, format!("++ M{master} joined the ring")),
+                NetEvent::MasterLeave { master } => (at, format!("-- M{master} left the ring")),
+                NetEvent::Claim { master } => (at, format!("!! token claimed by M{master}")),
+                NetEvent::ModeSwitch { degraded: true } => (
+                    at,
+                    "!! mode switch: HI (shedding sub-HI traffic)".to_string(),
+                ),
+                NetEvent::ModeSwitch { degraded: false } => {
+                    (at, "!! mode switch: LO (all traffic admitted)".to_string())
                 }
                 NetEvent::Shed { master, stream, .. } => {
-                    format!("{at:>10}  M{master} ×× shed {stream} (HI mode)")
+                    (at, format!("M{master} ×× shed {stream} (HI mode)"))
                 }
                 NetEvent::Matchup { waited } => {
-                    format!("{at:>10}  == match-up complete after {waited} ticks")
+                    (at, format!("== match-up complete after {waited} ticks"))
                 }
             };
-            out.push_str(&line);
-            out.push('\n');
+            let _ = writeln!(out, "{:>10}  {text}", stamp.ticks());
         }
         if self.truncated() {
-            out.push_str(&format!("… {} further events dropped\n", self.dropped));
+            let _ = writeln!(out, "… {} further events dropped", self.dropped);
         }
         out
     }
