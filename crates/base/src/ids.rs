@@ -44,6 +44,77 @@ impl fmt::Display for MasterAddr {
     }
 }
 
+/// What is wrong with a ring's FDL address plan (see
+/// [`check_address_plan`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum AddressPlanError {
+    /// A master's effective address is not a station address: its explicit
+    /// address is past [`MasterAddr::MAX_ADDRESS`], or it has none and its
+    /// ring index is.
+    InvalidAddress {
+        /// Ring index of the offending master.
+        master: usize,
+    },
+    /// Two masters resolve to the same FDL address.
+    DuplicateAddress {
+        /// The shared address.
+        addr: MasterAddr,
+        /// Ring index of the first holder.
+        first: usize,
+        /// Ring index of the second holder.
+        second: usize,
+    },
+}
+
+impl fmt::Display for AddressPlanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            AddressPlanError::InvalidAddress { master } => write!(
+                f,
+                "master {master} has no valid FDL address (stations are 0..={})",
+                MasterAddr::MAX_ADDRESS
+            ),
+            AddressPlanError::DuplicateAddress {
+                addr,
+                first,
+                second,
+            } => write!(f, "masters {first} and {second} alias FDL address {addr}"),
+        }
+    }
+}
+
+impl std::error::Error for AddressPlanError {}
+
+/// Checks a ring's FDL address plan, given each master's explicit address
+/// (`None` for none) in ring order. Master `k`'s effective address is its
+/// explicit one, or else its ring index `k`; every effective address must
+/// be a station address, and no two may be equal.
+///
+/// # Errors
+/// The first master, in ring order, that breaks either rule.
+pub fn check_address_plan(
+    explicit: impl IntoIterator<Item = Option<MasterAddr>>,
+) -> Result<(), AddressPlanError> {
+    // Ring index of each station address's holder so far.
+    let mut holder = [None; MasterAddr::MAX_ADDRESS as usize + 1];
+    for (k, addr) in explicit.into_iter().enumerate() {
+        // A ring index past 255 maps to 255, which is no station either.
+        let addr = addr.unwrap_or(MasterAddr(u8::try_from(k).unwrap_or(u8::MAX)));
+        let Some(slot) = holder.get_mut(usize::from(addr.0)) else {
+            return Err(AddressPlanError::InvalidAddress { master: k });
+        };
+        if let Some(first) = *slot {
+            return Err(AddressPlanError::DuplicateAddress {
+                addr,
+                first,
+                second: k,
+            });
+        }
+        *slot = Some(k);
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,6 +131,42 @@ mod tests {
         assert!(MasterAddr(0).is_valid_station());
         assert!(MasterAddr(126).is_valid_station());
         assert!(!MasterAddr::BROADCAST.is_valid_station());
+    }
+
+    #[test]
+    fn address_plans_resolve_to_explicit_or_ring_index() {
+        assert_eq!(
+            check_address_plan([None, Some(MasterAddr(5)), None]),
+            Ok(())
+        );
+        // The implicit address of ring index 2 is 2, held by master 0.
+        assert_eq!(
+            check_address_plan([Some(MasterAddr(2)), None, None]),
+            Err(AddressPlanError::DuplicateAddress {
+                addr: MasterAddr(2),
+                first: 0,
+                second: 2
+            })
+        );
+        assert_eq!(
+            check_address_plan([None, Some(MasterAddr::BROADCAST)]),
+            Err(AddressPlanError::InvalidAddress { master: 1 })
+        );
+        // 127 masters fit the implicit plan, the 128th does not; explicit
+        // addresses only move the limit to the first duplicate.
+        assert_eq!(check_address_plan(vec![None; 127]), Ok(()));
+        assert_eq!(
+            check_address_plan(vec![None; 300]),
+            Err(AddressPlanError::InvalidAddress { master: 127 })
+        );
+        assert_eq!(
+            check_address_plan((0..=127).map(|a| Some(MasterAddr(a % 127)))),
+            Err(AddressPlanError::DuplicateAddress {
+                addr: MasterAddr(0),
+                first: 0,
+                second: 127
+            })
+        );
     }
 
     #[test]

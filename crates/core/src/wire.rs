@@ -17,7 +17,7 @@
 use std::fmt;
 
 use profirt_base::json::{self, Value};
-use profirt_base::{Criticality, MasterAddr, MessageStream, StreamSet, Time};
+use profirt_base::{check_address_plan, Criticality, MasterAddr, MessageStream, StreamSet, Time};
 use profirt_profibus::QueuePolicy;
 
 use crate::config::{MasterConfig, NetworkConfig};
@@ -244,12 +244,23 @@ fn decode_master(m: &Value) -> Result<(MasterConfig, SimFields), DecodeError> {
     ))
 }
 
-/// The one decoder: `on_master` receives each master's simulator fields
-/// in ring order.
-fn decode_with(
-    v: &Value,
-    mut on_master: impl FnMut(SimFields),
-) -> Result<NetworkConfig, DecodeError> {
+/// Decodes the analysis view, checking the simulator fields without
+/// keeping them.
+///
+/// # Errors
+/// See [`DecodeError`]: schema errors for shape and spelling, model errors
+/// for values no ring can carry.
+pub fn decode_network(v: &Value) -> Result<NetworkConfig, DecodeError> {
+    decode_ring(v).map(|ring| ring.net)
+}
+
+/// The one decoder: the analysis view and the simulator fields. The FDL
+/// address plan — each master's `addr`, or else its ring index — is
+/// checked by [`check_address_plan`], the rule the simulator applies.
+///
+/// # Errors
+/// As [`decode_network`].
+pub fn decode_ring(v: &Value) -> Result<Ring, DecodeError> {
     let ttr = field_i64(v, "ttr", None)?;
     let token_pass = field_i64(v, "token_pass", Some(DEFAULT_TOKEN_PASS))?;
     if token_pass < 0 {
@@ -266,33 +277,16 @@ fn decode_with(
         return Err(model("the network needs at least one master"));
     }
     let mut masters = Vec::with_capacity(items.len());
+    let mut sim = Vec::with_capacity(items.len());
     for (k, m) in items.iter().enumerate() {
-        let (master, sim) = decode_master(m).map_err(|e| e.at(format_args!("master {k}")))?;
+        let (master, fields) = decode_master(m).map_err(|e| e.at(format_args!("master {k}")))?;
         masters.push(master);
-        on_master(sim);
+        sim.push(fields);
     }
-    Ok(NetworkConfig::new(masters, Time::new(ttr))
+    let net = NetworkConfig::new(masters, Time::new(ttr))
         .map_err(|e| model(e.to_string()))?
-        .with_token_pass(Time::new(token_pass)))
-}
-
-/// Decodes the analysis view, checking the simulator fields without
-/// keeping them.
-///
-/// # Errors
-/// See [`DecodeError`]: schema errors for shape and spelling, model errors
-/// for values no ring can carry.
-pub fn decode_network(v: &Value) -> Result<NetworkConfig, DecodeError> {
-    decode_with(v, |_| {})
-}
-
-/// Decodes the analysis view and the simulator fields.
-///
-/// # Errors
-/// As [`decode_network`].
-pub fn decode_ring(v: &Value) -> Result<Ring, DecodeError> {
-    let mut sim = Vec::new();
-    let net = decode_with(v, |fields| sim.push(fields))?;
+        .with_token_pass(Time::new(token_pass));
+    check_address_plan(sim.iter().map(|s| s.addr)).map_err(|e| model(e.to_string()))?;
     Ok(Ring { net, sim })
 }
 
@@ -379,6 +373,26 @@ mod tests {
         assert_eq!(
             err.detail,
             "master 0: field \"addr\" must be a station address (0..=126), got 127"
+        );
+    }
+
+    #[test]
+    fn the_address_plan_counts_implicit_ring_indices() {
+        // Master 1's implicit address 1 is master 0's explicit one.
+        let err = decode_text(r#"{"ttr":2000,"masters":[{"addr":1,"streams":[]},{"streams":[]}]}"#)
+            .unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Model);
+        assert_eq!(err.detail, "masters 0 and 1 alias FDL address M1");
+        // Ring index 127 is past the last station.
+        let many = format!(
+            r#"{{"ttr":2000,"masters":[{}]}}"#,
+            [r#"{"streams":[]}"#; 128].join(",")
+        );
+        let err = decode_text(&many).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Model);
+        assert_eq!(
+            err.detail,
+            "master 127 has no valid FDL address (stations are 0..=126)"
         );
     }
 }

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 
 use profirt_base::json::{self, Value};
-use profirt_base::{Criticality, MasterAddr, MessageStream, StreamSet, Time};
+use profirt_base::{check_address_plan, Criticality, MasterAddr, MessageStream, StreamSet, Time};
 use profirt_core::wire::{self, Ring, SimFields};
 use profirt_core::{MasterConfig, NetworkConfig};
 use profirt_profibus::QueuePolicy;
@@ -116,7 +116,15 @@ fn arb_ring() -> impl Strategy<Value = Ring> {
         0i64..1_000,
     )
         .prop_map(|(masters, ttr, token_pass)| {
-            let (masters, sim): (Vec<_>, Vec<_>) = masters.into_iter().unzip();
+            let (masters, mut sim): (Vec<_>, Vec<SimFields>) = masters.into_iter().unzip();
+            // Two masters on one FDL address are a decode error: a plan
+            // that collides gives its explicit addresses their ring
+            // indices instead.
+            if check_address_plan(sim.iter().map(|s| s.addr)).is_err() {
+                for (k, s) in sim.iter_mut().enumerate() {
+                    s.addr = s.addr.map(|_| MasterAddr(k as u8));
+                }
+            }
             let net = NetworkConfig::new(masters, Time::new(ttr))
                 .unwrap()
                 .with_token_pass(Time::new(token_pass));

@@ -1,6 +1,6 @@
 //! Simulation inputs.
 
-use profirt_base::{MasterAddr, StreamSet, Time};
+use profirt_base::{check_address_plan, AddressPlanError, MasterAddr, StreamSet, Time};
 use profirt_profibus::{gap, BusParams, LowPriorityTraffic, QueuePolicy};
 
 // The placement/jitter modes are defined next to the lazy release
@@ -114,21 +114,9 @@ pub enum SimNetworkError {
     NoMasters,
     /// The token pass time is zero or negative (time could stall).
     NonPositiveTokenPass,
-    /// A master's FDL address is outside `0..=126` (or its ring index is,
-    /// under default addressing).
-    InvalidAddress {
-        /// Ring index of the offending master.
-        master: usize,
-    },
-    /// Two masters resolve to the same FDL address.
-    DuplicateAddress {
-        /// The shared address.
-        addr: MasterAddr,
-        /// Ring index of the first holder.
-        first: usize,
-        /// Ring index of the second holder.
-        second: usize,
-    },
+    /// The FDL address plan is invalid: an address out of range, or two
+    /// masters on one address.
+    Address(AddressPlanError),
     /// A clock sum of the run does not fit `i64` ticks (see
     /// [`NetworkSimConfig::check_tick_range`]).
     TickOverflow {
@@ -144,16 +132,7 @@ impl std::fmt::Display for SimNetworkError {
             SimNetworkError::NonPositiveTokenPass => {
                 write!(f, "token pass time must be positive")
             }
-            SimNetworkError::InvalidAddress { master } => write!(
-                f,
-                "master {master} has no valid FDL address (stations are 0..={})",
-                MasterAddr::MAX_ADDRESS
-            ),
-            SimNetworkError::DuplicateAddress {
-                addr,
-                first,
-                second,
-            } => write!(f, "masters {first} and {second} alias FDL address {addr}"),
+            SimNetworkError::Address(e) => write!(f, "{e}"),
             SimNetworkError::TickOverflow { what } => write!(f, "{what} overflows i64 ticks"),
         }
     }
@@ -203,24 +182,7 @@ impl SimNetwork {
         if !self.token_pass.is_positive() {
             return Err(SimNetworkError::NonPositiveTokenPass);
         }
-        let mut addrs: Vec<MasterAddr> = Vec::with_capacity(self.masters.len());
-        for (k, m) in self.masters.iter().enumerate() {
-            let explicit_ok = m.addr.is_none_or(|a| a.is_valid_station());
-            let default_ok = m.addr.is_some() || k <= MasterAddr::MAX_ADDRESS as usize;
-            if !explicit_ok || !default_ok {
-                return Err(SimNetworkError::InvalidAddress { master: k });
-            }
-            let addr = m.addr_or_ring(k);
-            if let Some(first) = addrs.iter().position(|&a| a == addr) {
-                return Err(SimNetworkError::DuplicateAddress {
-                    addr,
-                    first,
-                    second: k,
-                });
-            }
-            addrs.push(addr);
-        }
-        Ok(())
+        check_address_plan(self.masters.iter().map(|m| m.addr)).map_err(SimNetworkError::Address)
     }
 
     /// The effective per-master FDL addresses, in ring order. Call
@@ -419,11 +381,13 @@ mod tests {
         };
         assert_eq!(
             aliased.validate(),
-            Err(SimNetworkError::DuplicateAddress {
-                addr: MasterAddr(5),
-                first: 0,
-                second: 2
-            })
+            Err(SimNetworkError::Address(
+                AddressPlanError::DuplicateAddress {
+                    addr: MasterAddr(5),
+                    first: 0,
+                    second: 2
+                }
+            ))
         );
         // An explicit address colliding with another master's ring-index
         // default is caught too.
@@ -434,7 +398,9 @@ mod tests {
         };
         assert!(matches!(
             mixed.validate(),
-            Err(SimNetworkError::DuplicateAddress { .. })
+            Err(SimNetworkError::Address(
+                AddressPlanError::DuplicateAddress { .. }
+            ))
         ));
         // Out-of-range explicit address.
         let broadcast = SimNetwork {
@@ -444,7 +410,9 @@ mod tests {
         };
         assert_eq!(
             broadcast.validate(),
-            Err(SimNetworkError::InvalidAddress { master: 0 })
+            Err(SimNetworkError::Address(AddressPlanError::InvalidAddress {
+                master: 0
+            }))
         );
         // The checked constructor surfaces the same errors.
         assert!(SimNetwork::new(vec![], t(1_000), t(100)).is_err());

@@ -24,8 +24,8 @@ pub struct CliNetwork {
 }
 
 /// Loads and validates a config file. The simulator view is built here,
-/// so its checks (the FDL address plan, the low-priority cadence) are load
-/// errors for every subcommand.
+/// so its check of the low-priority cadence is a load error for every
+/// subcommand (the decoder already checked the FDL address plan).
 pub fn load(path: &str) -> Result<CliNetwork, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = json::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
