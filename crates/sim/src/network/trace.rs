@@ -145,7 +145,11 @@ mod tests {
     use profirt_profibus::Request;
 
     fn sample() -> Trace {
-        let mut tr = Trace::new(16);
+        let arrival = |master, tth, trr| NetEvent::TokenArrival {
+            master,
+            tth: t(tth),
+            trr,
+        };
         let request = Request {
             stream: StreamId(2),
             release: t(0),
@@ -153,44 +157,22 @@ mod tests {
             priority: Priority(2),
             cycle_time: t(400),
         };
+        let cycle = NetEvent::HighCycle {
+            master: 0,
+            request,
+            start: t(0),
+            end: t(400),
+        };
+        let mut tr = Trace::new(16);
         for (at, ev) in [
-            (
-                t(0),
-                NetEvent::TokenArrival {
-                    master: 0,
-                    tth: t(1000),
-                    trr: None,
-                },
-            ),
-            (
-                t(0),
-                NetEvent::HighCycle {
-                    master: 0,
-                    request,
-                    start: t(0),
-                    end: t(400),
-                },
-            ),
-            (t(400), NetEvent::TokenPass { from: 0, to: 1 }),
-            (
-                t(500),
-                NetEvent::TokenArrival {
-                    master: 1,
-                    tth: t(-20),
-                    trr: None,
-                },
-            ),
-            (t(900), NetEvent::Recovery { claimant: 0 }),
-            (
-                t(2000),
-                NetEvent::TokenArrival {
-                    master: 0,
-                    tth: t(100),
-                    trr: Some(t(2000)),
-                },
-            ),
+            (0, arrival(0, 1000, None)),
+            (0, cycle),
+            (400, NetEvent::TokenPass { from: 0, to: 1 }),
+            (500, arrival(1, -20, None)),
+            (900, NetEvent::Recovery { claimant: 0 }),
+            (2000, arrival(0, 100, Some(t(2000)))),
         ] {
-            tr.observe(at, &ev);
+            tr.observe(t(at), &ev);
         }
         tr
     }

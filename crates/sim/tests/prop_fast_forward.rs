@@ -14,31 +14,21 @@ use profirt_profibus::{LowPriorityTraffic, QueuePolicy};
 use profirt_sim::network::run_network;
 use profirt_sim::{
     JitterInjection, KernelMemStats, MembershipPlan, ModeSimConfig, NetEvent, NetworkSimConfig,
-    Observer, OffsetMode, SimMaster, SimNetwork,
+    OffsetMode, SimMaster, SimNetwork, Trace,
 };
 
 fn t(v: i64) -> Time {
     Time::new(v)
 }
 
-/// Collects the raw event stream (instant + event) via the default
-/// `on_idle_span` replay, so a fast-forwarding run materializes into
-/// exactly the events an unskipped run emits.
-#[derive(Default)]
-struct EventLog {
-    events: Vec<(Time, NetEvent)>,
-}
-
-impl Observer<NetEvent> for EventLog {
-    fn observe(&mut self, at: Time, event: &NetEvent) {
-        self.events.push((at, *event));
-    }
-}
-
+/// The raw event stream (instant + event), recorded by an unbounded
+/// [`Trace`] through the default `on_idle_span` replay, so a
+/// fast-forwarding run materializes into exactly the events an unskipped
+/// run emits.
 fn run_logged(net: &SimNetwork, cfg: &NetworkSimConfig) -> (Vec<(Time, NetEvent)>, KernelMemStats) {
-    let mut log = EventLog::default();
+    let mut log = Trace::new(usize::MAX);
     let mem = run_network(net, cfg, &mut [&mut log]);
-    (log.events, mem)
+    (log.events().to_vec(), mem)
 }
 
 /// Asserts the fast-forwarded run reproduces the unskipped run exactly

@@ -19,23 +19,12 @@ use proptest::prelude::*;
 use profirt_base::{Criticality, MasterAddr, StreamSet, Time};
 use profirt_sim::network::run_network;
 use profirt_sim::{
-    simulate_network_stats, MembershipPlan, ModeSimConfig, NetEvent, NetworkSimConfig, Observer,
-    SimMaster, SimNetwork,
+    simulate_network_stats, MembershipPlan, ModeSimConfig, NetEvent, NetworkSimConfig, SimMaster,
+    SimNetwork, Trace,
 };
 
 fn t(v: i64) -> Time {
     Time::new(v)
-}
-
-#[derive(Default)]
-struct EventLog {
-    events: Vec<(Time, NetEvent)>,
-}
-
-impl Observer<NetEvent> for EventLog {
-    fn observe(&mut self, at: Time, event: &NetEvent) {
-        self.events.push((at, *event));
-    }
 }
 
 /// A mixed-criticality ring: master 0 carries one HI and one LO stream,
@@ -93,12 +82,12 @@ proptest! {
         };
 
         // Seed determinism, mode events included.
-        let mut log = EventLog::default();
+        let mut log = Trace::new(usize::MAX);
         run_network(&net, &cfg, &mut [&mut log]);
-        let events = log.events;
-        let mut again = EventLog::default();
+        let events = log.events().to_vec();
+        let mut again = Trace::new(usize::MAX);
         run_network(&net, &cfg, &mut [&mut again]);
-        prop_assert_eq!(&events, &again.events);
+        prop_assert_eq!(&events[..], again.events());
 
         let mut degraded = false;
         let mut switches = 0u64;

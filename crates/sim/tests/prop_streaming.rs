@@ -17,8 +17,8 @@ use profirt_sim::network::run_network;
 use profirt_sim::{
     simulate_cpu, simulate_cpu_materialized, simulate_network, simulate_network_materialized,
     simulate_network_stats, CpuPolicy, CpuSimConfig, JitterInjection, MembershipAction,
-    MembershipPlan, ModeSimConfig, NetEvent, NetworkSimConfig, Observer, OffsetMode, SimMaster,
-    SimNetwork,
+    MembershipPlan, ModeSimConfig, NetEvent, NetworkSimConfig, OffsetMode, SimMaster, SimNetwork,
+    Trace,
 };
 
 fn t(v: i64) -> Time {
@@ -206,16 +206,6 @@ proptest! {
     }
 }
 
-/// Collects the raw event stream.
-#[derive(Default)]
-struct EventLog(Vec<(Time, NetEvent)>);
-
-impl Observer<NetEvent> for EventLog {
-    fn observe(&mut self, at: Time, event: &NetEvent) {
-        self.0.push((at, *event));
-    }
-}
-
 /// The fixed-ring step against the full protocol path: a fixed ring (no
 /// churn, no GAP polling) must emit the same event stream as the same
 /// config plus a membership plan whose only event — a crash of master 0
@@ -264,18 +254,18 @@ fn fixed_ring_step_equals_protocol_path() {
             ..fixed.clone()
         };
 
-        let mut fixed_log = EventLog::default();
+        let mut fixed_log = Trace::new(usize::MAX);
         let mem = run_network(&net, &fixed, &mut [&mut fixed_log]);
-        let mut live_log = EventLog::default();
+        let mut live_log = Trace::new(usize::MAX);
         run_network(&net, &live, &mut [&mut live_log]);
         assert!(
-            fixed_log.0 == live_log.0,
+            fixed_log.events() == live_log.events(),
             "fixed-ring step diverges from the protocol path: net {net:?}, config {fixed:?}"
         );
 
         let n = net.masters.len();
         let count = |pred: fn(&NetEvent, usize) -> bool| {
-            usize::from(fixed_log.0.iter().any(|(_, e)| pred(e, n)))
+            usize::from(fixed_log.events().iter().any(|(_, e)| pred(e, n)))
         };
         out_of_vector_order +=
             count(|e, n| matches!(*e, NetEvent::TokenPass { from, to } if to != (from + 1) % n));

@@ -12,29 +12,18 @@ use profirt_profibus::QueuePolicy;
 use profirt_sim::network::run_network;
 use profirt_sim::{
     simulate_network, simulate_network_stats, MembershipAction, MembershipPlan, ModeSimConfig,
-    NetEvent, NetworkSimConfig, Observer, SimMaster, SimNetwork,
+    NetEvent, NetworkSimConfig, SimMaster, SimNetwork, Trace,
 };
 
 fn t(v: i64) -> Time {
     Time::new(v)
 }
 
-/// Collects the raw event stream.
-#[derive(Default)]
-struct EventLog {
-    events: Vec<(Time, NetEvent)>,
-}
-
-impl Observer<NetEvent> for EventLog {
-    fn observe(&mut self, at: Time, event: &NetEvent) {
-        self.events.push((at, *event));
-    }
-}
-
+/// The raw event stream.
 fn run_logged(net: &SimNetwork, cfg: &NetworkSimConfig) -> Vec<(Time, NetEvent)> {
-    let mut log = EventLog::default();
+    let mut log = Trace::new(usize::MAX);
     run_network(net, cfg, &mut [&mut log]);
-    log.events
+    log.events().to_vec()
 }
 
 fn quiet_master(addr: u8) -> SimMaster {
