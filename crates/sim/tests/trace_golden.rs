@@ -8,9 +8,8 @@
 //! truncated tail of a full trace. Any change to what a trace records or
 //! how it renders shows up here as a diff.
 //!
-//! After an intended change to the timeline, rewrite the pinned file with
-//! `BLESS=1 cargo test -p profirt_sim --test trace_golden` and review the
-//! diff.
+//! After an intended change to the timeline, replace the pinned file with
+//! the text the failing test prints, and review the diff.
 
 use profirt_base::{Criticality, MasterAddr, StreamSet, Time};
 use profirt_profibus::{LowPriorityTraffic, QueuePolicy};
@@ -19,7 +18,7 @@ use profirt_sim::{
     SimMaster, SimNetwork,
 };
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/trace_golden.txt");
+const GOLDEN: &str = include_str!("data/trace_golden.txt");
 
 fn t(v: i64) -> Time {
     Time::new(v)
@@ -100,13 +99,9 @@ fn rendered() -> String {
 #[test]
 fn render_matches_the_pinned_bytes() {
     let actual = rendered();
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(GOLDEN_PATH, &actual).unwrap();
-    }
-    let golden = std::fs::read_to_string(GOLDEN_PATH).unwrap();
     assert!(
-        actual == golden,
-        "Trace::render drifted from {GOLDEN_PATH}; actual:\n{actual}"
+        actual == GOLDEN,
+        "Trace::render drifted from tests/data/trace_golden.txt; actual:\n{actual}"
     );
 }
 
