@@ -14,16 +14,34 @@
 //! byte offset), so wire-facing consumers such as `profirt serve` can
 //! answer structured errors instead of pattern-matching message strings.
 //!
+//! # The tree
+//!
+//! An [`Object`] is one `Vec` of `(key, value)` members, sorted by key
+//! (byte order, which is `str` order) when the object closes. Lookups are
+//! binary searches. When a document repeats a key, the last member wins.
+//! Key order is therefore normalised: [`Value::compact`] and
+//! [`Value::pretty`] write members sorted, so equal values render to equal
+//! bytes, and no workspace schema relies on the order as written.
+//!
+//! A key of up to 22 bytes (every schema key: `token_pass`,
+//! `criticality`, `schedulable_streams`, …) is stored inline in its
+//! member; only a longer key takes a heap allocation. Parsing a `serve`
+//! request line therefore allocates once per object and array (its
+//! member `Vec`) and once per string value, and nothing per key or
+//! number. The lexer slices plain string runs straight out of the input,
+//! which is already UTF-8, and accumulates integers as it scans them.
+//!
 //! ```
 //! use profirt_base::json::{parse, Value};
 //!
-//! let doc = parse(r#"{"ttr": 2000, "masters": [1, 2]}"#).unwrap();
-//! assert_eq!(doc.get("ttr").and_then(Value::as_i64), Some(2000));
+//! let doc = parse(r#"{"ttr": 2000, "masters": [1, 2], "ttr": 3000}"#).unwrap();
+//! assert_eq!(doc.get("ttr").and_then(Value::as_i64), Some(3000));
+//! assert_eq!(doc.compact(), r#"{"masters":[1,2],"ttr":3000}"#);
 //! let again = parse(&doc.pretty()).unwrap();
 //! assert_eq!(doc, again);
 //! ```
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A parsed JSON document.
@@ -41,15 +59,158 @@ pub enum Value {
     Str(String),
     /// An array.
     Array(Vec<Value>),
-    /// Key order is normalised; no workspace schema relies on it.
-    Object(BTreeMap<String, Value>),
+    /// Members sorted by key, one per key; see [`Object`].
+    Object(Object),
+}
+
+/// Longest key stored inline in its member, in bytes. With the length
+/// byte and the variant tag, an inline key is as large as a boxed one.
+const INLINE_KEY: usize = 22;
+
+/// An object key: short keys in place, long ones boxed. A key of up to
+/// [`INLINE_KEY`] bytes is always inline, so one text has one form.
+#[derive(Clone)]
+enum Key {
+    Inline { len: u8, bytes: [u8; INLINE_KEY] },
+    Heap(Box<str>),
+}
+
+impl Key {
+    fn new(text: &str) -> Key {
+        match u8::try_from(text.len()) {
+            Ok(len) if text.len() <= INLINE_KEY => {
+                let mut bytes = [0; INLINE_KEY];
+                bytes[..text.len()].copy_from_slice(text.as_bytes());
+                Key::Inline { len, bytes }
+            }
+            _ => Key::Heap(text.into()),
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            Key::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Key::Heap(text) => text.as_bytes(),
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        match self {
+            // Inline bytes are copied from a `&str` whole, so they are
+            // UTF-8; the fallback is unreachable.
+            Key::Inline { .. } => std::str::from_utf8(self.as_bytes()).unwrap_or_default(),
+            Key::Heap(text) => text,
+        }
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+/// A JSON object: members sorted by key, each key once.
+///
+/// Built by [`parse`], by [`object`] or by collecting `(key, value)`
+/// pairs; either way, a repeated key keeps its last value.
+#[derive(Clone, Default, PartialEq)]
+pub struct Object {
+    members: Vec<(Key, Value)>,
+}
+
+impl Object {
+    /// An empty object.
+    pub fn new() -> Object {
+        Object::default()
+    }
+
+    /// Sorts `members` by key; of equal keys, the last one written wins.
+    fn from_members(mut members: Vec<(Key, Value)>) -> Object {
+        // A stable sort keeps equal keys in document order, so each run
+        // of duplicates ends with the member that wins.
+        members.sort_by(|a, b| a.0.as_bytes().cmp(b.0.as_bytes()));
+        members.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(later, kept);
+            }
+            same
+        });
+        Object { members }
+    }
+
+    fn find(&self, key: &str) -> Result<usize, usize> {
+        self.members
+            .binary_search_by(|(k, _)| k.as_bytes().cmp(key.as_bytes()))
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// `true` for `{}`.
+    pub fn is_empty(&self) -> bool {
+        self.members.is_empty()
+    }
+
+    /// The value under `key`.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.find(key).ok().map(|i| &self.members[i].1)
+    }
+
+    /// Sets `key` to `value`, returning the value it replaces.
+    pub fn insert(&mut self, key: impl AsRef<str>, value: Value) -> Option<Value> {
+        let key = key.as_ref();
+        match self.find(key) {
+            Ok(i) => Some(std::mem::replace(&mut self.members[i].1, value)),
+            Err(i) => {
+                self.members.insert(i, (Key::new(key), value));
+                None
+            }
+        }
+    }
+
+    /// Removes `key`, returning its value.
+    pub fn remove(&mut self, key: &str) -> Option<Value> {
+        let i = self.find(key).ok()?;
+        Some(self.members.remove(i).1)
+    }
+
+    /// Members in key order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, &Value)> {
+        self.members.iter().map(|(k, v)| (k.as_str(), v))
+    }
+
+    /// Keys in order.
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = &str> {
+        self.members.iter().map(|(k, _)| k.as_str())
+    }
+}
+
+impl std::fmt::Debug for Object {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl<K: AsRef<str>> FromIterator<(K, Value)> for Object {
+    fn from_iter<I: IntoIterator<Item = (K, Value)>>(pairs: I) -> Object {
+        Object::from_members(
+            pairs
+                .into_iter()
+                .map(|(k, v)| (Key::new(k.as_ref()), v))
+                .collect(),
+        )
+    }
 }
 
 impl Value {
     /// Member lookup on objects.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            Value::Object(map) => map.get(key),
+            Value::Object(obj) => obj.get(key),
             _ => None,
         }
     }
@@ -101,9 +262,9 @@ impl Value {
     }
 
     /// Object view.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
+    pub fn as_object(&self) -> Option<&Object> {
         match self {
-            Value::Object(map) => Some(map),
+            Value::Object(obj) => Some(obj),
             _ => None,
         }
     }
@@ -117,8 +278,8 @@ impl Value {
 
     /// Renders on a single line with no insignificant whitespace — the
     /// canonical form for line-delimited wire protocols and cache keys
-    /// (object keys are already sorted by the `BTreeMap` representation,
-    /// so equal values render to equal bytes).
+    /// (an [`Object`] keeps its members sorted and each key once, so
+    /// equal values render to equal bytes).
     pub fn compact(&self) -> String {
         let mut out = String::new();
         self.write_compact(&mut out);
@@ -128,12 +289,9 @@ impl Value {
     fn write_compact(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
-            Value::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Value::Int(n) => {
-                let _ = write!(out, "{n}");
-            }
+            Value::Bool(true) => out.push_str("true"),
+            Value::Bool(false) => out.push_str("false"),
+            Value::Int(n) => write_int(out, *n),
             Value::Float(f) => {
                 let _ = write!(out, "{f}");
             }
@@ -148,9 +306,9 @@ impl Value {
                 }
                 out.push(']');
             }
-            Value::Object(map) => {
+            Value::Object(obj) => {
                 out.push('{');
-                for (i, (key, value)) in map.iter().enumerate() {
+                for (i, (key, value)) in obj.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
@@ -167,17 +325,6 @@ impl Value {
         let pad = "  ".repeat(indent);
         let pad_in = "  ".repeat(indent + 1);
         match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Value::Int(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Value::Float(f) => {
-                let _ = write!(out, "{f}");
-            }
-            Value::Str(s) => write_escaped(out, s),
             Value::Array(items) if items.is_empty() => out.push_str("[]"),
             Value::Array(items) => {
                 out.push_str("[\n");
@@ -192,15 +339,15 @@ impl Value {
                 out.push_str(&pad);
                 out.push(']');
             }
-            Value::Object(map) if map.is_empty() => out.push_str("{}"),
-            Value::Object(map) => {
+            Value::Object(obj) if obj.is_empty() => out.push_str("{}"),
+            Value::Object(obj) => {
                 out.push_str("{\n");
-                for (i, (key, value)) in map.iter().enumerate() {
+                for (i, (key, value)) in obj.iter().enumerate() {
                     out.push_str(&pad_in);
                     write_escaped(out, key);
                     out.push_str(": ");
                     value.write_pretty(out, indent + 1);
-                    if i + 1 < map.len() {
+                    if i + 1 < obj.len() {
                         out.push(',');
                     }
                     out.push('\n');
@@ -208,31 +355,62 @@ impl Value {
                 out.push_str(&pad);
                 out.push('}');
             }
+            scalar => scalar.write_compact(out),
         }
     }
 }
 
+/// Writes `n` in decimal without the formatting machinery.
+fn write_int(out: &mut String, n: i64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        out.push('-');
+    }
+    out.extend(digits[i..].iter().map(|&d| char::from(d)));
+}
+
+/// Writes `s` quoted, escaping `"`, `\` and control characters. Runs of
+/// plain characters are copied whole; every escaped character is ASCII,
+/// so each run ends on a character boundary.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[plain..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        plain = i + 1;
     }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
-/// Convenience: builds an object from key/value pairs.
+/// Convenience: builds an object from key/value pairs (a repeated key
+/// keeps its last value).
 pub fn object(pairs: impl IntoIterator<Item = (&'static str, Value)>) -> Value {
-    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    Value::Object(pairs.into_iter().collect())
 }
 
 /// What went wrong while parsing, independent of position.
@@ -337,223 +515,255 @@ fn err(kind: ParseErrorKind, at: usize) -> ParseError {
 
 /// Parses a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(err(ParseErrorKind::TrailingChars, pos));
+    let mut p = Parser { text, pos: 0 };
+    let value = p.value(0)?;
+    p.skip_ws();
+    if p.pos != text.len() {
+        return Err(err(ParseErrorKind::TrailingChars, p.pos));
     }
     Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
 }
 
 /// Recursion guard: adversarially deep documents must error, not blow the
 /// stack. 128 is far beyond any real config (which nests 3 levels).
 const MAX_DEPTH: usize = 128;
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
-    if depth > MAX_DEPTH {
-        return Err(err(ParseErrorKind::TooDeep { limit: MAX_DEPTH }, *pos));
-    }
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(err(ParseErrorKind::UnexpectedEnd, *pos)),
-        Some(b'{') => parse_object(bytes, pos, depth),
-        Some(b'[') => parse_array(bytes, pos, depth),
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-        Some(c) => Err(err(ParseErrorKind::UnexpectedChar(*c as char), *pos)),
-    }
+/// The lexer and parser state: the input and the byte offset reached.
+struct Parser<'a> {
+    text: &'a str,
+    pos: usize,
 }
 
-fn parse_keyword(
-    bytes: &[u8],
-    pos: &mut usize,
-    word: &str,
-    value: Value,
-) -> Result<Value, ParseError> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(err(ParseErrorKind::InvalidLiteral, *pos))
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut is_float = false;
-    while let Some(&c) = bytes.get(*pos) {
-        match c {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                is_float = true;
-                *pos += 1;
-            }
-            _ => break,
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
-    // The scanned bytes are all from the ASCII number alphabet, so this
-    // conversion cannot fail; keep it typed rather than asserting.
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| err(ParseErrorKind::InvalidNumber, start))?;
-    if is_float {
-        match text.parse::<f64>() {
-            // `1e999` overflows to `inf` without a parse error; NaN cannot
-            // be produced by the grammar but is rejected for completeness.
-            Ok(f) if f.is_finite() => Ok(Value::Float(f)),
-            Ok(_) => Err(err(ParseErrorKind::NumberNotFinite, start)),
-            Err(_) => Err(err(ParseErrorKind::InvalidNumber, start)),
+
+    fn value(&mut self, depth: usize) -> Result<Value, ParseError> {
+        if depth > MAX_DEPTH {
+            return Err(err(ParseErrorKind::TooDeep { limit: MAX_DEPTH }, self.pos));
         }
-    } else {
-        match text.parse::<i64>() {
-            Ok(n) => Ok(Value::Int(n)),
-            // Distinguish an in-grammar integer that merely overflows i64
-            // from junk like a bare `-`.
-            Err(_) => {
-                let digits = text.strip_prefix('-').unwrap_or(text);
-                if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) {
-                    Err(err(ParseErrorKind::IntegerOutOfRange, start))
+        self.skip_ws();
+        match self.peek() {
+            None => Err(err(ParseErrorKind::UnexpectedEnd, self.pos)),
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
+            Some(b'"') => Ok(Value::Str(self.string()?.into_owned())),
+            Some(b't') => self.keyword("true", Value::Bool(true)),
+            Some(b'f') => self.keyword("false", Value::Bool(false)),
+            Some(b'n') => self.keyword("null", Value::Null),
+            Some(c) if c.is_ascii_digit() || c == b'-' => self.number(),
+            Some(c) => Err(err(ParseErrorKind::UnexpectedChar(c as char), self.pos)),
+        }
+    }
+
+    fn keyword(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(err(ParseErrorKind::InvalidLiteral, self.pos))
+        }
+    }
+
+    /// A number: the longest run of the number alphabet (`0-9 . e E + -`)
+    /// after an optional `-`. A run of digits alone is an integer,
+    /// accumulated as it is scanned; any other run parses as an `f64`.
+    fn number(&mut self) -> Result<Value, ParseError> {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        let negative = bytes.get(start) == Some(&b'-');
+        let digits = start + usize::from(negative);
+        let mut pos = digits;
+        // `None` once the integer leaves the i64 range. Negative numbers
+        // accumulate downwards, so `i64::MIN` fits.
+        let mut int = Some(0i64);
+        while let Some(&c @ b'0'..=b'9') = bytes.get(pos) {
+            let d = i64::from(c - b'0');
+            int = int.and_then(|n| n.checked_mul(10)).and_then(|n| {
+                if negative {
+                    n.checked_sub(d)
                 } else {
-                    Err(err(ParseErrorKind::InvalidNumber, start))
+                    n.checked_add(d)
                 }
+            });
+            pos += 1;
+        }
+        let mut is_float = false;
+        while let Some(&c) = bytes.get(pos) {
+            match c {
+                b'0'..=b'9' => pos += 1,
+                b'.' | b'e' | b'E' | b'+' | b'-' => {
+                    is_float = true;
+                    pos += 1;
+                }
+                _ => break,
             }
         }
+        self.pos = pos;
+        if is_float {
+            // The run is ASCII, so it slices on character boundaries.
+            match self.text[start..pos].parse::<f64>() {
+                // `1e999` overflows to `inf` without a parse error; NaN
+                // cannot be produced by the grammar but is rejected for
+                // completeness.
+                Ok(f) if f.is_finite() => Ok(Value::Float(f)),
+                Ok(_) => Err(err(ParseErrorKind::NumberNotFinite, start)),
+                Err(_) => Err(err(ParseErrorKind::InvalidNumber, start)),
+            }
+        } else if pos == digits {
+            // A bare `-`.
+            Err(err(ParseErrorKind::InvalidNumber, start))
+        } else {
+            int.map(Value::Int)
+                .ok_or(err(ParseErrorKind::IntegerOutOfRange, start))
+        }
     }
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
-    debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
-    let open = *pos;
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(err(ParseErrorKind::UnterminatedString, open)),
+    /// A string literal, borrowed from the input when it has no escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        debug_assert_eq!(self.peek(), Some(b'"'));
+        let open = self.pos;
+        self.pos += 1;
+        let run = self.plain_run();
+        match self.peek() {
+            None => Err(err(ParseErrorKind::UnterminatedString, open)),
             Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+                self.pos += 1;
+                Ok(Cow::Borrowed(run))
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or(err(ParseErrorKind::BadEscape, *pos))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| err(ParseErrorKind::BadEscape, *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err(ParseErrorKind::BadEscape, *pos))?;
-                        // Surrogate pairs are not needed by any schema here.
-                        out.push(
-                            char::from_u32(code).ok_or(err(ParseErrorKind::BadCodePoint, *pos))?,
-                        );
-                        *pos += 4;
-                    }
-                    _ => return Err(err(ParseErrorKind::BadEscape, *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume the maximal run of plain characters in one go.
-                // '"' (0x22) and '\\' (0x5C) never occur inside multi-byte
-                // UTF-8 sequences, so scanning raw bytes is sound, and
-                // validating only this chunk keeps parsing linear.
-                let start = *pos;
-                while let Some(&b) = bytes.get(*pos) {
-                    if b == b'"' || b == b'\\' {
-                        break;
-                    }
-                    *pos += 1;
-                }
-                let chunk = std::str::from_utf8(&bytes[start..*pos])
-                    .map_err(|_| err(ParseErrorKind::InvalidUtf8, start))?;
-                out.push_str(chunk);
-            }
+            Some(_) => self.escaped_string(open, run.to_string()).map(Cow::Owned),
         }
     }
-}
 
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
-    *pos += 1; // consume '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos, depth + 1)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Array(items));
+    /// Consumes the longest run without `"` or `\` and returns it. Both
+    /// are ASCII and never occur inside a multi-byte UTF-8 sequence, so
+    /// the run starts and ends on character boundaries of the input.
+    fn plain_run(&mut self) -> &'a str {
+        let start = self.pos;
+        let bytes = self.text.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            if b == b'"' || b == b'\\' {
+                break;
             }
-            _ => {
-                return Err(err(
-                    ParseErrorKind::ExpectedCommaOrClose { close: ']' },
-                    *pos,
-                ))
-            }
+            self.pos += 1;
         }
+        &self.text[start..self.pos]
     }
-}
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
-    *pos += 1; // consume '{'
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Object(map));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(err(ParseErrorKind::ExpectedKey, *pos));
-        }
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(err(ParseErrorKind::ExpectedColon, *pos));
-        }
-        *pos += 1;
-        map.insert(key, parse_value(bytes, pos, depth + 1)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Object(map));
+    /// The rest of a string that holds an escape, appended to `out`; the
+    /// input sits at a `\`.
+    fn escaped_string(&mut self, open: usize, mut out: String) -> Result<String, ParseError> {
+        let bytes = self.text.as_bytes();
+        loop {
+            match bytes.get(self.pos) {
+                None => return Err(err(ParseErrorKind::UnterminatedString, open)),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    let pos = self.pos;
+                    match bytes.get(pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let hex = bytes
+                                .get(pos + 1..pos + 5)
+                                .ok_or(err(ParseErrorKind::BadEscape, pos))?;
+                            let hex = std::str::from_utf8(hex)
+                                .map_err(|_| err(ParseErrorKind::BadEscape, pos))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| err(ParseErrorKind::BadEscape, pos))?;
+                            // Surrogate pairs are not needed by any schema here.
+                            out.push(
+                                char::from_u32(code)
+                                    .ok_or(err(ParseErrorKind::BadCodePoint, pos))?,
+                            );
+                            self.pos += 4;
+                        }
+                        _ => return Err(err(ParseErrorKind::BadEscape, pos)),
+                    }
+                    self.pos += 1;
+                }
+                Some(_) => out.push_str(self.plain_run()),
             }
-            _ => {
-                return Err(err(
-                    ParseErrorKind::ExpectedCommaOrClose { close: '}' },
-                    *pos,
-                ))
+        }
+    }
+
+    fn array(&mut self, depth: usize) -> Result<Value, ParseError> {
+        self.pos += 1; // consume '['
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Array(Vec::new()));
+        }
+        let mut items = Vec::new();
+        loop {
+            items.push(self.value(depth + 1)?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Array(items));
+                }
+                _ => {
+                    return Err(err(
+                        ParseErrorKind::ExpectedCommaOrClose { close: ']' },
+                        self.pos,
+                    ))
+                }
+            }
+        }
+    }
+
+    fn object(&mut self, depth: usize) -> Result<Value, ParseError> {
+        self.pos += 1; // consume '{'
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Object(Object::new()));
+        }
+        let mut members = Vec::new();
+        loop {
+            self.skip_ws();
+            if self.peek() != Some(b'"') {
+                return Err(err(ParseErrorKind::ExpectedKey, self.pos));
+            }
+            let key = Key::new(&self.string()?);
+            self.skip_ws();
+            if self.peek() != Some(b':') {
+                return Err(err(ParseErrorKind::ExpectedColon, self.pos));
+            }
+            self.pos += 1;
+            members.push((key, self.value(depth + 1)?));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Object(Object::from_members(members)));
+                }
+                _ => {
+                    return Err(err(
+                        ParseErrorKind::ExpectedCommaOrClose { close: '}' },
+                        self.pos,
+                    ))
+                }
             }
         }
     }
@@ -672,6 +882,65 @@ mod tests {
         for text in ["-", "1.2.3", "1e", "--5", "1e+-2"] {
             let e = parse(text).unwrap_err();
             assert_eq!(e.kind, ParseErrorKind::InvalidNumber, "{text}: {e}");
+        }
+    }
+
+    #[test]
+    fn last_duplicate_key_wins() {
+        let v = parse(r#"{"b": 1, "a": 2, "b": 3, "a": 4, "b": 5}"#).unwrap();
+        assert_eq!(v.compact(), r#"{"a":4,"b":5}"#);
+        assert_eq!(v.as_object().unwrap().len(), 2);
+        let built = object([
+            ("k", Value::Int(1)),
+            ("j", Value::Null),
+            ("k", Value::Int(2)),
+        ]);
+        assert_eq!(built.compact(), r#"{"j":null,"k":2}"#);
+    }
+
+    #[test]
+    fn keys_inline_up_to_the_limit_and_box_beyond_it() {
+        for len in [0, 1, INLINE_KEY - 1, INLINE_KEY, INLINE_KEY + 1, 64] {
+            let text = "k".repeat(len);
+            let key = Key::new(&text);
+            assert_eq!(
+                matches!(key, Key::Inline { .. }),
+                len <= INLINE_KEY,
+                "{len}"
+            );
+            assert_eq!(key.as_str(), text);
+        }
+        // A multi-byte key is inline by its byte length.
+        assert!(matches!(Key::new("ключ_ключ_ключ"), Key::Heap(_)));
+        assert_eq!(Key::new("ключ").as_str(), "ключ");
+        // An inline key costs no more room than a boxed one.
+        assert_eq!(
+            std::mem::size_of::<Key>(),
+            std::mem::size_of::<Box<str>>() + 8
+        );
+    }
+
+    #[test]
+    fn members_insert_and_remove_in_key_order() {
+        let mut v = parse(r#"{"op": "ping", "id": 7}"#).unwrap();
+        let Value::Object(obj) = &mut v else {
+            unreachable!("parsed an object")
+        };
+        assert_eq!(obj.remove("id"), Some(Value::Int(7)));
+        assert_eq!(obj.remove("id"), None);
+        assert_eq!(obj.insert("feasible", Value::Bool(true)), None);
+        assert_eq!(
+            obj.insert("feasible", Value::Bool(false)),
+            Some(Value::Bool(true))
+        );
+        assert_eq!(obj.keys().collect::<Vec<_>>(), ["feasible", "op"]);
+        assert_eq!(v.compact(), r#"{"feasible":false,"op":"ping"}"#);
+    }
+
+    #[test]
+    fn integers_render_like_display() {
+        for n in [0, 7, -7, 10, -10, 1_000_000, i64::MAX, i64::MIN] {
+            assert_eq!(Value::Int(n).compact(), n.to_string());
         }
     }
 

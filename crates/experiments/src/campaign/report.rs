@@ -19,7 +19,7 @@ pub fn summary_json(outcome: &CampaignOutcome) -> Value {
                     .iter()
                     .map(|(name, v)| {
                         (
-                            name.clone(),
+                            name,
                             match v {
                                 super::spec::AxisValue::Int(n) => Value::Int(*n),
                                 super::spec::AxisValue::Float(f) => Value::Float(*f),
@@ -40,7 +40,7 @@ pub fn summary_json(outcome: &CampaignOutcome) -> Value {
                         } else {
                             Value::Float(x)
                         };
-                        (name.to_string(), v)
+                        (name, v)
                     })
                     .collect(),
             );

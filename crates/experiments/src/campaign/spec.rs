@@ -437,7 +437,7 @@ impl CampaignSpec {
         ];
         if let Some(map) = doc.as_object() {
             for key in map.keys() {
-                if !KNOWN.contains(&key.as_str()) {
+                if !KNOWN.contains(&key) {
                     return Err(bad(format!(
                         "unknown field {key:?} (known: {})",
                         KNOWN.join(", ")

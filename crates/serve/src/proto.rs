@@ -435,8 +435,8 @@ fn network_result(
         Ok((an, hi)) => {
             let mut value = render(&an);
             if let (Some(hi), Value::Object(fields)) = (hi, &mut value) {
-                fields.insert("feasible".into(), Value::Bool(an.all_schedulable() && hi));
-                fields.insert("hi_feasible".into(), Value::Bool(hi));
+                fields.insert("feasible", Value::Bool(an.all_schedulable() && hi));
+                fields.insert("hi_feasible", Value::Bool(hi));
             }
             Ok(value)
         }
