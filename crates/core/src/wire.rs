@@ -26,6 +26,10 @@ use crate::config::{MasterConfig, NetworkConfig};
 /// 500 kbit/s, in bit times.
 pub const DEFAULT_TOKEN_PASS: i64 = 166;
 
+/// Target rotations per low-priority exchange: the simulator view gives
+/// a master with `cl > 0` one background exchange per this many TTRs.
+pub const LOW_PRIORITY_ROTATIONS: i64 = 10;
+
 /// The class of a [`DecodeError`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ErrorKind {
@@ -257,6 +261,8 @@ pub fn decode_network(v: &Value) -> Result<NetworkConfig, DecodeError> {
 /// The one decoder: the analysis view and the simulator fields. The FDL
 /// address plan — each master's `addr`, or else its ring index — is
 /// checked by [`check_address_plan`], the rule the simulator applies.
+/// When some master sends background traffic (`cl > 0`), the
+/// [`low_priority_cadence`] must fit in i64 ticks.
 ///
 /// # Errors
 /// As [`decode_network`].
@@ -287,7 +293,24 @@ pub fn decode_ring(v: &Value) -> Result<Ring, DecodeError> {
         .map_err(|e| model(e.to_string()))?
         .with_token_pass(Time::new(token_pass));
     check_address_plan(sim.iter().map(|s| s.addr)).map_err(|e| model(e.to_string()))?;
+    if net.masters.iter().any(|m| m.cl.is_positive()) {
+        low_priority_cadence(net.ttr)?;
+    }
     Ok(Ring { net, sim })
+}
+
+/// The simulator's background cadence for target rotation time `ttr`:
+/// one low-priority exchange per [`LOW_PRIORITY_ROTATIONS`] rotations.
+///
+/// # Errors
+/// A model error when the product overflows i64 ticks.
+pub fn low_priority_cadence(ttr: Time) -> Result<Time, DecodeError> {
+    ttr.checked_mul(LOW_PRIORITY_ROTATIONS).ok_or_else(|| {
+        model(format!(
+            "ttr {} is too large: {LOW_PRIORITY_ROTATIONS} x TTR overflows",
+            ttr.ticks()
+        ))
+    })
 }
 
 /// The one encoder, the inverse of [`decode_ring`]. Master `k` carries
@@ -383,5 +406,25 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind, ErrorKind::Model);
         assert_eq!(err.detail, "masters 0 and 1 alias FDL address M1");
+    }
+
+    #[test]
+    fn the_cadence_bounds_ttr_only_with_background_traffic() {
+        let ring = |cl: i64| {
+            decode_text(&format!(
+                r#"{{"ttr":4611686018427387904,"masters":[{{"cl":{cl},"streams":[]}}]}}"#
+            ))
+        };
+        assert!(ring(0).is_ok());
+        let err = ring(1).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Model);
+        assert_eq!(
+            err.detail,
+            "ttr 4611686018427387904 is too large: 10 x TTR overflows"
+        );
+        assert_eq!(
+            low_priority_cadence(Time::new(i64::MAX / 10)),
+            Ok(Time::new(i64::MAX / 10 * 10))
+        );
     }
 }

@@ -23,9 +23,9 @@ pub struct CliNetwork {
     pub sim: SimNetwork,
 }
 
-/// Loads and validates a config file. The simulator view is built here,
-/// so its check of the low-priority cadence is a load error for every
-/// subcommand (the decoder already checked the FDL address plan).
+/// Loads and validates a config file. The decoder checks the FDL address
+/// plan and the low-priority cadence, so every subcommand rejects a ring
+/// the simulator cannot build.
 pub fn load(path: &str) -> Result<CliNetwork, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = json::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
@@ -53,11 +53,7 @@ fn to_sim(ring: &Ring) -> Result<SimNetwork, String> {
                 master.stack_capacity = cap.max(1);
             }
             if m.cl.is_positive() {
-                // Background traffic cadence: one low-priority exchange
-                // per ~10 target rotations.
-                let cadence = net.ttr.checked_mul(10).ok_or_else(|| {
-                    format!("ttr {} is too large: 10 x TTR overflows", net.ttr.ticks())
-                })?;
+                let cadence = wire::low_priority_cadence(net.ttr).map_err(|e| e.to_string())?;
                 master
                     .low_priority
                     .push(LowPriorityTraffic::new(m.cl, cadence));
