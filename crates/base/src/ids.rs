@@ -85,6 +85,26 @@ impl fmt::Display for AddressPlanError {
 
 impl std::error::Error for AddressPlanError {}
 
+/// A ring's FDL address plan that [`check_address_plan`] accepted: the
+/// effective address of each master, in ring order, every one a station
+/// address and no two equal.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AddressPlan {
+    addrs: Vec<MasterAddr>,
+}
+
+impl AddressPlan {
+    /// The effective addresses, in ring order.
+    pub fn addrs(&self) -> &[MasterAddr] {
+        &self.addrs
+    }
+
+    /// The effective addresses, in ring order.
+    pub fn into_addrs(self) -> Vec<MasterAddr> {
+        self.addrs
+    }
+}
+
 /// Checks a ring's FDL address plan, given each master's explicit address
 /// (`None` for none) in ring order. Master `k`'s effective address is its
 /// explicit one, or else its ring index `k`; every effective address must
@@ -94,9 +114,10 @@ impl std::error::Error for AddressPlanError {}
 /// The first master, in ring order, that breaks either rule.
 pub fn check_address_plan(
     explicit: impl IntoIterator<Item = Option<MasterAddr>>,
-) -> Result<(), AddressPlanError> {
+) -> Result<AddressPlan, AddressPlanError> {
     // Ring index of each station address's holder so far.
     let mut holder = [None; MasterAddr::MAX_ADDRESS as usize + 1];
+    let mut addrs = Vec::new();
     for (k, addr) in explicit.into_iter().enumerate() {
         // A ring index past 255 maps to 255, which is no station either.
         let addr = addr.unwrap_or(MasterAddr(u8::try_from(k).unwrap_or(u8::MAX)));
@@ -111,8 +132,9 @@ pub fn check_address_plan(
             });
         }
         *slot = Some(k);
+        addrs.push(addr);
     }
-    Ok(())
+    Ok(AddressPlan { addrs })
 }
 
 #[cfg(test)]
@@ -135,9 +157,10 @@ mod tests {
 
     #[test]
     fn address_plans_resolve_to_explicit_or_ring_index() {
+        let addrs = |plan: Result<AddressPlan, _>| plan.map(AddressPlan::into_addrs);
         assert_eq!(
-            check_address_plan([None, Some(MasterAddr(5)), None]),
-            Ok(())
+            addrs(check_address_plan([None, Some(MasterAddr(5)), None])),
+            Ok(vec![MasterAddr(0), MasterAddr(5), MasterAddr(2)])
         );
         // Ring index 2's implicit address is master 0's explicit one.
         let alias = AddressPlanError::DuplicateAddress {
@@ -149,12 +172,23 @@ mod tests {
             check_address_plan([Some(MasterAddr(2)), None, None]),
             Err(alias)
         );
+        // Two explicit addresses, apart in the ring.
+        let five = Some(MasterAddr(5));
+        assert_eq!(
+            check_address_plan([five, Some(MasterAddr(3)), five]),
+            Err(AddressPlanError::DuplicateAddress {
+                addr: MasterAddr(5),
+                first: 0,
+                second: 2
+            })
+        );
         let invalid = |master| Err(AddressPlanError::InvalidAddress { master });
         assert_eq!(
             check_address_plan([None, Some(MasterAddr::BROADCAST)]),
             invalid(1)
         );
-        assert_eq!(check_address_plan(vec![None; 127]), Ok(()));
+        let full = check_address_plan(vec![None; 127]).map(AddressPlan::into_addrs);
+        assert_eq!(full, Ok((0..=126).map(MasterAddr).collect()));
         assert_eq!(check_address_plan(vec![None; 300]), invalid(127));
     }
 

@@ -53,7 +53,7 @@ pub mod utilization;
 pub use bignat::BigNat;
 pub use criticality::Criticality;
 pub use error::{AnalysisError, AnalysisResult, ModelError};
-pub use ids::{check_address_plan, AddressPlanError, MasterAddr, StreamId, TaskId};
+pub use ids::{check_address_plan, AddressPlan, AddressPlanError, MasterAddr, StreamId, TaskId};
 pub use num::{ceil_div, floor_div, gcd, lcm, Frac};
 pub use priority::Priority;
 pub use release::{JitterMode, MergedReleases, OffsetMode, PeriodicReleases, ReleaseGen};

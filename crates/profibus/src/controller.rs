@@ -26,49 +26,11 @@
 //! listener when the whole ring died — after its address-staggered timeout
 //! ([`crate::fdl::token_recovery_timeout`]).
 
-use profirt_base::MasterAddr;
+use profirt_base::{AddressPlan, MasterAddr};
 
 use crate::fdl::{FdlEvent, FdlState, FdlStation};
 use crate::gap::{GapPollResult, GapState};
 use crate::ring::LogicalRing;
-
-/// Errors configuring a [`RingController`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RingConfigError {
-    /// A station address is outside the valid range `0..=126`.
-    InvalidAddress {
-        /// Slot (caller ring index) of the offending master.
-        slot: usize,
-        /// The rejected address.
-        addr: MasterAddr,
-    },
-    /// Two masters share one FDL address.
-    DuplicateAddress {
-        /// The shared address.
-        addr: MasterAddr,
-        /// Slot of the first holder.
-        first: usize,
-        /// Slot of the second holder.
-        second: usize,
-    },
-}
-
-impl std::fmt::Display for RingConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RingConfigError::InvalidAddress { slot, addr } => {
-                write!(f, "master {slot} has invalid station address {addr}")
-            }
-            RingConfigError::DuplicateAddress {
-                addr,
-                first,
-                second,
-            } => write!(f, "masters {first} and {second} alias FDL address {addr}"),
-        }
-    }
-}
-
-impl std::error::Error for RingConfigError {}
 
 /// Protocol state of a dynamic logical ring (see the module docs).
 #[derive(Clone, Debug, PartialEq)]
@@ -89,32 +51,21 @@ pub struct RingController {
 pub const LISTEN_ROTATIONS: u32 = 2;
 
 impl RingController {
-    /// Creates a controller for the given per-slot addresses, all stations
-    /// powered off and the ring empty. `gap_factor == 0` disables GAP
-    /// polling entirely.
-    pub fn new(addrs: Vec<MasterAddr>, gap_factor: u32) -> Result<RingController, RingConfigError> {
-        for (slot, &addr) in addrs.iter().enumerate() {
-            if !addr.is_valid_station() {
-                return Err(RingConfigError::InvalidAddress { slot, addr });
-            }
-            if let Some(first) = addrs[..slot].iter().position(|&a| a == addr) {
-                return Err(RingConfigError::DuplicateAddress {
-                    addr,
-                    first,
-                    second: slot,
-                });
-            }
-        }
+    /// Creates a controller for a checked address plan (slot `k` is ring
+    /// index `k`), all stations powered off and the ring empty.
+    /// `gap_factor == 0` disables GAP polling entirely.
+    pub fn new(plan: AddressPlan, gap_factor: u32) -> RingController {
+        let addrs = plan.into_addrs();
         let n = addrs.len();
         let stations = addrs.iter().map(|&a| FdlStation::new(a)).collect();
-        Ok(RingController {
+        RingController {
             addrs,
             stations,
             ring: LogicalRing::default(),
             gap: vec![None; n],
             rotations_seen: vec![0; n],
             gap_factor,
-        })
+        }
     }
 
     /// Number of configured slots.
@@ -370,29 +321,11 @@ impl RingController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use profirt_base::check_address_plan;
 
     fn controller(addrs: &[u8], g: u32) -> RingController {
-        RingController::new(addrs.iter().map(|&a| MasterAddr(a)).collect(), g).unwrap()
-    }
-
-    #[test]
-    fn construction_validates_addresses() {
-        assert!(RingController::new(vec![MasterAddr(1), MasterAddr(2)], 1).is_ok());
-        assert_eq!(
-            RingController::new(vec![MasterAddr(1), MasterAddr(127)], 1),
-            Err(RingConfigError::InvalidAddress {
-                slot: 1,
-                addr: MasterAddr(127)
-            })
-        );
-        assert_eq!(
-            RingController::new(vec![MasterAddr(5), MasterAddr(3), MasterAddr(5)], 1),
-            Err(RingConfigError::DuplicateAddress {
-                addr: MasterAddr(5),
-                first: 0,
-                second: 2
-            })
-        );
+        let plan = check_address_plan(addrs.iter().map(|&a| Some(MasterAddr(a)))).unwrap();
+        RingController::new(plan, g)
     }
 
     #[test]

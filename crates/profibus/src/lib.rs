@@ -39,7 +39,7 @@ pub mod ring;
 pub mod station;
 pub mod token;
 
-pub use controller::{RingConfigError, RingController};
+pub use controller::RingController;
 pub use cycle::{MessageCycleSpec, TokenPassTime};
 pub use fdl::{token_recovery_timeout, FdlEvent, FdlState, FdlStation};
 pub use gap::{GapPollResult, GapState};

@@ -1,6 +1,8 @@
 //! Simulation inputs.
 
-use profirt_base::{check_address_plan, AddressPlanError, MasterAddr, StreamSet, Time};
+use profirt_base::{
+    check_address_plan, AddressPlan, AddressPlanError, MasterAddr, StreamSet, Time,
+};
 use profirt_profibus::{gap, BusParams, LowPriorityTraffic, QueuePolicy};
 
 // The placement/jitter modes are defined next to the lazy release
@@ -172,10 +174,11 @@ impl SimNetwork {
         Ok(net)
     }
 
-    /// Validates the network (see [`SimNetwork::new`]); the simulators run
-    /// this before touching any state, so address aliasing is an error up
-    /// front instead of a silently-merged claim timeout.
-    pub fn validate(&self) -> Result<(), SimNetworkError> {
+    /// Validates the network (see [`SimNetwork::new`]) and returns its
+    /// checked address plan; the simulators run this before touching any
+    /// state, so address aliasing is an error up front instead of a
+    /// silently-merged claim timeout.
+    pub fn validate(&self) -> Result<AddressPlan, SimNetworkError> {
         if self.masters.is_empty() {
             return Err(SimNetworkError::NoMasters);
         }

@@ -47,7 +47,7 @@
 //! set.
 
 use profirt_base::release::MergedReleases;
-use profirt_base::{Criticality, Time};
+use profirt_base::{AddressPlan, Criticality, Time};
 use profirt_profibus::fdl::token_recovery_timeout;
 use profirt_profibus::{
     gap, ApQueue, BusParams, Request, RingController, StackCapacity, StackQueue, TokenTimer,
@@ -415,20 +415,21 @@ fn visit(
 
 /// Validates `net` and its clock range under `config`, then builds the
 /// run's mode controller when `config` enables one; its thresholds must
-/// fit i64 ticks as well.
+/// fit i64 ticks as well. Returns the checked address plan too.
 fn validated_mode_controller(
     net: &SimNetwork,
     config: &NetworkSimConfig,
-) -> Result<Option<ModeController>, SimNetworkError> {
-    net.validate()?;
+) -> Result<(AddressPlan, Option<ModeController>), SimNetworkError> {
+    let plan = net.validate()?;
     config.check_tick_range(net)?;
     if !config.mode.enabled {
-        return Ok(None);
+        return Ok((plan, None));
     }
     let initial = (0..net.masters.len())
         .filter(|&k| !config.membership.is_initially_off(k))
         .count();
-    ModeController::new(net.ttr, net.masters.len(), initial, config.mode).map(Some)
+    let ctrl = ModeController::new(net.ttr, net.masters.len(), initial, config.mode)?;
+    Ok((plan, Some(ctrl)))
 }
 
 /// Runs the streaming kernel, emitting every bus event into `observers`:
@@ -450,7 +451,7 @@ pub fn run_network(
 ) -> KernelMemStats {
     // The mixed-criticality mode controller (when enabled): fed from the
     // same TRR measurements and join/leave events the observers see.
-    let mut mode_ctrl = match validated_mode_controller(net, config) {
+    let (plan, mut mode_ctrl) = match validated_mode_controller(net, config) {
         Ok(ctrl) => ctrl,
         Err(e) => panic!("{e}"),
     };
@@ -474,8 +475,7 @@ pub fn run_network(
     let mut mem = KernelMemStats::default();
 
     let bus = BusParams::profile_500k().with_slot_time(config.slot_time);
-    let mut ctrl = RingController::new(net.addresses(), config.gap_factor)
-        .expect("SimNetwork::validate checked the address plan");
+    let mut ctrl = RingController::new(plan, config.gap_factor);
     let plan = &config.membership;
     for k in 0..net.masters.len() {
         if !plan.is_initially_off(k) {
