@@ -95,11 +95,6 @@ pub struct AddressPlan {
 
 impl AddressPlan {
     /// The effective addresses, in ring order.
-    pub fn addrs(&self) -> &[MasterAddr] {
-        &self.addrs
-    }
-
-    /// The effective addresses, in ring order.
     pub fn into_addrs(self) -> Vec<MasterAddr> {
         self.addrs
     }
