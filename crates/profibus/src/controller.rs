@@ -329,6 +329,33 @@ mod tests {
     }
 
     #[test]
+    fn construction_validates_addresses() {
+        // A controller is built only from a checked plan, which takes each
+        // explicit address as its slot's.
+        let c = controller(&[1, 2], 1);
+        assert_eq!(
+            (c.len(), c.addr_of(0), c.addr_of(1)),
+            (2, MasterAddr(1), MasterAddr(2))
+        );
+        assert_eq!(c.slot_of(MasterAddr(2)), Some(1));
+        assert_eq!(c.slot_of(MasterAddr(3)), None);
+        // An address outside 0..=126 or an aliased one yields no plan.
+        let plan = |addrs: &[u8]| check_address_plan(addrs.iter().map(|&a| Some(MasterAddr(a))));
+        assert_eq!(
+            plan(&[1, 127]),
+            Err(profirt_base::AddressPlanError::InvalidAddress { master: 1 })
+        );
+        assert_eq!(
+            plan(&[5, 3, 5]),
+            Err(profirt_base::AddressPlanError::DuplicateAddress {
+                addr: MasterAddr(5),
+                first: 0,
+                second: 2
+            })
+        );
+    }
+
+    #[test]
     fn boot_in_ring_is_active_and_member() {
         let mut c = controller(&[2, 7], 1);
         c.boot_in_ring(0);
